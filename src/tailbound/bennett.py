@@ -27,7 +27,7 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .moments import EnsembleSpec, MomentVector, restrict_order
+from .moments import EnsembleSpec, MomentVector, restrict_order, weighted_sum
 from .special import (
     RootSet,
     ScanGrid,
@@ -110,11 +110,12 @@ def aggregate_moments(spec: EnsembleSpec, p: int) -> tuple[float, tuple[float, .
     """Common upper bound b and summed (mu^2, ..., mu^p) across variables.
 
     The final entry sums the positive-part p-th moments, which is what the
-    bound needs for variables unbounded below.
+    bound needs for variables unbounded below. Each group contributes its
+    moments times its multiplicity.
     """
     if not isinstance(p, int) or p < 2:
         raise DomainError(f"order p must be an integer >= 2; got {p!r}")
-    variables = [restrict_order(v, p) for v in spec.variables]
+    variables = [restrict_order(v, p) for v in spec.vectors]
     b = variables[0].support.upper
     for v in variables[1:]:
         if abs(v.support.upper - b) > 1e-12 * max(abs(b), 1.0):
@@ -123,8 +124,10 @@ def aggregate_moments(spec: EnsembleSpec, p: int) -> tuple[float, tuple[float, .
                 f"{v.support.upper}")
     if b <= 0.0:
         raise DomainError(f"the common upper bound must be positive; got {b}")
-    agg = [sum(v.mu[k - 1] for v in variables) for k in range(2, p)]
-    agg.append(sum(v.positive_part_pth for v in variables))
+    # columns of mu^2..mu^{p-1} across the groups, then the positive parts
+    agg = [weighted_sum(column, spec.counts)
+           for column in zip(*[v.mu[1:-1] for v in variables])]
+    agg.append(weighted_sum([v.positive_part_pth for v in variables], spec.counts))
     if agg[-1] <= 0.0:
         raise DegenerateDistributionError(
             f"summed positive-part moment of order {p} must be positive; "
@@ -157,8 +160,9 @@ def _inner_expression(y: float, t: float, b: float, p: int,
 
 def _checked_t(t: float) -> float:
     t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"deviation threshold must be positive; got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(
+            f"deviation threshold must be positive and finite; got {t}")
     return t
 
 
@@ -247,7 +251,7 @@ def bennett_tightness_check(spec: EnsembleSpec, t: float) -> TightnessComparison
     then the three-moment bound can never exceed the classical one.
     """
     t = _checked_t(t)
-    for v in spec.variables:
+    for v in spec.vectors:
         if v.p < 3:
             raise OrderError("the comparison needs third moments")
     p2 = bennett_bound(spec, t, 2)

@@ -346,10 +346,10 @@ def _cmd_bound(args) -> int:
         raise ConfigError("--two-sided applies to the hoeffding family only")
     p_max = max(p_list)
     mv = _variable_from_args(args, p_max)
+    spec = EnsembleSpec.iid_replicate(mv, args.n)
     records = []
     for family in families:
         for p in p_list:
-            spec = EnsembleSpec.iid_replicate(mv, args.n)
             for t in t_grid:
                 t_abs = t * args.n if args.per_var else t
                 if family == "hoeffding":
@@ -455,7 +455,7 @@ def _cmd_verify(args) -> int:
     dist = _distribution_from_args(args)
     p_max = max(p_list)
     mv = dist.moment_vector(p_max)
-    spec_cache = {p: EnsembleSpec.iid_replicate(mv, args.n) for p in set(p_list)}
+    spec = EnsembleSpec.iid_replicate(mv, args.n)
 
     lines = []
     failures = 0
@@ -466,9 +466,9 @@ def _cmd_verify(args) -> int:
         for family in families:
             for p in p_list:
                 if family == "hoeffding":
-                    bound = hoeffding_bound(spec_cache[p], t_abs, p).bound
+                    bound = hoeffding_bound(spec, t_abs, p).bound
                 else:
-                    bound = bennett_bound(spec_cache[p], t_abs, p).bound
+                    bound = bennett_bound(spec, t_abs, p).bound
                 margin = bound + 3.0 * estimate.stderr - estimate.probability
                 ok = estimate.probability <= bound + 3.0 * estimate.stderr
                 failures += 0 if ok else 1

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, DomainError, OracleError
 from .moments import MomentVector, Support
@@ -47,7 +46,12 @@ class Distribution:
         raise NotImplementedError
 
     def tilted_first_second(self, s: float) -> tuple[float, float]:
-        """(E X e^{sX}, E X^2 e^{sX})."""
+        """(E X e^{sX}, E X^2 e^{sX}), both scaled by e^{-s*upper}.
+
+        Callers use only the ratio of the two and their signs, which the
+        common factor leaves unchanged; dividing it out keeps e^{sX} from
+        overflowing at large tilts.
+        """
         raise NotImplementedError
 
     def moment_vector(self, p: int) -> MomentVector:
@@ -56,6 +60,10 @@ class Distribution:
 
 
 def _quad(fn, lo, hi):
+    # imported here: scipy.integrate costs about 50 MiB and 0.3 s to import,
+    # and only the laws without closed forms need it
+    from scipy import integrate
+
     value, err = integrate.quad(fn, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                                 limit=200)
     if not math.isfinite(value) or err > 1e-8 * max(abs(value), 1.0):
@@ -99,14 +107,17 @@ class Uniform(Distribution):
 
     def tilted_first_second(self, s):
         if abs(s) * max(abs(self.lo), abs(self.hi)) < 1e-4:
-            return (_tilted_series(self, s, 1), _tilted_series(self, s, 2))
+            scale = math.exp(-s * self.hi)
+            return (scale * _tilted_series(self, s, 1),
+                    scale * _tilted_series(self, s, 2))
         width = self.hi - self.lo
 
         def f1(x):
-            return math.exp(s * x) * (s * x - 1.0) / (s * s)
+            return math.exp(s * (x - self.hi)) * (s * x - 1.0) / (s * s)
 
         def f2(x):
-            return math.exp(s * x) * (s * s * x * x - 2.0 * s * x + 2.0) / s ** 3
+            return (math.exp(s * (x - self.hi))
+                    * (s * s * x * x - 2.0 * s * x + 2.0) / s ** 3)
 
         first = (f1(self.hi) - f1(self.lo)) / width
         second = (f2(self.hi) - f2(self.lo)) / width
@@ -133,8 +144,8 @@ class Bernoulli(Distribution):
         return self.q * math.exp(s) + 1.0 - self.q
 
     def tilted_first_second(self, s):
-        v = self.q * math.exp(s)
-        return v, v
+        # X e^{sX} and X^2 e^{sX} are e^s on X = 1 and 0 on X = 0
+        return self.q, self.q
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ class PointMass(Distribution):
         return math.exp(s * self.c)
 
     def tilted_first_second(self, s):
-        e = math.exp(s * self.c)
+        e = math.exp(s * (self.c - self.hi))
         return self.c * e, self.c * self.c * e
 
 
@@ -204,9 +215,11 @@ class Beta(Distribution):
         return _quad(lambda x: math.exp(s * x) * self._pdf(x), 0.0, 1.0)
 
     def tilted_first_second(self, s):
-        first = _quad(lambda x: x * math.exp(s * x) * self._pdf(x), 0.0, 1.0)
-        second = _quad(lambda x: x * x * math.exp(s * x) * self._pdf(x), 0.0, 1.0)
-        return first, second
+        # E X^k e^{sX} = E(X^k) M(a+k, a+b+k, s): the moment series of the
+        # tilted law, summed in closed form by Kummer's function
+        a, ab = self.a, self.a + self.b
+        return (self.moment(1) * _kummer_scaled(a + 1.0, ab + 1.0, s),
+                self.moment(2) * _kummer_scaled(a + 2.0, ab + 2.0, s))
 
 
 @dataclass(frozen=True)
@@ -254,10 +267,85 @@ class TruncatedExponential(Distribution):
         g1 = r / (r + s)          # E e^{-sE}
         g2 = r / (r + s) ** 2     # E E e^{-sE}
         g3 = 2.0 * r / (r + s) ** 3
-        e = math.exp(s * self.b)
-        first = e * (self.b * g1 - g2)
-        second = e * (self.b * self.b * g1 - 2.0 * self.b * g2 + g3)
+        # the common factor e^{s b} is the e^{s*upper} scale, divided out
+        first = self.b * g1 - g2
+        second = self.b * self.b * g1 - 2.0 * self.b * g2 + g3
         return first, second
+
+
+_SERIES_TOL = 1e-17
+_RESCALE = 2.0 ** 800
+_ASYMPTOTIC_S = 1e3
+_MAX_TERMS = 10 ** 6
+
+
+def _kummer_scaled(alpha: float, gamma: float, s: float) -> float:
+    """e^{-s} M(alpha, gamma, s) for 0 < alpha < gamma, where M is Kummer's
+    confluent hypergeometric function sum_n (alpha)_n/(gamma)_n s^n/n!.
+
+    Above s = 1e3 the large-s expansion is used where it converges. Else the
+    power series is summed over positive terms only (Kummer's transformation
+    handles s < 0), rescaled as they grow, so large s neither overflows nor
+    cancels; its terms shrink only past n = s, so it is capped at 10^6 terms.
+    """
+    if not math.isfinite(s):
+        raise DomainError(f"tilted moments need a finite tilt; got {s}")
+    if s < 0.0:
+        return math.exp(-s) * _kummer_scaled(gamma - alpha, gamma, -s)
+    if s > _ASYMPTOTIC_S:
+        value = _kummer_asymptotic(alpha, gamma, s)
+        if value is not None:
+            return value
+    term = total = 1.0
+    log_scale = -s
+    n = 0
+    while True:
+        # every later term ratio is below q = s/(n+1), which bounds the tail
+        q = s / (n + 1)
+        if q < 1.0 and term * q <= _SERIES_TOL * total * (1.0 - q):
+            break
+        if n == _MAX_TERMS:
+            raise OracleError(
+                f"Kummer series M({alpha}, {gamma}, {s}) needs more than "
+                f"{_MAX_TERMS} terms")
+        term *= (alpha + n) / (gamma + n) * q
+        total += term
+        n += 1
+        if total > _RESCALE:
+            term /= _RESCALE
+            total /= _RESCALE
+            log_scale += math.log(_RESCALE)
+    if log_scale > -700.0:
+        return total * math.exp(log_scale)
+    return math.exp(math.log(total) + log_scale)
+
+
+def _kummer_asymptotic(alpha: float, gamma: float, s: float) -> float | None:
+    """e^{-s} M(alpha, gamma, s) from its large-s expansion
+
+        Gamma(gamma)/Gamma(alpha) s^{alpha-gamma}
+            * sum_k (gamma-alpha)_k (1-alpha)_k / (k! s^k),
+
+    or None where it does not apply: when the terms stop shrinking before
+    they fall below the tolerance, or when the part of M the expansion
+    leaves out, Gamma(gamma)/Gamma(gamma-alpha) s^{-alpha} e^{-s} after
+    scaling, is not negligible beside it.
+    """
+    log_s = math.log(s)
+    if (math.lgamma(alpha) - math.lgamma(gamma - alpha)
+            + (gamma - 2.0 * alpha) * log_s - s) > -50.0:
+        return None
+    term = total = 1.0
+    k = 0
+    while abs(term) > _SERIES_TOL * abs(total):
+        ratio = (gamma - alpha + k) * (1.0 - alpha + k) / ((k + 1) * s)
+        if abs(ratio) >= 0.5:
+            return None
+        term *= ratio
+        total += term
+        k += 1
+    return total * math.exp(math.lgamma(gamma) - math.lgamma(alpha)
+                            + (alpha - gamma) * log_s)
 
 
 def _tilted_series(dist: Distribution, s: float, power: int) -> float:

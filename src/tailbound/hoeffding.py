@@ -30,9 +30,12 @@ from .mgf import c_factor_from_moments, i_measure
 from .moments import (
     EnsembleSpec,
     MomentVector,
+    expand_runs,
+    identity_runs,
     reflect_moments,
     restrict_order,
     shift_to_origin,
+    weighted_sum,
 )
 from .special import mills_theta
 
@@ -89,8 +92,9 @@ class HoeffdingBound:
 
 def _checked_threshold(t: float) -> float:
     t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"deviation threshold must be positive; got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(
+            f"deviation threshold must be positive and finite; got {t}")
     return t
 
 
@@ -100,26 +104,28 @@ def _checked_order(p) -> int:
     return p
 
 
-def _origin_variables(variables: Sequence[MomentVector], p: int) -> list[MomentVector]:
-    """Shift each variable to [0, width] and trim to order p."""
-    out = []
-    for mv in variables:
+def _origin_groups(vectors, p: int):
+    """Shift each group's vector to [0, width] once.
+
+    Returns the shifted vectors trimmed to order p and their d values (None
+    for a vector with fewer than two moments), one of each per group.
+    """
+    vs = []
+    ds = []
+    for mv in vectors:
         if mv.support.lower is None:
             raise DomainError(
                 "these bounds need variables bounded on both sides")
         shifted = shift_to_origin(mv)
-        shifted = restrict_order(shifted, p)
-        shifted.require_positive_mean()
-        out.append(shifted)
-    return out
+        v = restrict_order(shifted, p)
+        v.require_positive_mean()
+        vs.append(v)
+        ds.append(_d_value(shifted) if shifted.p >= 2 else None)
+    return vs, ds
 
 
 def _d_value(mv: MomentVector) -> float:
     return (mv.mu[1] / mv.mu[0]) ** 2
-
-
-def _sum_d(variables: Sequence[MomentVector]) -> float:
-    return sum(_d_value(v) for v in variables)
 
 
 def _cap(log_bound: float, factor: float = 1.0) -> float:
@@ -127,56 +133,73 @@ def _cap(log_bound: float, factor: float = 1.0) -> float:
     return min(factor * math.exp(log_bound), 1.0)
 
 
+def _one_sided(vectors, counts, t: float, p: int):
+    """Per-group factors, d_n and sum_i b_i^2 c_i of the one-sided bound."""
+    vs, ds = _origin_groups(vectors, p)
+    d_n = None if None in ds else weighted_sum(ds, counts)
+    if p == 1:
+        cs = [1.0] * len(vs)
+    else:
+        cs = [c_factor_from_moments(4.0 * t * v.support.upper / d_n,
+                                    v.support.upper, v.mu)
+              for v in vs]
+    denom = weighted_sum([v.support.upper ** 2 * c for v, c in zip(vs, cs)],
+                          counts)
+    return cs, d_n, denom
+
+
 def hoeffding_bound(spec: EnsembleSpec, t: float, p: int) -> HoeffdingBound:
     """One-sided bound on P(S_n - E(S_n) >= t) from the first p moments."""
     t = _checked_threshold(t)
     p = _checked_order(p)
-    variables = _origin_variables(spec.variables, p)
-    if p == 1:
-        c_values = tuple(1.0 for _ in variables)
-        d_n = None
-        if all(v.p >= 2 for v in spec.variables):
-            d_n = _sum_d(_origin_variables(spec.variables, 2))
-    else:
-        d_n = _sum_d(variables)
-        c_values = tuple(
-            c_factor_from_moments(4.0 * t * v.support.upper / d_n,
-                                  v.support.upper, v.mu)
-            for v in variables
-        )
-    denom = sum(v.support.upper ** 2 * c for v, c in zip(variables, c_values))
+    cs, d_n, denom = _one_sided(spec.vectors, spec.counts, t, p)
     return HoeffdingBound(
-        t=t, p=p, bound=_cap(-2.0 * t * t / denom), c_values=c_values,
-        d_n=d_n, s_star=4.0 * t / denom, mode="one_sided")
+        t=t, p=p, bound=_cap(-2.0 * t * t / denom),
+        c_values=expand_runs(cs, spec.counts, spec.n), d_n=d_n,
+        s_star=4.0 * t / denom, mode="one_sided")
 
 
 def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
     """Bound on P(S_n - E(S_n) >= n*t) for n copies of one variable.
 
-    Algebraically identical to hoeffding_bound on the replicated ensemble
-    with threshold n*t; kept separate because the per-variable threshold t
-    makes the factor argument 4*t*b/d(X) independent of n.
+    The one-sided bound on a single group of n copies at threshold n*t;
+    the record keeps the one factor c that every copy shares.
     """
     if n < 1:
         raise DomainError(f"need n >= 1; got {n}")
     t = _checked_threshold(t)
     p = _checked_order(p)
-    (v,) = _origin_variables([mv], p)
-    b = v.support.upper
-    if p == 1:
-        c = 1.0
-        d_n = None
-        if mv.p >= 2:
-            d_n = n * _d_value(_origin_variables([mv], 2)[0])
-    else:
-        d = _d_value(v)
-        d_n = n * d
-        c = c_factor_from_moments(4.0 * t * b / d, b, v.mu)
-    denom = n * b * b * c
     t_abs = n * t
+    (c,), d_n, denom = _one_sided((mv,), (n,), t_abs, p)
     return HoeffdingBound(
-        t=t_abs, p=p, bound=_cap(-2.0 * n * t * t / (b * b * c)),
-        c_values=(c,), d_n=d_n, s_star=4.0 * t_abs / denom, mode="iid")
+        t=t_abs, p=p, bound=_cap(-2.0 * t_abs * t_abs / denom), c_values=(c,),
+        d_n=d_n, s_star=4.0 * t_abs / denom, mode="iid")
+
+
+def _two_sided(vectors, counts, t: float, p: int):
+    """Per-group factors, d_n and sum_i w_i^2 c_i of the two-sided bound."""
+    shifted, ds = _origin_groups(vectors, p)
+    reflected = []
+    for mv in vectors:
+        r = restrict_order(reflect_moments(mv), p)
+        r.require_positive_mean()
+        reflected.append(r)
+    if p == 1:
+        cs = [1.0] * len(shifted)
+        d_n = None
+    else:
+        d_n = weighted_sum(ds, counts)
+        d_n_lam = weighted_sum([_d_value(r) for r in reflected], counts)
+        cs = []
+        for s, r in zip(shifted, reflected):
+            w = s.support.upper
+            cs.append(max(
+                c_factor_from_moments(4.0 * t * w / d_n, w, s.mu),
+                c_factor_from_moments(4.0 * t * w / d_n_lam, w, r.mu),
+            ))
+    denom = weighted_sum(
+        [s.support.upper ** 2 * c for s, c in zip(shifted, cs)], counts)
+    return cs, d_n, denom
 
 
 def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
@@ -189,31 +212,12 @@ def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
     """
     t = _checked_threshold(t)
     p = _checked_order(p)
-    shifted = _origin_variables(variables, p)
-    reflected = []
-    for mv in variables:
-        r = restrict_order(reflect_moments(mv), p)
-        r.require_positive_mean()
-        reflected.append(r)
-    widths = [v.support.upper for v in shifted]
-    if p == 1:
-        c_bar = tuple(1.0 for _ in shifted)
-        d_n = None
-    else:
-        d_n_mu = _sum_d(shifted)
-        d_n_lam = _sum_d(reflected)
-        c_bar = tuple(
-            max(
-                c_factor_from_moments(4.0 * t * w / d_n_mu, w, s.mu),
-                c_factor_from_moments(4.0 * t * w / d_n_lam, w, r.mu),
-            )
-            for w, s, r in zip(widths, shifted, reflected)
-        )
-        d_n = d_n_mu
-    denom = sum(w * w * c for w, c in zip(widths, c_bar))
+    spec = EnsembleSpec(variables)
+    cs, d_n, denom = _two_sided(spec.vectors, spec.counts, t, p)
     return HoeffdingBound(
         t=t, p=p, bound=_cap(-2.0 * t * t / denom, factor=2.0),
-        c_values=c_bar, d_n=d_n, s_star=4.0 * t / denom, mode="two_sided")
+        c_values=expand_runs(cs, spec.counts, spec.n), d_n=d_n,
+        s_star=4.0 * t / denom, mode="two_sided")
 
 
 def hoeffding_small_t(mv: MomentVector, n: int, t: float, c: float,
@@ -251,35 +255,37 @@ def hoeffding_limit(dists: Sequence[Distribution], t: float) -> HoeffdingBound:
     """All-moments limit of the bound, driven by tilted expectations.
 
     Uses E X e^{lam X} and E X^2 e^{lam X} at lam = 4t/D_n; the per-variable
-    range drops out entirely. Variables must be nonnegative.
+    range drops out entirely. Variables must be nonnegative. Consecutive
+    references to one distribution object share one evaluation.
     """
     t = _checked_threshold(t)
     if not dists:
         raise DomainError("need at least one distribution")
-    for d in dists:
+    laws, counts = identity_runs(tuple(dists))
+    for d in laws:
         if not d.support.is_nonnegative:
             raise DomainError(
                 f"{d.tag}: the limit bound needs nonnegative variables")
         if d.moment(1) <= 0.0:
             raise DegenerateDistributionError(
                 f"{d.tag}: first moment must be positive")
-    d_n = sum((d.moment(2) / d.moment(1)) ** 2 for d in dists)
+    d_n = weighted_sum([(d.moment(2) / d.moment(1)) ** 2 for d in laws], counts)
     lam = 4.0 * t / d_n
+    if not math.isfinite(lam):
+        raise DomainError(f"the tilt 4t/D_n = {lam} is not finite")
     ratios_sq = []
-    c_values = []
-    for d in dists:
+    for d in laws:
         first, second = d.tilted_first_second(lam)
         if first <= 0.0:
             raise DegenerateDistributionError(
                 f"{d.tag}: tilted first moment must be positive; got {first}")
-        ratio_sq = (second / first) ** 2
-        ratios_sq.append(ratio_sq)
-        c_values.append(ratio_sq / d.support.upper ** 2)
-    denom = sum(ratios_sq)
+        ratios_sq.append((second / first) ** 2)
+    denom = weighted_sum(ratios_sq, counts)
+    c_values = [r / d.support.upper ** 2 for r, d in zip(ratios_sq, laws)]
     return HoeffdingBound(
         t=t, p=None, bound=_cap(-2.0 * t * t / denom),
-        c_values=tuple(c_values), d_n=d_n, s_star=4.0 * t / denom,
-        mode="limit_p_infinity")
+        c_values=expand_runs(c_values, counts, len(dists)), d_n=d_n,
+        s_star=4.0 * t / denom, mode="limit_p_infinity")
 
 
 def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
@@ -302,9 +308,10 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
     p = _checked_order(p)
     if K <= 0.0:
         raise DomainError(f"K must be positive; got {K}")
+    vectors, counts = identity_runs(tuple(shifted))
     vs = []
     bs = []
-    for mv in shifted:
+    for mv in vectors:
         v = restrict_order(mv, p)
         v.require_positive_mean()
         if not v.support.is_nonnegative:
@@ -317,10 +324,11 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
         vs.append(v)
         bs.append(b_i)
     if sigma2 is None:
-        if any(mv.p < 2 for mv in shifted):
+        if any(mv.p < 2 for mv in vectors):
             raise OrderError("deriving the variance needs second moments; "
                              "pass sigma2 explicitly")
-        sigma2 = sum(mv.mu[1] - b * b for mv, b in zip(shifted, bs))
+        sigma2 = weighted_sum(
+            [mv.mu[1] - b * b for mv, b in zip(vectors, bs)], counts)
     if sigma2 <= 0.0:
         raise DegenerateDistributionError(f"variance must be positive; got {sigma2}")
     sigma = math.sqrt(sigma2)
@@ -330,44 +338,38 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
             f"missing-factor form needs t <= sigma^2/(K*b) = "
             f"{sigma2 / (K * b_max)}; got t = {t}")
     if p == 1:
-        c_values = tuple(1.0 for _ in vs)
+        cs = [1.0] * len(vs)
         d_n = None
-        if all(mv.p >= 2 for mv in shifted):
-            d_n = sum(mv.mu[1] / mv.mu[0] for mv in shifted)
+        if all(mv.p >= 2 for mv in vectors):
+            d_n = weighted_sum([mv.mu[1] / mv.mu[0] for mv in vectors], counts)
     else:
         if dn_squared:
-            d_n = sum((v.mu[1] / v.mu[0]) ** 2 for v in vs)
+            d_n = weighted_sum([(v.mu[1] / v.mu[0]) ** 2 for v in vs], counts)
         else:
-            d_n = sum(v.mu[1] / v.mu[0] for v in vs)
-        c_values = tuple(
-            c_factor_from_moments(8.0 * t * b / d_n, 2.0 * b, v.mu)
-            for v, b in zip(vs, bs)
-        )
-    denom = sum(b * b * c for b, c in zip(bs, c_values))
+            d_n = weighted_sum([v.mu[1] / v.mu[0] for v in vs], counts)
+        cs = [c_factor_from_moments(8.0 * t * b / d_n, 2.0 * b, v.mu)
+              for v, b in zip(vs, bs)]
+    denom = weighted_sum([b * b * c for b, c in zip(bs, cs)], counts)
     tail_factor = mills_theta(t / sigma) + K * b_max / sigma
     return HoeffdingBound(
         t=t, p=p, bound=_cap(-t * t / (2.0 * denom), factor=tail_factor),
-        c_values=c_values, d_n=d_n, s_star=t / denom, mode="missing_factor")
+        c_values=expand_runs(cs, counts, len(shifted)), d_n=d_n,
+        s_star=t / denom, mode="missing_factor")
 
 
 def ci_c_bar(mv: MomentVector, t: float, p: int) -> float:
     """Two-sided improvement factor for the i.i.d. confidence interval.
 
     t is the half-width of the interval around the mean, so the factor
-    argument 4*t*width/d(X) does not depend on the sample size.
+    argument 4*t*width/d(X) does not depend on the sample size: it is the
+    factor of the two-sided bound on one copy of the variable.
     """
     t = _checked_threshold(t)
     p = _checked_order(p)
     if p == 1:
         return 1.0
-    (s,) = _origin_variables([mv], p)
-    r = restrict_order(reflect_moments(mv), p)
-    r.require_positive_mean()
-    w = s.support.upper
-    return max(
-        c_factor_from_moments(4.0 * t * w / _d_value(s), w, s.mu),
-        c_factor_from_moments(4.0 * t * w / _d_value(r), w, r.mu),
-    )
+    (c,), _, _ = _two_sided((mv,), (1,), t, p)
+    return c
 
 
 def classical_sample_size(width: float, t: float, alpha: float) -> int:

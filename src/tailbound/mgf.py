@@ -140,8 +140,9 @@ def c_factor_from_moments(y: float, b: float, mu: Sequence[float]) -> float:
         raise DegenerateDistributionError(
             f"highest moment must be positive; got {mu_p}")
     if p == 2:
-        den = mu[1] * math.exp(y) + b * mu[0] - mu[1]
-        return (mu[1] * math.exp(y) / den) ** 2
+        # e^y divided out of mu2 e^y / (mu2 e^y + b mu1 - mu2), so huge y
+        # cannot overflow
+        return (mu[1] / (mu[1] + (b * mu[0] - mu[1]) * math.exp(-y))) ** 2
 
     if y <= _FACTOR_OUT_Y:
         ey = math.exp(y)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfcx
-
 from . import _kernels
 from .errors import DomainError, PreconditionError, SolverFailureError
 
@@ -94,6 +92,9 @@ def mills_theta(x: float) -> float:
     no overflow for large x. Satisfies
     1/(sqrt(2*pi)*(1+x)) <= theta(x) <= 1/(sqrt(2*pi)*x) for x > 0.
     """
+    # imported here: scipy.special costs about 25 MiB and 0.3 s to import
+    from scipy.special import erfcx
+
     x = float(x)
     if x < 0.0:
         raise DomainError(f"mills_theta requires x >= 0; got {x}")

@@ -247,6 +247,13 @@ class TestValidity:
             estimate = mc_tail(dist, n, t, trials=100_000, seed=7)
             assert estimate.probability <= bound + 3 * estimate.stderr
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_threshold_must_be_positive_and_finite(self, t, p):
+        # at t = inf the bound was NaN
+        with pytest.raises(DomainError):
+            bennett_bound(uniform_spec(4, 10), t, p)
+
     def test_bounds_in_unit_interval(self, rng):
         for _ in range(30):
             p = int(rng.integers(2, 6))

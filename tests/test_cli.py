@@ -73,6 +73,15 @@ class TestBoundCommand:
         assert code == 3
         assert "chain" in err
 
+    def test_huge_factor_argument(self, capsys):
+        # 4 t b / d_n = 2e4 here, far past where e^y overflows
+        code, out, _ = run(capsys, "bound", "--dist", "beta",
+                           "--params", "a=0.01,b=100", "--n", "10", "--t", "5",
+                           "--p", "2")
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[3]) == pytest.approx(math.exp(-5.0), rel=1e-12)
+
     def test_bennett_needs_order_two(self, capsys):
         code, _, _ = run(capsys, "bound", "--family", "bennett",
                          "--dist", "uniform", "--n", "2", "--t", "0.5",

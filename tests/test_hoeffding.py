@@ -14,6 +14,7 @@ from tailbound import (
     PointMass,
     PreconditionError,
     Support,
+    TailboundError,
     Uniform,
     ci_c_bar,
     classical_sample_size,
@@ -45,6 +46,16 @@ class TestOneSided:
         assert result.bound == pytest.approx(math.exp(-5.0), rel=1e-14)
         assert result.c_values == (1.0,) * 40
         assert result.mode == "one_sided"
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_threshold_must_be_positive_and_finite(self, t, p):
+        # at t = inf the p = 3 factor was NaN, and so was the bound
+        mv = moments_uniform(3, 0, 1)
+        with pytest.raises(DomainError):
+            hoeffding_bound(EnsembleSpec.iid_replicate(mv, 10), t, p)
+        with pytest.raises(DomainError):
+            hoeffding_two_sided([mv] * 10, t, p)
 
     def test_bernoulli_reduces_to_order_one(self):
         for p in range(1, 7):
@@ -219,6 +230,30 @@ class TestLimit:
         limit = hoeffding_limit([d] * n, t).bound
         classical = math.exp(-2 * t * t / n)
         assert limit <= classical + 1e-12
+
+    @pytest.mark.parametrize("dist", [Beta(0.01, 100.0), Uniform(0.0, 1.0),
+                                      Bernoulli(0.001), PointMass(0.5)])
+    def test_large_tilt_no_overflow(self, dist):
+        # the tilt lam = 4t/D_n is far beyond 709 for these laws and t
+        t = 5.0 if dist.tag == "beta" else 2000.0
+        try:
+            bound = hoeffding_limit([dist] * 10, t).bound
+        except TailboundError:
+            return
+        assert 0.0 <= bound <= 1.0
+
+    @pytest.mark.parametrize("dist", [Beta(2.0, 3.0), Uniform(0.0, 1.0)])
+    def test_non_finite_tilt_rejected(self, dist):
+        # t is finite, but 4t/D_n overflows
+        for t in (math.inf, math.nan, 1e308):
+            with pytest.raises(DomainError):
+                hoeffding_limit([dist] * 10, t)
+
+    def test_tilt_near_ten_million(self):
+        dist = Beta(2.0, 3.0)
+        d_n = 10 * (dist.moment(2) / dist.moment(1)) ** 2
+        result = hoeffding_limit([dist] * 10, 1e7 * d_n / 4.0)
+        assert 0.0 <= result.bound <= 1.0
 
     def test_rejects_negative_support(self):
         with pytest.raises(DomainError):

@@ -20,6 +20,7 @@ from tailbound import (
     mgf_bound_sequence,
     mgf_upper_bound,
     moments_bernoulli,
+    moments_beta,
     moments_point,
     moments_uniform,
     restrict_order,
@@ -194,6 +195,12 @@ class TestCFactor:
     def test_huge_argument_no_overflow(self):
         mv = moments_uniform(5, 0, 1)
         assert c_factor(mv, 5000.0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_order_two_huge_argument_no_overflow(self):
+        # Beta(0.01, 100) at the factor argument 2000: e^y alone overflows
+        mu = moments_beta(2, 0.01, 100.0).mu
+        assert c_factor_from_moments(2000.0, 1.0, mu) == 1.0
+        assert c_factor_from_moments(800.0, 1.0, mu) == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_inputs_rejected(self):
         mv = moments_point(2, 0.0, Support.interval(0.0, 1.0))

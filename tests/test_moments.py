@@ -244,7 +244,6 @@ class TestEnsembleSpec:
         mv = moments_uniform(2, 0, 1)
         spec = EnsembleSpec.iid_replicate(mv, 5)
         assert spec.n == 5
-        assert spec.iid
         assert all(v is mv for v in spec.variables)
 
     def test_rejects_empty(self):

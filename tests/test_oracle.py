@@ -8,6 +8,7 @@ from tailbound import (
     Beta,
     ConfigError,
     DomainError,
+    OracleError,
     PointMass,
     TruncatedExponential,
     Uniform,
@@ -18,6 +19,7 @@ from tailbound import (
     mc_tail,
     solve_poly_exp,
 )
+from tailbound import distributions
 
 E = math.e
 
@@ -161,3 +163,75 @@ class TestDistributionFactory:
         pos = np.maximum(data ** 3, 0.0)
         assert abs(d.positive_part_moment(3) - float(np.mean(pos))) \
             <= 5 * float(np.std(pos)) / math.sqrt(len(data))
+
+
+class TestTiltedExpectations:
+    """(E X e^{sX}, E X^2 e^{sX}) scaled by e^{-s*upper}, against mpmath
+    quadrature of the scaled integrands."""
+
+    @staticmethod
+    def _reference(density, lo, hi, upper, s):
+        import mpmath
+        pts = [lo, (lo + hi) / 2, hi]
+        with mpmath.workdps(30):
+            first = mpmath.quad(
+                lambda x: x * mpmath.exp(s * (x - upper)) * density(x), pts)
+            second = mpmath.quad(
+                lambda x: x * x * mpmath.exp(s * (x - upper)) * density(x), pts)
+        return float(first), float(second)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 2.3), (3.7, 0.8)])
+    @pytest.mark.parametrize("s", [-3.0, 0.0, 0.7, 12.0, 900.0])
+    def test_beta(self, a, b, s):
+        import mpmath
+        norm = mpmath.beta(a, b)
+
+        def density(x):
+            return x ** (a - 1) * (1 - x) ** (b - 1) / norm
+
+        got = Beta(a, b).tilted_first_second(s)
+        want = self._reference(density, 0, 1, 1.0, s)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 2.3), (10.0, 100.0),
+                                     (50.5, 30.2)])
+    @pytest.mark.parametrize("s", [999.0, 1001.0, 5e3, 1e5, 1e7])
+    def test_beta_large_tilt(self, a, b, s):
+        # past s = 1e3 the large-s expansion takes over where it applies;
+        # reference: E X^k e^{sX} = E(X^k) M(a+k, a+b+k, s), by mpmath
+        import mpmath
+        d = Beta(a, b)
+        with mpmath.workdps(40):
+            want = tuple(
+                float(d.moment(k) * mpmath.exp(-s)
+                      * mpmath.hyp1f1(a + k, a + b + k, s))
+                for k in (1, 2))
+        assert d.tilted_first_second(s) == pytest.approx(want, rel=1e-12)
+
+    def test_beta_rejects_non_finite_tilt(self):
+        for s in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                Beta(2.0, 3.0).tilted_first_second(s)
+
+    def test_beta_series_is_capped(self, monkeypatch):
+        # a = 0.5, b = 1e4 at s = 5e3: the large-s expansion does not apply
+        # and the series needs about s terms
+        monkeypatch.setattr(distributions, "_MAX_TERMS", 1000)
+        with pytest.raises(OracleError):
+            Beta(0.5, 1e4).tilted_first_second(5e3)
+
+    @pytest.mark.parametrize("s", [1e-6, 0.05, 3.0, 900.0])
+    def test_uniform(self, s):
+        got = Uniform(0.3, 1.7).tilted_first_second(s)
+        want = self._reference(lambda x: 1 / 1.4, 0.3, 1.7, 1.7, s)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_closed_forms_do_not_overflow(self):
+        s = 5000.0
+        assert Bernoulli(0.2).tilted_first_second(s) == (0.2, 0.2)
+        first, second = PointMass(0.5, 0.0, 1.0).tilted_first_second(s)
+        assert first == 0.5 * math.exp(-2500.0) and second == 0.5 * first
+        first, second = TruncatedExponential(2.0, 1.0).tilted_first_second(s)
+        # b E e^{-sE} - E E e^{-sE} for E ~ Exp(1)
+        assert first == pytest.approx((2.0 - 1.0 / 5001.0) / 5001.0, rel=1e-12)
+        assert math.isfinite(second)
