@@ -1,39 +1,1 @@
-"""Scalar kernel backend selection.
-
-Imports the compiled extension when present, otherwise the pure-Python
-fallback. TAILBOUND_PURE_PYTHON=1 forces the fallback (useful for
-benchmarking and for debugging suspected extension issues).
-"""
-
-import os
-
-if os.environ.get("TAILBOUND_PURE_PYTHON"):
-    from . import _pyfallback as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _native as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "native"
-    except ImportError:
-        from . import _pyfallback as _impl
-
-        BACKEND = "python"
-
-taylor_remainder = _impl.taylor_remainder
-remainder_ratio = _impl.remainder_ratio
-lambert_w0 = _impl.lambert_w0
-lambert_w0_exp = _impl.lambert_w0_exp
-poly_exp_residual = _impl.poly_exp_residual
-poly_exp_scan = _impl.poly_exp_scan
-
-__all__ = [
-    "BACKEND",
-    "taylor_remainder",
-    "remainder_ratio",
-    "lambert_w0",
-    "lambert_w0_exp",
-    "poly_exp_residual",
-    "poly_exp_scan",
-]
+"""The scalar kernels, in the single pure-Python module _pyfallback."""

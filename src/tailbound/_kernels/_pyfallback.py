@@ -1,14 +1,15 @@
-"""Pure-Python scalar kernels.
+"""Scalar kernels: series tails, Lambert W, and the poly-exp root solver.
 
-Fallback backend used when the compiled extension (_native) is unavailable.
-The two implementations must stay algorithmically identical; the parity test
-in tests/test_kernel_backends.py compares them point by point.
+The module's name is historical: it is the only implementation. Its path
+and its module-level poly_exp_residual are wrapped by perfbench/tracing.py,
+so a rename waits for a change to the benchmark.
 
 No argument validation happens here: the wrappers in tailbound.special own
 the domain checks.
 """
 
 import math
+from functools import partial
 
 _EPS = 2.220446049250313e-16
 _EXP_MAX = 709.782712893384
@@ -49,26 +50,6 @@ def taylor_remainder(p, x):
         partial += term
         term *= x / (j + 1)
     return _exp(x) - partial
-
-
-def remainder_ratio(p, x):
-    """taylor_remainder(p+1, x) / x**p with the x=0 singularity removed.
-
-    Near zero the series sum_m x^m/(p+m)! is used; its value at 0 is 1/p!.
-    """
-    if abs(x) < 1e-8:
-        term = 1.0
-        for j in range(1, p + 1):
-            term /= j
-        total = term
-        m = 0
-        while True:
-            term *= x / (p + m + 1)
-            total += term
-            m += 1
-            if abs(term) <= _EPS * abs(total) or m > 60:
-                return total
-    return taylor_remainder(p + 1, x) / x ** p
 
 
 def lambert_w0(x):
@@ -133,55 +114,76 @@ def poly_exp_residual(alpha, x):
     return alpha[0] - poly - _exp(x)
 
 
-def _refine_root(alpha, lo, hi, flo, ftol):
-    # safeguarded Newton within a sign-change bracket; flo = f(lo)
-    q = len(alpha) - 1
+def _poly_minus_exp(coeffs, x):
+    # sum_i coeffs[i]*x^i - exp(x): a derivative of the poly-exp residual
+    poly = 0.0
+    for c in reversed(coeffs):
+        poly = poly * x + c
+    return poly - _exp(x)
+
+
+def _refine(fn, dfn, lo, hi, flo):
+    # safeguarded Newton within a sign-change bracket; flo = fn(lo)
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        poly = 0.0
-        dpoly = 0.0
-        for j in range(q, 0, -1):
-            dpoly = dpoly * x + j * alpha[j]
-            poly = (poly + alpha[j]) * x
-        ex = _exp(x)
-        f = alpha[0] - poly - ex
-        scale = 1.0 + (ex if math.isfinite(ex) else 1e308)
-        if abs(f) <= ftol * scale:
+        f = fn(x)
+        if f == 0.0:
             return x
         if (f > 0.0) == (flo > 0.0):
             lo = x
         else:
             hi = x
-        if hi - lo <= 4.0 * _EPS * (1.0 + abs(x)):
-            return x
-        df = -dpoly - ex
+        df = dfn(x)
         xn = x - f / df if df != 0.0 and math.isfinite(df) else 0.5 * (lo + hi)
-        if not (lo < xn < hi):
+        if not lo < xn < hi:
             xn = 0.5 * (lo + hi)
+        if abs(xn - x) <= 4.0 * _EPS * abs(x):
+            return xn
         x = xn
     return x
 
 
-def poly_exp_scan(alpha, x_max, step, ftol):
-    """All sign-change roots of the poly-exp residual on (0, x_max].
-
-    Walks a uniform grid and refines every bracket; exact zeros on grid
-    points are kept as-is. Returns roots in ascending order.
-    """
+def _sign_change_roots(fn, dfn, points):
+    """Sign changes of fn between consecutive points, refined, plus the
+    points other than the first where fn is exactly zero. fn must be
+    monotone between consecutive points, so each gap holds at most one."""
     roots = []
-    x_lo = 0.0
-    f_lo = poly_exp_residual(alpha, 0.0)
-    k = 1
-    while x_lo < x_max:
-        x_hi = k * step
-        if x_hi > x_max:
-            x_hi = x_max
-        f_hi = poly_exp_residual(alpha, x_hi)
+    f_lo = fn(points[0])
+    for lo, hi in zip(points, points[1:]):
+        f_hi = fn(hi)
         if f_hi == 0.0:
-            roots.append(x_hi)
+            roots.append(hi)
         elif f_lo != 0.0 and (f_lo > 0.0) != (f_hi > 0.0):
-            roots.append(_refine_root(alpha, x_lo, x_hi, f_lo, ftol))
-        x_lo = x_hi
+            roots.append(_refine(fn, dfn, lo, hi, f_lo))
         f_lo = f_hi
-        k += 1
     return roots
+
+
+def poly_exp_roots(alpha):
+    """All positive roots of poly_exp_residual(alpha, x), ascending, or
+    None if no right end is certified below x = 1024.
+
+    Rolle isolation: with q = len(alpha) - 1, the (q+1)-th derivative of
+    the residual f is -exp(x) < 0, so f^(q) is decreasing and each root of
+    f^(k+1) is a turning point of f^(k). The right end X doubles from 1
+    until f, f', ..., f^(q) are all negative there, which keeps all of
+    them negative past X. Going down from k = q to 0, the roots of
+    f^(k+1) in (0, X) split [0, X] into pieces on which f^(k) is
+    monotone, and each piece holds at most one sign change of f^(k).
+    """
+    # fns[k] evaluates f^(k); past f itself, each is a polynomial (constant
+    # term first) minus exp(x), and f^(q+1) = -exp(x) has an empty one
+    fns = [partial(poly_exp_residual, alpha)]
+    coeffs = [-i * alpha[i] for i in range(1, len(alpha))]
+    for _ in alpha:
+        fns.append(partial(_poly_minus_exp, coeffs))
+        coeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
+    x_end = 1.0
+    while not all(fn(x_end) < 0.0 for fn in fns[:-1]):
+        x_end *= 2.0
+        if x_end > 1024.0:
+            return None
+    turning = []
+    for k in range(len(alpha) - 1, -1, -1):
+        turning = _sign_change_roots(fns[k], fns[k + 1], [0.0, *turning, x_end])
+    return turning

@@ -30,7 +30,6 @@ from .errors import (
 from .moments import EnsembleSpec, MomentVector, restrict_order, weighted_sum
 from .special import (
     RootSet,
-    ScanGrid,
     lambert_w0_exp,
     poly_exp_residual,
     solve_poly_exp,
@@ -72,18 +71,13 @@ class BennettBound:
             "b": self.b,
             "aggregated_moments": list(self.aggregated_moments),
             "roots_unique": self.roots.unique,
-            "roots_x_max": self.roots.bracket_grid.x_max,
-            "roots_step": self.roots.bracket_grid.step,
             "residual": self.residual,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BennettBound":
-        roots = RootSet(
-            tuple(float(r) for r in d["roots"]),
-            ScanGrid(float(d["roots_x_max"]), float(d["roots_step"])),
-            bool(d["roots_unique"]),
-        )
+        roots = RootSet(tuple(float(r) for r in d["roots"]),
+                        bool(d["roots_unique"]))
         return cls(
             t=float(d["t"]), p=int(d["p"]), bound=float(d["bound"]),
             alpha=tuple(float(a) for a in d["alpha"]), roots=roots,
@@ -179,8 +173,8 @@ def bennett_bound(spec: EnsembleSpec, t: float, p: int, *,
                   root_method: str = "auto") -> BennettBound:
     """Deviation bound from the first p moments, p >= 2.
 
-    root_method="scan" forces the bracketing scan even where the root has
-    a closed form; used to cross-validate the closed forms.
+    root_method="scan" forces the generic root solver even where the root
+    has a closed form; used to cross-validate the closed forms.
     """
     t = _checked_t(t)
     b, agg = aggregate_moments(spec, p)
@@ -218,7 +212,7 @@ def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
     if abs(poly_exp_residual(alpha, y)) > 1e-10 * scale:
         raise InternalConsistencyError(
             f"closed-form root failed its residual check at y={y}")
-    roots = RootSet((y,), ScanGrid(y, 0.0), True)
+    roots = RootSet((y,), True)
     return _build(t, b, 3, agg, alpha, roots)
 
 
@@ -226,7 +220,7 @@ def bennett_unique_root(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
     """Bound under the sign condition that forces a single root.
 
     Odd aggregated moments of order 3..p-1 are floored at zero (a floored
-    value is still a valid upper bound), after which the root scan must
+    value is still a valid upper bound), after which the root solver must
     find exactly one solution; anything else indicates a numerical fault.
     """
     t = _checked_t(t)
@@ -240,7 +234,7 @@ def bennett_unique_root(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
     if len(roots.roots) != 1:
         raise InternalConsistencyError(
             f"expected a single root under the odd-moment sign condition; "
-            f"scanner found {list(roots.roots)}")
+            f"solver found {list(roots.roots)}")
     return _build(t, b, p, agg, alpha, roots)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels._pyfallback import _exp
 from .errors import ConfigError, DomainError, OracleError
 from .moments import MomentVector, Support
 
@@ -66,7 +67,8 @@ def _quad(fn, lo, hi):
 
     value, err = integrate.quad(fn, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                                 limit=200)
-    if not math.isfinite(value) or err > 1e-8 * max(abs(value), 1.0):
+    # an integrand saturated to inf gives (inf, inf), which passes through
+    if math.isnan(value) or err > 1e-8 * max(abs(value), 1.0):
         raise OracleError(f"quadrature failed (value={value}, err={err})")
     return value
 
@@ -103,7 +105,11 @@ class Uniform(Distribution):
         if abs(s) * max(abs(self.lo), abs(self.hi)) < 1e-6:
             return (1.0 + s * self.moment(1) + s * s * self.moment(2) / 2.0
                     + s ** 3 * self.moment(3) / 6.0)
-        return (math.exp(s * self.hi) - math.exp(s * self.lo)) / (s * width)
+        # (e^{s hi} - e^{s lo}) / (s width) with the larger exponential
+        # factored out: only that factor can overflow, and it saturates
+        top = self.hi if s > 0.0 else self.lo
+        shrink = -abs(s) * width
+        return _exp(s * top) * math.expm1(shrink) / shrink
 
     def tilted_first_second(self, s):
         if abs(s) * max(abs(self.lo), abs(self.hi)) < 1e-4:
@@ -111,13 +117,15 @@ class Uniform(Distribution):
             return (scale * _tilted_series(self, s, 1),
                     scale * _tilted_series(self, s, 2))
         width = self.hi - self.lo
+        # antiderivatives of x e^{s(x-hi)} and x^2 e^{s(x-hi)}, written in
+        # u = 1/s so that no power of a huge tilt overflows
+        u = 1.0 / s
 
         def f1(x):
-            return math.exp(s * (x - self.hi)) * (s * x - 1.0) / (s * s)
+            return math.exp(s * (x - self.hi)) * (x - u) * u
 
         def f2(x):
-            return (math.exp(s * (x - self.hi))
-                    * (s * s * x * x - 2.0 * s * x + 2.0) / s ** 3)
+            return math.exp(s * (x - self.hi)) * ((x - u) ** 2 + u * u) * u
 
         first = (f1(self.hi) - f1(self.lo)) / width
         second = (f2(self.hi) - f2(self.lo)) / width
@@ -141,7 +149,7 @@ class Bernoulli(Distribution):
         return (rng.random(size) < self.q).astype(float)
 
     def mgf(self, s):
-        return self.q * math.exp(s) + 1.0 - self.q
+        return self.q * _exp(s) + 1.0 - self.q
 
     def tilted_first_second(self, s):
         # X e^{sX} and X^2 e^{sX} are e^s on X = 1 and 0 on X = 0
@@ -175,7 +183,7 @@ class PointMass(Distribution):
         return np.full(size, self.c)
 
     def mgf(self, s):
-        return math.exp(s * self.c)
+        return _exp(s * self.c)
 
     def tilted_first_second(self, s):
         e = math.exp(s * (self.c - self.hi))
@@ -203,16 +211,18 @@ class Beta(Distribution):
     def sample(self, rng, size):
         return rng.beta(self.a, self.b, size)
 
-    def _pdf(self, x):
+    def _log_pdf(self, x):
         if x <= 0.0 or x >= 1.0:
-            return 0.0
+            return -math.inf
         lg = math.lgamma
         lognorm = lg(self.a + self.b) - lg(self.a) - lg(self.b)
-        return math.exp(lognorm + (self.a - 1) * math.log(x)
-                        + (self.b - 1) * math.log(1 - x))
+        return (lognorm + (self.a - 1) * math.log(x)
+                + (self.b - 1) * math.log(1 - x))
 
     def mgf(self, s):
-        return _quad(lambda x: math.exp(s * x) * self._pdf(x), 0.0, 1.0)
+        # e^{sx} times the density, in log form: it saturates to inf only
+        # where the product itself overflows, and then so does the integral
+        return _quad(lambda x: _exp(s * x + self._log_pdf(x)), 0.0, 1.0)
 
     def tilted_first_second(self, s):
         # E X^k e^{sX} = E(X^k) M(a+k, a+b+k, s): the moment series of the
@@ -258,7 +268,7 @@ class TruncatedExponential(Distribution):
     def mgf(self, s):
         if s <= -self.rate:
             raise DomainError(f"MGF diverges for s <= -rate = {-self.rate}")
-        return math.exp(s * self.b) * self.rate / (self.rate + s)
+        return _exp(s * self.b) * self.rate / (self.rate + s)
 
     def tilted_first_second(self, s):
         if s <= -self.rate:
@@ -359,6 +369,27 @@ def _tilted_series(dist: Distribution, s: float, power: int) -> float:
                 <= 1e-17 * max(abs(total), 1e-30):
             break
     return total
+
+
+def moments_uniform(p: int, lo: float, hi: float) -> MomentVector:
+    """Exact raw moments of the continuous uniform law on [lo, hi]."""
+    return Uniform(lo, hi).moment_vector(p)
+
+
+def moments_bernoulli(p: int, q: float) -> MomentVector:
+    """Raw moments of a {0,1} variable with success probability q."""
+    return Bernoulli(q).moment_vector(p)
+
+
+def moments_beta(p: int, a: float, b: float) -> MomentVector:
+    """Raw moments of the Beta(a, b) law on [0, 1]."""
+    return Beta(a, b).moment_vector(p)
+
+
+def moments_point(p: int, c: float, support: Support) -> MomentVector:
+    """Raw moments of the point mass at c inside the given support; a
+    support with no lower end becomes [c, upper]."""
+    return PointMass(c, support.lower, support.upper).moment_vector(p)
 
 
 _FACTORIES = {

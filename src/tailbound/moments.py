@@ -205,53 +205,6 @@ def moments_from_samples(data, p: int, support: Support) -> MomentVector:
     return MomentVector(p, mu, support, pos, samples=arr)
 
 
-def moments_uniform(p: int, lo: float, hi: float) -> MomentVector:
-    """Exact raw moments of the continuous uniform law on [lo, hi]."""
-    if not lo < hi:
-        raise DomainError(f"uniform needs lo < hi; got [{lo}, {hi}]")
-    mu = tuple(
-        (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
-        for k in range(1, p + 1)
-    )
-    support = Support.interval(lo, hi)
-    # E max(X^p, 0): equals E X^p unless p is odd and the support dips below 0
-    if p % 2 == 0 or lo >= 0:
-        pos = mu[-1]
-    elif hi <= 0:
-        pos = 0.0
-    else:
-        pos = hi ** (p + 1) / ((p + 1) * (hi - lo))
-    return MomentVector(p, mu, support, pos)
-
-
-def moments_bernoulli(p: int, q: float) -> MomentVector:
-    """Raw moments of a {0,1} variable with success probability q."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"success probability must be in [0, 1]; got {q}")
-    return MomentVector(p, (q,) * p, Support.interval(0.0, 1.0))
-
-
-def moments_beta(p: int, a: float, b: float) -> MomentVector:
-    """Raw moments of the Beta(a, b) law on [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta shape parameters must be positive; got {a}, {b}")
-    mu = []
-    m = 1.0
-    for k in range(p):
-        m *= (a + k) / (a + b + k)
-        mu.append(m)
-    return MomentVector(p, tuple(mu), Support.interval(0.0, 1.0))
-
-
-def moments_point(p: int, c: float, support: Support) -> MomentVector:
-    """Raw moments of the point mass at c inside the given support."""
-    if not support.contains(c):
-        raise DomainError(
-            f"point mass at {c} lies outside [{support.lower}, {support.upper}]")
-    mu = tuple(c ** k for k in range(1, p + 1))
-    return MomentVector(p, mu, support, max(c ** p, 0.0))
-
-
 def shift_to_origin(mv: MomentVector) -> MomentVector:
     """Moments of (Y - a) on [0, b - a] for Y described by mv on [a, b].
 

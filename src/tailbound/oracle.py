@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .errors import DomainError, OracleError
-from .special import RootSet, ScanGrid
+from .special import RootSet
 
 # trials per sampling block; fixed so results are reproducible per seed
 _BLOCK = 1 << 16
@@ -129,5 +129,4 @@ def brute_root_scan(alpha, q: int | None = None,
             else:
                 hi = mid
         roots.append(0.5 * (lo + hi))
-    step = x_max / (resolution - 1)
-    return RootSet(tuple(sorted(roots)), ScanGrid(x_max, step), False)
+    return RootSet(tuple(sorted(roots)), False)

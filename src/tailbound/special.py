@@ -1,8 +1,8 @@
 """Scalar special functions used by the bound formulas.
 
-The numerical work lives in the kernel backend (compiled when available);
-this module adds argument validation, the closed-form branches of the
-exponential-polynomial root solver, and the RootSet result type.
+The numerical work lives in the kernel module; this module adds argument
+validation, the closed-form branches of the exponential-polynomial root
+solver, and the RootSet result type.
 """
 
 from __future__ import annotations
@@ -10,24 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _kernels
+from ._kernels import _pyfallback as _kernels
 from .errors import DomainError, PreconditionError, SolverFailureError
 
 _INV_E = 0.36787944117144233
 _SQRT2 = math.sqrt(2.0)
-
-# scan policy for the generic root search
-_SCAN_STEP_FRACTION = 1e-3
-_SCAN_EXTENSIONS = 3
-_ROOT_FTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ScanGrid:
-    """Bracketing grid used by a root scan (degenerate for closed forms)."""
-
-    x_max: float
-    step: float
 
 
 @dataclass(frozen=True)
@@ -40,7 +27,6 @@ class RootSet:
     """
 
     roots: tuple[float, ...]
-    bracket_grid: ScanGrid
     unique: bool
 
     def __post_init__(self):
@@ -48,10 +34,6 @@ class RootSet:
             raise SolverFailureError("empty root set")
         if any(r <= 0.0 for r in self.roots):
             raise SolverFailureError(f"non-positive root in {self.roots}")
-
-    @property
-    def best(self) -> float:
-        return self.roots[0]
 
 
 def taylor_remainder(p: int, x: float) -> float:
@@ -61,12 +43,6 @@ def taylor_remainder(p: int, x: float) -> float:
     """
     _check_order(p)
     return _kernels.taylor_remainder(p, float(x))
-
-
-def remainder_ratio(p: int, x: float) -> float:
-    """taylor_remainder(p+1, x)/x^p, continuously extended to 1/p! at 0."""
-    _check_order(p)
-    return _kernels.remainder_ratio(p, float(x))
 
 
 def lambert_w0(x: float) -> float:
@@ -107,8 +83,10 @@ def solve_poly_exp(alpha, q: int | None = None, *, assume_unique: bool = False,
 
     alpha[0] > 1 guarantees at least one positive root. Degree 0 and degree
     1 with a positive linear coefficient have closed forms (log and Lambert
-    W); everything else is found by a sign-change scan over (0, x_max] with
-    bisection/Newton refinement. Pass method="scan" to force the scan even
+    W). Everything else goes to the generic solver, which isolates every
+    root by Rolle's theorem and refines each by safeguarded Newton steps;
+    the root set holds the sign changes of the residual and any point where
+    it is exactly zero. Pass method="scan" to force the generic solver even
     where a closed form exists (used for cross-validation).
 
     assume_unique marks the result as provably single-rooted; use it only
@@ -135,27 +113,18 @@ def solve_poly_exp(alpha, q: int | None = None, *, assume_unique: bool = False,
     if method == "auto":
         if q == 0:
             root = math.log(alpha[0])
-            return RootSet((root,), ScanGrid(root, 0.0), True)
+            return RootSet((root,), True)
         if q == 1 and alpha[1] > 0.0:
             z = alpha[0] / alpha[1]
             root = z - _kernels.lambert_w0_exp(z - math.log(alpha[1]))
-            return RootSet((root,), ScanGrid(root, 0.0), True)
+            return RootSet((root,), True)
 
-    x_max = max(4.0 * math.log(alpha[0]), 50.0)
-    roots: list[float] = []
-    step = _SCAN_STEP_FRACTION * x_max
-    for _ in range(_SCAN_EXTENSIONS + 1):
-        step = _SCAN_STEP_FRACTION * x_max
-        roots = _kernels.poly_exp_scan(alpha, x_max, step, _ROOT_FTOL)
-        if roots:
-            break
-        x_max *= 2.0
-    if not roots:
+    roots = _kernels.poly_exp_roots(alpha)
+    if roots is None:
         raise SolverFailureError(
-            f"no sign change located for alpha={alpha} up to x={x_max / 2.0} "
-            f"(step {step})")
+            f"no right end certifies the roots of alpha={alpha} below x=1024")
     unique = assume_unique or q == 0 or (q == 1 and alpha[1] > 0.0)
-    return RootSet(tuple(sorted(roots)), ScanGrid(x_max, step), unique)
+    return RootSet(tuple(roots), unique)
 
 
 def poly_exp_residual(alpha, x: float) -> float:

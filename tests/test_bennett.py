@@ -266,8 +266,12 @@ class TestValidity:
 class TestSerialization:
     def test_round_trip(self):
         result = bennett_bound(uniform_spec(4, 3), 0.8, 4)
-        again = BennettBound.from_json_dict(result.to_json_dict())
-        assert again == result
+        record = result.to_json_dict()
+        assert "roots_x_max" not in record and "roots_step" not in record
+        assert BennettBound.from_json_dict(record) == result
+        # records written while the roots came from a grid scan still load
+        old = {**record, "roots_x_max": 50.0, "roots_step": 0.05}
+        assert BennettBound.from_json_dict(old) == result
 
     def test_record_has_contracted_fields(self):
         record = bennett_p3_lambert(uniform_spec(3, 1), 0.1).to_json_dict()

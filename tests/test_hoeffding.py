@@ -249,6 +249,11 @@ class TestLimit:
             with pytest.raises(DomainError):
                 hoeffding_limit([dist] * 10, t)
 
+    def test_uniform_tilt_near_1e300(self):
+        # 4t/D_n is finite but its cube is not
+        result = hoeffding_limit([Uniform(0, 1)] * 10, 1e300)
+        assert 0.0 <= result.bound <= 1.0
+
     def test_tilt_near_ten_million(self):
         dist = Beta(2.0, 3.0)
         d_n = 10 * (dist.moment(2) / dist.moment(1)) ** 2

@@ -89,6 +89,24 @@ class TestExactMgf:
         assert abs(exact_mgf(Beta(2, 5), s) - empirical) \
             <= 5 * sd / math.sqrt(len(data))
 
+    @pytest.mark.parametrize("dist", [Beta(2, 3), Uniform(0, 1), Bernoulli(0.5),
+                                      PointMass(0.99, lo=0, hi=1),
+                                      TruncatedExponential(1.0, 2.0)])
+    def test_overflow_raises_oracle_error(self, dist):
+        # E e^{800 X} exceeds the largest double for each law
+        with pytest.raises(OracleError):
+            exact_mgf(dist, 800.0)
+
+    def test_large_tilt_without_overflow(self):
+        # e^{800 x} overflows near x = 1, where this density is negligible:
+        # E e^{sX} = M(1, 1 + 1e4, s)
+        import mpmath
+        with mpmath.workdps(30):
+            want = float(mpmath.hyp1f1(1, 1 + 1e4, 800))
+        assert exact_mgf(Beta(1, 1e4), 800.0) == pytest.approx(want, rel=1e-9)
+        assert exact_mgf(Uniform(0, 1), -800.0) == pytest.approx(
+            1 / 800, rel=1e-14)
+
     def test_truncated_exponential_closed_form(self):
         d = TruncatedExponential(b=0.5, rate=2.0)
         s = 1.3
@@ -108,10 +126,16 @@ class TestBruteRootScan:
                                             abs=1e-10)
 
     def test_matches_production_solver(self, rng):
+        # the fixed alpha has two roots 0.004 apart, closer than a coarse
+        # grid step: its residual dips 1e-5 below zero near x = 0.947
+        inputs = [[3.7257185101862467, 5.0, -4.0]]
         for _ in range(500):
-            q = int(rng.integers(0, 4))
+            q = int(rng.integers(0, 6))
             alpha = [float(rng.uniform(1.2, 60.0))]
             alpha += [float(v) for v in rng.normal(0.0, 2.0, q)]
+            inputs.append(alpha)
+        for alpha in inputs:
+            q = len(alpha) - 1
             ours = solve_poly_exp(alpha, q)
             brute = brute_root_scan(alpha, q, resolution=100_000)
             assert len(ours.roots) == len(brute.roots)

@@ -10,9 +10,9 @@ from scipy import integrate
 from tailbound import (
     DomainError,
     PreconditionError,
+    SolverFailureError,
     lambert_w0,
     mills_theta,
-    remainder_ratio,
     solve_poly_exp,
     taylor_remainder,
 )
@@ -87,27 +87,6 @@ class TestTaylorRemainder:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(DomainError):
             taylor_remainder(0, 1.0)
-
-
-class TestRemainderRatio:
-    def test_value_at_origin(self):
-        for p in (1, 2, 3, 5):
-            assert remainder_ratio(p, 0.0) == pytest.approx(
-                1.0 / math.factorial(p), rel=1e-15)
-
-    def test_increasing_on_positive_axis(self):
-        grid = np.linspace(1e-3, 10, 100)
-        values = [remainder_ratio(2, float(x)) for x in grid]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_bounded_by_origin_value_on_negative_axis(self):
-        assert remainder_ratio(3, -5.0) <= 1.0 / math.factorial(3)
-
-    def test_continuous_across_series_threshold(self):
-        for p in (1, 3):
-            below = remainder_ratio(p, 0.999e-8)
-            above = remainder_ratio(p, 1.001e-8)
-            assert below == pytest.approx(above, rel=1e-10)
 
 
 class TestLambertW:
@@ -196,6 +175,11 @@ class TestSolvePolyExp:
                 assert r > 0
                 assert abs(poly_exp_residual(alpha, r)) <= 1e-10 * (
                     1 + math.exp(min(r, 700)))
+
+    def test_no_certified_right_end_fails_cleanly(self):
+        # an infinite alpha0 keeps the residual from turning negative
+        with pytest.raises(SolverFailureError):
+            solve_poly_exp([math.inf, 1.0, -1.0])
 
     def test_rejects_alpha0_at_most_one(self):
         with pytest.raises(PreconditionError):
