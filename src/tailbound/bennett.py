@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    FLOAT_RANGE_ERRORS,
     DegenerateDistributionError,
     DomainError,
     InternalConsistencyError,
@@ -133,11 +134,20 @@ def _alpha_coefficients(t: float, b: float, p: int,
                         agg: Sequence[float]) -> tuple[float, ...]:
     # agg[k-2] = mu^k for k = 2..p
     mu_p = agg[-1]
-    alpha = [1.0 + t * b ** (p - 1) / mu_p]
-    fact = 1.0
-    for j in range(1, p - 1):
-        fact *= j
-        alpha.append(b ** (p - j - 1) * agg[j - 1] / (mu_p * fact) - 1.0 / fact)
+    try:
+        alpha = [1.0 + t * b ** (p - 1) / mu_p]
+        fact = 1.0
+        for j in range(1, p - 1):
+            fact *= j
+            alpha.append(
+                b ** (p - j - 1) * agg[j - 1] / (mu_p * fact) - 1.0 / fact)
+        finite = all(map(math.isfinite, alpha))
+    except FLOAT_RANGE_ERRORS:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"root-equation coefficients leave the float range for t = {t}, "
+            f"b = {b} and summed moments {tuple(agg)}")
     return tuple(alpha)
 
 
@@ -161,10 +171,18 @@ def _checked_t(t: float) -> float:
 
 
 def _build(t, b, p, agg, alpha, roots) -> BennettBound:
-    values = [_inner_expression(y, t, b, p, agg) for y in roots.roots]
+    try:
+        values = [_inner_expression(y, t, b, p, agg) for y in roots.roots]
+        finite = all(map(math.isfinite, values))
+    except FLOAT_RANGE_ERRORS:
+        finite = False
+    if not finite:
+        raise DomainError(f"the rate at the roots {roots.roots} leaves the "
+                          f"float range for t = {t} and b = {b}")
     best = max(range(len(values)), key=values.__getitem__)
     return BennettBound(
-        t=t, p=p, bound=min(math.exp(values[best]), 1.0), alpha=alpha,
+        # exp(min(v, 0)) is min(e^v, 1), without overflow for a huge v
+        t=t, p=p, bound=math.exp(min(values[best], 0.0)), alpha=alpha,
         roots=roots, y_star=roots.roots[best], aggregated_moments=tuple(agg),
         b=b)
 

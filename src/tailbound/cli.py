@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bennett import bennett_bound
 from .distributions import Distribution, make_distribution
 from .errors import (
@@ -211,7 +209,7 @@ def _parse_grid(text: str) -> list[float]:
     try:
         if ":" in text:
             lo, hi, k = text.split(":")
-            values = [float(v) for v in np.linspace(float(lo), float(hi), int(k))]
+            values = _linspace(float(lo), float(hi), int(k))
         else:
             values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
@@ -225,6 +223,24 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
+def _linspace(lo: float, hi: float, k: int) -> list[float]:
+    """The k points of np.linspace(lo, hi, k), by numpy's own arithmetic,
+    so a grid does not need numpy loaded."""
+    if k < 0:
+        raise ValueError(f"Number of samples, {k}, must be non-negative.")
+    div = k - 1
+    delta = hi - lo
+    if div < 1:
+        return [i * delta + lo for i in range(k)]
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + lo for i in range(k)]
+    else:
+        values = [i * step + lo for i in range(k)]
+    values[-1] = hi
+    return values
+
+
 def _parse_p_list(text: str) -> list[int]:
     try:
         ps = [int(v) for v in str(text).split(",") if str(v).strip()]
@@ -233,6 +249,13 @@ def _parse_p_list(text: str) -> list[int]:
     if not ps or any(p < 1 for p in ps):
         raise ConfigError(f"moment orders must be >= 1; got {text!r}")
     return ps
+
+
+def _parse_floats(flag: str, texts: list[str]) -> list[float]:
+    try:
+        return [float(v) for v in texts]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _parse_params(text: str) -> dict:
@@ -259,7 +282,7 @@ def _support_from_args(args) -> Support:
         parts = args.support.split(",")
         if len(parts) != 2:
             raise ConfigError(f"--support must be LO,HI; got {args.support!r}")
-        return Support.interval(float(parts[0]), float(parts[1]))
+        return Support.interval(*_parse_floats("--support", parts))
     if args.upper is not None:
         return Support.upper_only(args.upper)
     raise ConfigError("--data/--mu need --support LO,HI or --upper B")
@@ -281,7 +304,7 @@ def _variable_from_args(args, p: int) -> MomentVector:
     if args.data:
         mv = moments_from_samples(read_sample_file(args.data), p, support)
         return _inflate(mv, args.inflate)
-    mu = [float(v) for v in args.mu.split(",") if v.strip()]
+    mu = _parse_floats("--mu", [v for v in args.mu.split(",") if v.strip()])
     if len(mu) < p:
         raise ConfigError(f"--mu lists {len(mu)} moments but order {p} is needed")
     pos = args.pos_pth
@@ -390,7 +413,8 @@ def _cmd_compare(args) -> int:
             "t": t,
             "classical_bound": classical,
             "new_bound": new,
-            "ratio": classical / new,
+            # undefined once the new bound underflows to 0
+            "ratio": classical / new if new > 0.0 else None,
         })
     _emit(records, ["t", "classical_bound", "new_bound", "ratio"], args)
     return 0

@@ -10,13 +10,16 @@ back to adaptive quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._kernels._pyfallback import _exp
-from .errors import ConfigError, DomainError, OracleError
+from .errors import FLOAT_RANGE_ERRORS, ConfigError, DomainError, OracleError
 from .moments import MomentVector, Support
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _QUAD_TOL = 1e-12
 
@@ -47,17 +50,23 @@ class Distribution:
         raise NotImplementedError
 
     def tilted_first_second(self, s: float) -> tuple[float, float]:
-        """(E X e^{sX}, E X^2 e^{sX}), both scaled by e^{-s*upper}.
+        """(E X e^{sX}, E X^2 e^{sX}), both scaled by one positive factor.
 
         Callers use only the ratio of the two and their signs, which the
-        common factor leaves unchanged; dividing it out keeps e^{sX} from
-        overflowing at large tilts.
+        common factor leaves unchanged. The factor is e^{-s*upper}, which
+        keeps e^{sX} from overflowing at large tilts, unless the law picks
+        another to keep both entries normal floats (see Beta).
         """
         raise NotImplementedError
 
     def moment_vector(self, p: int) -> MomentVector:
-        mu = tuple(self.moment(k) for k in range(1, p + 1))
-        return MomentVector(p, mu, self.support, self.positive_part_moment(p))
+        try:
+            mu = tuple(self.moment(k) for k in range(1, p + 1))
+            pos = self.positive_part_moment(p)
+        except FLOAT_RANGE_ERRORS as exc:
+            raise DomainError(f"{self}: a moment of order <= {p} leaves the "
+                              f"float range ({exc})") from None
+        return MomentVector(p, mu, self.support, pos)
 
 
 def _quad(fn, lo, hi):
@@ -65,8 +74,15 @@ def _quad(fn, lo, hi):
     # and only the laws without closed forms need it
     from scipy import integrate
 
-    value, err = integrate.quad(fn, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                                limit=200)
+    # with full_output, quad returns a fourth item (its message) instead of
+    # warning whenever it flags the result: no convergence, roundoff, a
+    # probably divergent integral
+    value, err, _, *flag = integrate.quad(
+        fn, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
+        full_output=1)
+    if flag:
+        raise OracleError(f"quadrature did not converge (value={value}, "
+                          f"err={err}): {flag[0]}")
     # an integrand saturated to inf gives (inf, inf), which passes through
     if math.isnan(value) or err > 1e-8 * max(abs(value), 1.0):
         raise OracleError(f"quadrature failed (value={value}, err={err})")
@@ -180,6 +196,8 @@ class PointMass(Distribution):
         return max(self.c ** p, 0.0)
 
     def sample(self, rng, size):
+        import numpy as np
+
         return np.full(size, self.c)
 
     def mgf(self, s):
@@ -228,8 +246,18 @@ class Beta(Distribution):
         # E X^k e^{sX} = E(X^k) M(a+k, a+b+k, s): the moment series of the
         # tilted law, summed in closed form by Kummer's function
         a, ab = self.a, self.a + self.b
-        return (self.moment(1) * _kummer_scaled(a + 1.0, ab + 1.0, s),
-                self.moment(2) * _kummer_scaled(a + 2.0, ab + 2.0, s))
+        m1, l1 = _kummer_scaled(a + 1.0, ab + 1.0, s)
+        m2, l2 = _kummer_scaled(a + 2.0, ab + 2.0, s)
+        first = self.moment(1) * _from_log(m1, l1)
+        second = self.moment(2) * _from_log(m2, l2)
+        if not (second >= _NORMAL_MIN and first < math.inf):
+            # the e^{-s} scale leaves the float range: for a law massed near
+            # 0, E X e^{sX} stays moderate while e^{-s} underflows past a
+            # tilt of about 700. The factor e^{-s-l1} instead brings the
+            # first entry to E(X) m1, and the second keeps its ratio to it
+            first = self.moment(1) * m1
+            second = self.moment(2) * _from_log(m2, l2 - l1)
+        return first, second
 
 
 @dataclass(frozen=True)
@@ -284,14 +312,17 @@ class TruncatedExponential(Distribution):
 
 
 _SERIES_TOL = 1e-17
+_NORMAL_MIN = sys.float_info.min
 _RESCALE = 2.0 ** 800
 _ASYMPTOTIC_S = 1e3
 _MAX_TERMS = 10 ** 6
 
 
-def _kummer_scaled(alpha: float, gamma: float, s: float) -> float:
+def _kummer_scaled(alpha: float, gamma: float,
+                   s: float) -> tuple[float, float]:
     """e^{-s} M(alpha, gamma, s) for 0 < alpha < gamma, where M is Kummer's
-    confluent hypergeometric function sum_n (alpha)_n/(gamma)_n s^n/n!.
+    confluent hypergeometric function sum_n (alpha)_n/(gamma)_n s^n/n!, as
+    a pair (m, l) with value m e^l: the value itself can underflow.
 
     Above s = 1e3 the large-s expansion is used where it converges. Else the
     power series is summed over positive terms only (Kummer's transformation
@@ -301,7 +332,8 @@ def _kummer_scaled(alpha: float, gamma: float, s: float) -> float:
     if not math.isfinite(s):
         raise DomainError(f"tilted moments need a finite tilt; got {s}")
     if s < 0.0:
-        return math.exp(-s) * _kummer_scaled(gamma - alpha, gamma, -s)
+        m, l = _kummer_scaled(gamma - alpha, gamma, -s)
+        return m, l - s
     if s > _ASYMPTOTIC_S:
         value = _kummer_asymptotic(alpha, gamma, s)
         if value is not None:
@@ -325,13 +357,20 @@ def _kummer_scaled(alpha: float, gamma: float, s: float) -> float:
             term /= _RESCALE
             total /= _RESCALE
             log_scale += math.log(_RESCALE)
-    if log_scale > -700.0:
-        return total * math.exp(log_scale)
-    return math.exp(math.log(total) + log_scale)
+    return total, log_scale
 
 
-def _kummer_asymptotic(alpha: float, gamma: float, s: float) -> float | None:
-    """e^{-s} M(alpha, gamma, s) from its large-s expansion
+def _from_log(m: float, l: float) -> float:
+    """m e^l for m > 0; saturates to inf where it overflows."""
+    if l > -700.0:
+        return m * _exp(l)
+    return _exp(math.log(m) + l)
+
+
+def _kummer_asymptotic(alpha: float, gamma: float,
+                       s: float) -> tuple[float, float] | None:
+    """e^{-s} M(alpha, gamma, s) from its large-s expansion, as a pair
+    (m, l) with value m e^l,
 
         Gamma(gamma)/Gamma(alpha) s^{alpha-gamma}
             * sum_k (gamma-alpha)_k (1-alpha)_k / (k! s^k),
@@ -354,8 +393,8 @@ def _kummer_asymptotic(alpha: float, gamma: float, s: float) -> float | None:
         term *= ratio
         total += term
         k += 1
-    return total * math.exp(math.lgamma(gamma) - math.lgamma(alpha)
-                            + (alpha - gamma) * log_s)
+    return total, (math.lgamma(gamma) - math.lgamma(alpha)
+                   + (alpha - gamma) * log_s)
 
 
 def _tilted_series(dist: Distribution, s: float, power: int) -> float:
@@ -365,6 +404,12 @@ def _tilted_series(dist: Distribution, s: float, power: int) -> float:
     for k in range(0, 60):
         total += term * dist.moment(k + power)
         term *= s / (k + 1)
+        # s^k/k! alone overflows for a support far inside [-1, 1], where the
+        # test below ignores how small the moments are. The terms left are
+        # below (s*upper)^k/k! <= 1e-4^k/k! of the sum: under 1e-17 for
+        # k >= 4, and k < 4 needs s > 2e77 with upper < 5e-82
+        if math.isinf(term):
+            break
         if abs(term) * max(abs(dist.support.upper), 1.0) ** (k + 1 + power) \
                 <= 1e-17 * max(abs(total), 1e-30):
             break

@@ -47,3 +47,9 @@ class InternalConsistencyError(TailboundError, RuntimeError):
 
 class OracleError(TailboundError, RuntimeError):
     """A verification oracle (quadrature, sampling) failed to converge."""
+
+
+# what float arithmetic raises when a value leaves the range of a double: a
+# power that overflows, or a division by a value that underflowed to 0.
+# Callers turn these into a DomainError naming the quantity.
+FLOAT_RANGE_ERRORS = (OverflowError, ZeroDivisionError)

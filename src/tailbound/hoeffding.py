@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .distributions import Distribution
 from .errors import (
+    FLOAT_RANGE_ERRORS,
     DegenerateDistributionError,
     DomainError,
     OrderError,
@@ -133,19 +134,35 @@ def _cap(log_bound: float, factor: float = 1.0) -> float:
     return min(factor * math.exp(log_bound), 1.0)
 
 
+def _positive_denominator(denom: float) -> float:
+    if denom == 0.0:
+        raise DegenerateDistributionError(
+            "sum_i b_i^2 c_i underflows to 0: the ranges are too narrow")
+    return denom
+
+
+def _range_error(exc: ArithmeticError) -> DomainError:
+    # a range or moment so large or small that a power of it overflows, or
+    # that a second moment it divides by underflows to 0
+    return DomainError(f"the bound's factors leave the float range ({exc})")
+
+
 def _one_sided(vectors, counts, t: float, p: int):
     """Per-group factors, d_n and sum_i b_i^2 c_i of the one-sided bound."""
-    vs, ds = _origin_groups(vectors, p)
-    d_n = None if None in ds else weighted_sum(ds, counts)
-    if p == 1:
-        cs = [1.0] * len(vs)
-    else:
-        cs = [c_factor_from_moments(4.0 * t * v.support.upper / d_n,
-                                    v.support.upper, v.mu)
-              for v in vs]
-    denom = weighted_sum([v.support.upper ** 2 * c for v, c in zip(vs, cs)],
-                          counts)
-    return cs, d_n, denom
+    try:
+        vs, ds = _origin_groups(vectors, p)
+        d_n = None if None in ds else weighted_sum(ds, counts)
+        if p == 1:
+            cs = [1.0] * len(vs)
+        else:
+            cs = [c_factor_from_moments(4.0 * t * v.support.upper / d_n,
+                                        v.support.upper, v.mu)
+                  for v in vs]
+        denom = weighted_sum(
+            [v.support.upper ** 2 * c for v, c in zip(vs, cs)], counts)
+    except FLOAT_RANGE_ERRORS as exc:
+        raise _range_error(exc) from None
+    return cs, d_n, _positive_denominator(denom)
 
 
 def hoeffding_bound(spec: EnsembleSpec, t: float, p: int) -> HoeffdingBound:
@@ -178,28 +195,31 @@ def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
 
 def _two_sided(vectors, counts, t: float, p: int):
     """Per-group factors, d_n and sum_i w_i^2 c_i of the two-sided bound."""
-    shifted, ds = _origin_groups(vectors, p)
-    reflected = []
-    for mv in vectors:
-        r = restrict_order(reflect_moments(mv), p)
-        r.require_positive_mean()
-        reflected.append(r)
-    if p == 1:
-        cs = [1.0] * len(shifted)
-        d_n = None
-    else:
-        d_n = weighted_sum(ds, counts)
-        d_n_lam = weighted_sum([_d_value(r) for r in reflected], counts)
-        cs = []
-        for s, r in zip(shifted, reflected):
-            w = s.support.upper
-            cs.append(max(
-                c_factor_from_moments(4.0 * t * w / d_n, w, s.mu),
-                c_factor_from_moments(4.0 * t * w / d_n_lam, w, r.mu),
-            ))
-    denom = weighted_sum(
-        [s.support.upper ** 2 * c for s, c in zip(shifted, cs)], counts)
-    return cs, d_n, denom
+    try:
+        shifted, ds = _origin_groups(vectors, p)
+        reflected = []
+        for mv in vectors:
+            r = restrict_order(reflect_moments(mv), p)
+            r.require_positive_mean()
+            reflected.append(r)
+        if p == 1:
+            cs = [1.0] * len(shifted)
+            d_n = None
+        else:
+            d_n = weighted_sum(ds, counts)
+            d_n_lam = weighted_sum([_d_value(r) for r in reflected], counts)
+            cs = []
+            for s, r in zip(shifted, reflected):
+                w = s.support.upper
+                cs.append(max(
+                    c_factor_from_moments(4.0 * t * w / d_n, w, s.mu),
+                    c_factor_from_moments(4.0 * t * w / d_n_lam, w, r.mu),
+                ))
+        denom = weighted_sum(
+            [s.support.upper ** 2 * c for s, c in zip(shifted, cs)], counts)
+    except FLOAT_RANGE_ERRORS as exc:
+        raise _range_error(exc) from None
+    return cs, d_n, _positive_denominator(denom)
 
 
 def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
@@ -269,23 +289,31 @@ def hoeffding_limit(dists: Sequence[Distribution], t: float) -> HoeffdingBound:
         if d.moment(1) <= 0.0:
             raise DegenerateDistributionError(
                 f"{d.tag}: first moment must be positive")
-    d_n = weighted_sum([(d.moment(2) / d.moment(1)) ** 2 for d in laws], counts)
-    lam = 4.0 * t / d_n
-    if not math.isfinite(lam):
-        raise DomainError(f"the tilt 4t/D_n = {lam} is not finite")
-    ratios_sq = []
-    for d in laws:
-        first, second = d.tilted_first_second(lam)
-        if first <= 0.0:
-            raise DegenerateDistributionError(
-                f"{d.tag}: tilted first moment must be positive; got {first}")
-        ratios_sq.append((second / first) ** 2)
-    denom = weighted_sum(ratios_sq, counts)
-    c_values = [r / d.support.upper ** 2 for r, d in zip(ratios_sq, laws)]
+    try:
+        d_n = weighted_sum([(d.moment(2) / d.moment(1)) ** 2 for d in laws],
+                           counts)
+        lam = 4.0 * t / d_n
+        if not math.isfinite(lam):
+            raise DomainError(f"the tilt 4t/D_n = {lam} is not finite")
+        ratios_sq = []
+        for d in laws:
+            first, second = d.tilted_first_second(lam)
+            if first <= 0.0:
+                raise DegenerateDistributionError(
+                    f"{d.tag}: tilted first moment must be positive; "
+                    f"got {first}")
+            ratios_sq.append((second / first) ** 2)
+        denom = weighted_sum(ratios_sq, counts)
+        c_values = [r / d.support.upper ** 2 for r, d in zip(ratios_sq, laws)]
+        bound = _cap(-2.0 * t * t / denom)
+        s_star = 4.0 * t / denom
+    except FLOAT_RANGE_ERRORS as exc:
+        raise DomainError(f"the limit bound leaves the float range at t = {t} "
+                          f"({exc})") from None
     return HoeffdingBound(
-        t=t, p=None, bound=_cap(-2.0 * t * t / denom),
+        t=t, p=None, bound=bound,
         c_values=expand_runs(c_values, counts, len(dists)), d_n=d_n,
-        s_star=4.0 * t / denom, mode="limit_p_infinity")
+        s_star=s_star, mode="limit_p_infinity")
 
 
 def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,

@@ -122,7 +122,7 @@ def c_factor(mv: MomentVector, y: float) -> float:
 def c_factor_from_moments(y: float, b: float, mu: Sequence[float]) -> float:
     """c_factor on raw inputs; b may differ from the vector's own bound."""
     y = float(y)
-    if y < 0.0:
+    if not y >= 0.0:
         raise DomainError(f"the improvement factor is defined for y >= 0; got {y}")
     if b <= 0.0:
         raise DomainError(f"scale b must be positive; got {b}")
@@ -158,6 +158,8 @@ def c_factor_from_moments(y: float, b: float, mu: Sequence[float]) -> float:
 
     # large y: divide both sides by exp(y); y^j/j! * exp(-y) is a Poisson
     # weight, evaluated in log space so huge y cannot overflow
+    if y == math.inf:
+        return 1.0  # every weight is 0: the factor's limit
     num = mu_p
     den = mu_p
     for j in range(p - 1):

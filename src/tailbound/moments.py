@@ -13,16 +13,18 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import index, is_not, mul, sub
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     DegenerateDistributionError,
     DomainError,
     InfeasibleMomentsError,
+    FLOAT_RANGE_ERRORS,
     OrderError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _REL_TOL = 1e-9
 _TINY = 1e-300
@@ -120,7 +122,11 @@ class MomentVector:
             prev = m
         for d in range(1, self.p - 1):
             lhs = self.mu[d - 1] * self.mu[d + 1]
-            rhs = self.mu[d] ** 2
+            try:
+                rhs = self.mu[d] ** 2
+            except OverflowError:
+                raise DomainError(
+                    f"mu[{d + 1}]^2 leaves the float range") from None
             if lhs - rhs < -_REL_TOL * max(abs(lhs), rhs, _TINY):
                 raise InfeasibleMomentsError(
                     f"Cauchy-Schwarz chain violated: mu[{d}]*mu[{d + 2}] = "
@@ -172,6 +178,8 @@ def restrict_order(mv: MomentVector, q: int) -> MomentVector:
     if q == mv.p:
         return mv
     if mv.samples is not None:
+        import numpy as np
+
         pos = float(np.mean(np.maximum(mv.samples ** q, 0.0)))
     elif q % 2 == 0 or mv.support.is_nonnegative:
         # max(x^q, 0) = x^q for even q, and for any q once x >= 0
@@ -185,6 +193,8 @@ def restrict_order(mv: MomentVector, q: int) -> MomentVector:
 
 def moments_from_samples(data, p: int, support: Support) -> MomentVector:
     """Empirical raw moments of data constrained to the given support."""
+    import numpy as np
+
     arr = np.asarray(data, dtype=float).ravel()
     if arr.size == 0:
         raise DomainError("cannot compute moments of an empty sample")
@@ -221,7 +231,11 @@ def shift_to_origin(mv: MomentVector) -> MomentVector:
     if mv.samples is not None:
         return moments_from_samples(mv.samples - a, mv.p,
                                     Support.interval(0.0, width))
-    mu = tuple(_binomial_shift(mv, -a, k) for k in range(1, mv.p + 1))
+    try:
+        mu = tuple(_binomial_shift(mv, -a, k) for k in range(1, mv.p + 1))
+    except FLOAT_RANGE_ERRORS as exc:
+        raise DomainError(f"moments shifted by {-a} leave the float range "
+                          f"({exc})") from None
     return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
 
 
@@ -235,13 +249,17 @@ def reflect_moments(mv: MomentVector) -> MomentVector:
     if mv.samples is not None:
         return moments_from_samples(b - mv.samples, mv.p,
                                     Support.interval(0.0, width))
-    mu = tuple(
-        sum(
-            math.comb(k, j) * b ** (k - j) * (-1.0) ** j * mv.moment(j)
-            for j in range(k + 1)
+    try:
+        mu = tuple(
+            sum(
+                math.comb(k, j) * b ** (k - j) * (-1.0) ** j * mv.moment(j)
+                for j in range(k + 1)
+            )
+            for k in range(1, mv.p + 1)
         )
-        for k in range(1, mv.p + 1)
-    )
+    except FLOAT_RANGE_ERRORS as exc:
+        raise DomainError(f"moments reflected about {b} leave the float "
+                          f"range ({exc})") from None
     # reflected values live in [0, width]; clip the float dust at zero
     mu = tuple(0.0 if -1e-15 < m < 0.0 else m for m in mu)
     return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
@@ -335,6 +353,8 @@ def read_sample_file(path) -> np.ndarray:
     A single non-numeric header line is tolerated. Values are decimal
     floating point; locale-dependent formats are not.
     """
+    import numpy as np
+
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

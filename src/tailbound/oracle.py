@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths it checks:
 tail probabilities come from seeded Monte-Carlo simulation, MGFs from the
 distribution handles' analytic forms or quadrature, and roots from a dense
-numpy grid refined by plain bisection.
+numpy grid refined by plain bisection. numpy is imported inside the
+functions that sample or scan, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -11,14 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import Distribution
 from .errors import DomainError, OracleError
 from .special import RootSet
 
 # trials per sampling block; fixed so results are reproducible per seed
 _BLOCK = 1 << 16
+# grid points per block of the brute root scan: each float temporary of a
+# block is 64 KiB, and only the int8 sign of every point is kept whole
+_SCAN_BLOCK = 8192
+# the int8 sign of a NaN residual: neither part of a sign change nor a zero
+_NAN_SIGN = 2
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
         raise DomainError(f"need n >= 1; got {n}")
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials; got {trials}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     center = n * dist.mean
     block = max(1, _BLOCK // n)
@@ -77,7 +83,10 @@ def brute_root_scan(alpha, q: int | None = None,
 
     Sign changes on a resolution-point grid are refined by bisection only.
     This cross-validates the production solver and shares no code with it.
+    The grid is np.linspace(0, x_max, resolution), evaluated in blocks.
     """
+    import numpy as np
+
     alpha = tuple(float(a) for a in alpha)
     if q is None:
         q = len(alpha) - 1
@@ -100,13 +109,22 @@ def brute_root_scan(alpha, q: int | None = None,
 
     x_max = max(4.0 * math.log(alpha[0]), 50.0)
     for _ in range(4):
-        grid = np.linspace(0.0, x_max, resolution)
-        with np.errstate(over="ignore"):
-            values = alpha[0] - np.exp(grid)
-            for j in range(1, q + 1):
-                values -= alpha[j] * grid ** j
-        signs = np.sign(values)
-        flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+        # linspace's arithmetic: point i is i * step, and the last is x_max
+        step = x_max / (resolution - 1)
+        signs = np.empty(resolution, dtype=np.int8)
+        for i0 in range(0, resolution, _SCAN_BLOCK):
+            i1 = min(i0 + _SCAN_BLOCK, resolution)
+            grid = np.arange(i0, i1) * step
+            if i1 == resolution:
+                grid[-1] = x_max
+            with np.errstate(over="ignore"):
+                values = alpha[0] - np.exp(grid)
+                for j in range(1, q + 1):
+                    values -= alpha[j] * grid ** j
+            block = np.sign(values)
+            block[np.isnan(block)] = _NAN_SIGN
+            signs[i0:i1] = block
+        flips = np.flatnonzero(signs[:-1] * signs[1:] == -1)
         exact = np.flatnonzero(signs[1:] == 0)
         if flips.size or exact.size:
             break
@@ -114,9 +132,12 @@ def brute_root_scan(alpha, q: int | None = None,
     else:
         raise OracleError(f"brute scan found no sign change for alpha={alpha}")
 
-    roots = [float(grid[i + 1]) for i in exact]
+    def point(i):
+        return x_max if i == resolution - 1 else int(i) * step
+
+    roots = [point(i + 1) for i in exact]
     for i in flips:
-        lo, hi = float(grid[i]), float(grid[i + 1])
+        lo, hi = point(i), point(i + 1)
         flo = residual(lo)
         for _ in range(200):
             mid = 0.5 * (lo + hi)

@@ -1,10 +1,14 @@
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailbound import BennettBound, HoeffdingBound
-from tailbound.cli import main
+from tailbound.cli import _linspace, main
 
 
 def run(capsys, *argv):
@@ -121,6 +125,15 @@ class TestCompareCommand:
         assert code == 0
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[3]) == 1.0
+
+    def test_new_bound_underflowing_to_zero(self, capsys):
+        # at t = 1e300 both bounds are 0 and the ratio is undefined: the
+        # row leaves it empty instead of dividing by zero
+        code, out, err = run(capsys, "compare", "--dist", "uniform",
+                             "--n", "13", "--t", "1e-3:1e300:7", "--p", "3")
+        assert code == 0, err
+        last = out.strip().splitlines()[-1].split(",")
+        assert last[1:] == ["0", "0", ""]
 
     def test_requires_exactly_one_target(self, capsys):
         code, _, _ = run(capsys, "compare", "--dist", "uniform", "--n", "5",
@@ -272,3 +285,26 @@ class TestOutputFormats:
         assert code == 0
         for line in out.splitlines():
             assert line == line.strip()
+
+
+class TestThresholdGrid:
+    """lo:hi:k grids are built without numpy, by np.linspace's arithmetic."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lo=st.floats(allow_nan=True, allow_infinity=True),
+           hi=st.floats(allow_nan=True, allow_infinity=True),
+           k=st.integers(0, 300))
+    def test_matches_numpy_linspace_bit_for_bit(self, lo, hi, k):
+        with np.errstate(all="ignore"):
+            want = [float(v) for v in np.linspace(lo, hi, k)]
+        got = _linspace(lo, hi, k)
+        assert [struct.pack("<d", v) for v in got] \
+            == [struct.pack("<d", v) for v in want]
+
+    @pytest.mark.parametrize("k, message", [("0", "empty threshold grid"),
+                                            ("-1", "must be non-negative")])
+    def test_empty_and_negative_counts(self, capsys, k, message):
+        code, _, err = run(capsys, "bound", "--dist", "uniform",
+                           "--t", f"0.1:1:{k}")
+        assert code == 2
+        assert message in err

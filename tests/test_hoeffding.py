@@ -260,6 +260,26 @@ class TestLimit:
         result = hoeffding_limit([dist] * 10, 1e7 * d_n / 4.0)
         assert 0.0 <= result.bound <= 1.0
 
+    @pytest.mark.parametrize("a, b, t", [(1.0, 1e4, 1e-4), (1.0, 1e4, 1e-3),
+                                         (0.5, 3e3, 2e-3), (2.0, 1e5, 1e-4)])
+    def test_skewed_beta_tilt_past_underflow(self, a, b, t):
+        # the tilt 4t/D_n runs to thousands for a law massed near 0, where
+        # e^{-tilt} E X e^{tilt X} underflows; mpmath gives the reference
+        import mpmath
+        dist = Beta(a, b)
+        n = 10
+        result = hoeffding_limit([dist] * n, t)
+        lam = 4.0 * t / result.d_n
+        assert lam > 800.0
+        with mpmath.workdps(40):
+            ratio = (dist.moment(2) * mpmath.hyp1f1(a + 2, a + b + 2, lam)
+                     / (dist.moment(1) * mpmath.hyp1f1(a + 1, a + b + 1, lam)))
+            want = float(mpmath.exp(-2 * mpmath.mpf(t) ** 2 / (n * ratio ** 2)))
+            c_want = float(ratio ** 2)
+        assert result.bound == pytest.approx(want, rel=1e-12)
+        for c in result.c_values:
+            assert c == pytest.approx(c_want, rel=1e-12)
+
     def test_rejects_negative_support(self):
         with pytest.raises(DomainError):
             hoeffding_limit([Uniform(-1, 1)], 1.0)
