@@ -28,7 +28,12 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .moments import EnsembleSpec, MomentVector, restrict_order, weighted_sum
+from .moments import (
+    EnsembleSpec,
+    checked_threshold,
+    restrict_order,
+    weighted_sum,
+)
 from .special import (
     RootSet,
     lambert_w0_exp,
@@ -162,14 +167,6 @@ def _inner_expression(y: float, t: float, b: float, p: int,
     return total
 
 
-def _checked_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError(
-            f"deviation threshold must be positive and finite; got {t}")
-    return t
-
-
 def _build(t, b, p, agg, alpha, roots) -> BennettBound:
     try:
         values = [_inner_expression(y, t, b, p, agg) for y in roots.roots]
@@ -194,7 +191,7 @@ def bennett_bound(spec: EnsembleSpec, t: float, p: int, *,
     root_method="scan" forces the generic root solver even where the root
     has a closed form; used to cross-validate the closed forms.
     """
-    t = _checked_t(t)
+    t = checked_threshold(t)
     b, agg = aggregate_moments(spec, p)
     alpha = _alpha_coefficients(t, b, p, agg)
     roots = solve_poly_exp(alpha, p - 2, method=root_method)
@@ -210,7 +207,7 @@ def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
     form; otherwise the unique root is alpha0/alpha1 - W(e^{alpha0/alpha1}
     / alpha1), evaluated in log form when the exponential would overflow.
     """
-    t = _checked_t(t)
+    t = checked_threshold(t)
     b, agg = aggregate_moments(spec, 3)
     mu2, mu3 = agg
     alpha = _alpha_coefficients(t, b, 3, agg)
@@ -241,7 +238,7 @@ def bennett_unique_root(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
     value is still a valid upper bound), after which the root solver must
     find exactly one solution; anything else indicates a numerical fault.
     """
-    t = _checked_t(t)
+    t = checked_threshold(t)
     b, agg = aggregate_moments(spec, p)
     agg = tuple(
         max(m, 0.0) if (k % 2 == 1 and 3 <= k <= p - 1) else m
@@ -262,7 +259,7 @@ def bennett_tightness_check(spec: EnsembleSpec, t: float) -> TightnessComparison
     Assumes the supplied second and positive-part third moments are exact;
     then the three-moment bound can never exceed the classical one.
     """
-    t = _checked_t(t)
+    t = checked_threshold(t)
     for v in spec.vectors:
         if v.p < 3:
             raise OrderError("the comparison needs third moments")

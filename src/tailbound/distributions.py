@@ -14,9 +14,9 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._kernels._pyfallback import _exp
 from .errors import FLOAT_RANGE_ERRORS, ConfigError, DomainError, OracleError
 from .moments import MomentVector, Support
+from .special import _exp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,10 +101,16 @@ class Uniform(Distribution):
         object.__setattr__(self, "support", Support.interval(self.lo, self.hi))
 
     def moment(self, k):
-        if k == 0:
-            return 1.0
-        return ((self.hi ** (k + 1) - self.lo ** (k + 1))
-                / ((k + 1) * (self.hi - self.lo)))
+        # (hi^(k+1) - lo^(k+1)) / ((k+1)(hi - lo)) with the division done
+        # exactly, as sum_j hi^j lo^(k-j) by Horner's rule in hi. For lo >= 0
+        # every term is positive, so a narrow support far from 0 cancels
+        # none, and no partial sum overflows before the moment does
+        lo, hi = self.lo, self.hi
+        total = lo_j = 1.0
+        for _ in range(k):
+            lo_j *= lo
+            total = total * hi + lo_j
+        return total / (k + 1)
 
     def positive_part_moment(self, p):
         if p % 2 == 0 or self.lo >= 0:
@@ -128,24 +134,14 @@ class Uniform(Distribution):
         return _exp(s * top) * math.expm1(shrink) / shrink
 
     def tilted_first_second(self, s):
-        if abs(s) * max(abs(self.lo), abs(self.hi)) < 1e-4:
-            scale = math.exp(-s * self.hi)
-            return (scale * _tilted_series(self, s, 1),
-                    scale * _tilted_series(self, s, 2))
-        width = self.hi - self.lo
-        # antiderivatives of x e^{s(x-hi)} and x^2 e^{s(x-hi)}, written in
-        # u = 1/s so that no power of a huge tilt overflows
-        u = 1.0 / s
-
-        def f1(x):
-            return math.exp(s * (x - self.hi)) * (x - u) * u
-
-        def f2(x):
-            return math.exp(s * (x - self.hi)) * ((x - u) ** 2 + u * u) * u
-
-        first = (f1(self.hi) - f1(self.lo)) / width
-        second = (f2(self.hi) - f2(self.lo)) / width
-        return first, second
+        # X = lo + w U with U ~ Uniform(0, 1) = Beta(1, 1), and the scaled
+        # e^{s(X - hi)} is e^{a(U - 1)} for a = s w. Kummer's function gives
+        # m_j = E U^j e^{a(U - 1)} = e^{-a} M(1+j, 2+j, a)/(1+j), and the pair
+        # expands in them; for lo >= 0 none of its terms cancel
+        lo, w = self.lo, self.hi - self.lo
+        m0, m1, m2 = (_from_log(*_kummer_scaled(1.0 + j, 2.0 + j, s * w))
+                      / (1 + j) for j in range(3))
+        return lo * m0 + w * m1, lo * lo * m0 + 2.0 * lo * w * m1 + w * w * m2
 
 
 @dataclass(frozen=True)
@@ -395,25 +391,6 @@ def _kummer_asymptotic(alpha: float, gamma: float,
         k += 1
     return total, (math.lgamma(gamma) - math.lgamma(alpha)
                    + (alpha - gamma) * log_s)
-
-
-def _tilted_series(dist: Distribution, s: float, power: int) -> float:
-    # E X^power e^{sX} = sum_k s^k E(X^{k+power})/k!; bounded supports only
-    total = 0.0
-    term = 1.0
-    for k in range(0, 60):
-        total += term * dist.moment(k + power)
-        term *= s / (k + 1)
-        # s^k/k! alone overflows for a support far inside [-1, 1], where the
-        # test below ignores how small the moments are. The terms left are
-        # below (s*upper)^k/k! <= 1e-4^k/k! of the sum: under 1e-17 for
-        # k >= 4, and k < 4 needs s > 2e77 with upper < 5e-82
-        if math.isinf(term):
-            break
-        if abs(term) * max(abs(dist.support.upper), 1.0) ** (k + 1 + power) \
-                <= 1e-17 * max(abs(total), 1e-30):
-            break
-    return total
 
 
 def moments_uniform(p: int, lo: float, hi: float) -> MomentVector:

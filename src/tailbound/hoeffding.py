@@ -31,6 +31,7 @@ from .mgf import c_factor_from_moments, i_measure
 from .moments import (
     EnsembleSpec,
     MomentVector,
+    checked_threshold,
     expand_runs,
     identity_runs,
     reflect_moments,
@@ -91,14 +92,6 @@ class HoeffdingBound:
         )
 
 
-def _checked_threshold(t: float) -> float:
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError(
-            f"deviation threshold must be positive and finite; got {t}")
-    return t
-
-
 def _checked_order(p) -> int:
     if not isinstance(p, int) or p < 1:
         raise DomainError(f"order p must be a positive integer; got {p!r}")
@@ -134,11 +127,21 @@ def _cap(log_bound: float, factor: float = 1.0) -> float:
     return min(factor * math.exp(log_bound), 1.0)
 
 
-def _positive_denominator(denom: float) -> float:
+def _record(mode, t, p, cs, counts, n, d_n, denom,
+            factor=1.0) -> HoeffdingBound:
+    """The bound factor*exp(-2 t^2/denom) with its record, for
+    denom = sum_i w_i^2 c_i over variables on [0, w_i].
+
+    cs holds one factor per group and counts the group sizes; n is the
+    number of c_values entries to report.
+    """
     if denom == 0.0:
         raise DegenerateDistributionError(
             "sum_i b_i^2 c_i underflows to 0: the ranges are too narrow")
-    return denom
+    return HoeffdingBound(
+        t=t, p=p, bound=_cap(-2.0 * t * t / denom, factor),
+        c_values=expand_runs(cs, counts, n), d_n=d_n, s_star=4.0 * t / denom,
+        mode=mode)
 
 
 def _range_error(exc: ArithmeticError) -> DomainError:
@@ -162,18 +165,15 @@ def _one_sided(vectors, counts, t: float, p: int):
             [v.support.upper ** 2 * c for v, c in zip(vs, cs)], counts)
     except FLOAT_RANGE_ERRORS as exc:
         raise _range_error(exc) from None
-    return cs, d_n, _positive_denominator(denom)
+    return cs, d_n, denom
 
 
 def hoeffding_bound(spec: EnsembleSpec, t: float, p: int) -> HoeffdingBound:
     """One-sided bound on P(S_n - E(S_n) >= t) from the first p moments."""
-    t = _checked_threshold(t)
+    t = checked_threshold(t)
     p = _checked_order(p)
     cs, d_n, denom = _one_sided(spec.vectors, spec.counts, t, p)
-    return HoeffdingBound(
-        t=t, p=p, bound=_cap(-2.0 * t * t / denom),
-        c_values=expand_runs(cs, spec.counts, spec.n), d_n=d_n,
-        s_star=4.0 * t / denom, mode="one_sided")
+    return _record("one_sided", t, p, cs, spec.counts, spec.n, d_n, denom)
 
 
 def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
@@ -184,13 +184,11 @@ def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
     """
     if n < 1:
         raise DomainError(f"need n >= 1; got {n}")
-    t = _checked_threshold(t)
+    t = checked_threshold(t)
     p = _checked_order(p)
     t_abs = n * t
-    (c,), d_n, denom = _one_sided((mv,), (n,), t_abs, p)
-    return HoeffdingBound(
-        t=t_abs, p=p, bound=_cap(-2.0 * t_abs * t_abs / denom), c_values=(c,),
-        d_n=d_n, s_star=4.0 * t_abs / denom, mode="iid")
+    cs, d_n, denom = _one_sided((mv,), (n,), t_abs, p)
+    return _record("iid", t_abs, p, cs, (1,), 1, d_n, denom)
 
 
 def _two_sided(vectors, counts, t: float, p: int):
@@ -219,7 +217,7 @@ def _two_sided(vectors, counts, t: float, p: int):
             [s.support.upper ** 2 * c for s, c in zip(shifted, cs)], counts)
     except FLOAT_RANGE_ERRORS as exc:
         raise _range_error(exc) from None
-    return cs, d_n, _positive_denominator(denom)
+    return cs, d_n, denom
 
 
 def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
@@ -230,14 +228,12 @@ def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
     contributes the larger of the factors computed from its shifted
     (Y - a) and reflected (b - Y) moments.
     """
-    t = _checked_threshold(t)
+    t = checked_threshold(t)
     p = _checked_order(p)
     spec = EnsembleSpec(variables)
     cs, d_n, denom = _two_sided(spec.vectors, spec.counts, t, p)
-    return HoeffdingBound(
-        t=t, p=p, bound=_cap(-2.0 * t * t / denom, factor=2.0),
-        c_values=expand_runs(cs, spec.counts, spec.n), d_n=d_n,
-        s_star=4.0 * t / denom, mode="two_sided")
+    return _record("two_sided", t, p, cs, spec.counts, spec.n, d_n, denom,
+                   factor=2.0)
 
 
 def hoeffding_small_t(mv: MomentVector, n: int, t: float, c: float,
@@ -250,7 +246,7 @@ def hoeffding_small_t(mv: MomentVector, n: int, t: float, c: float,
     """
     if n < 1:
         raise DomainError(f"need n >= 1; got {n}")
-    t = _checked_threshold(t)
+    t = checked_threshold(t)
     p = _checked_order(p)
     if mv.p < 2:
         raise OrderError(
@@ -278,7 +274,7 @@ def hoeffding_limit(dists: Sequence[Distribution], t: float) -> HoeffdingBound:
     range drops out entirely. Variables must be nonnegative. Consecutive
     references to one distribution object share one evaluation.
     """
-    t = _checked_threshold(t)
+    t = checked_threshold(t)
     if not dists:
         raise DomainError("need at least one distribution")
     laws, counts = identity_runs(tuple(dists))
@@ -304,16 +300,12 @@ def hoeffding_limit(dists: Sequence[Distribution], t: float) -> HoeffdingBound:
                     f"got {first}")
             ratios_sq.append((second / first) ** 2)
         denom = weighted_sum(ratios_sq, counts)
-        c_values = [r / d.support.upper ** 2 for r, d in zip(ratios_sq, laws)]
-        bound = _cap(-2.0 * t * t / denom)
-        s_star = 4.0 * t / denom
+        cs = [r / d.support.upper ** 2 for r, d in zip(ratios_sq, laws)]
     except FLOAT_RANGE_ERRORS as exc:
         raise DomainError(f"the limit bound leaves the float range at t = {t} "
                           f"({exc})") from None
-    return HoeffdingBound(
-        t=t, p=None, bound=bound,
-        c_values=expand_runs(c_values, counts, len(dists)), d_n=d_n,
-        s_star=s_star, mode="limit_p_infinity")
+    return _record("limit_p_infinity", t, None, cs, counts, len(dists), d_n,
+                   denom)
 
 
 def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
@@ -332,7 +324,7 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
     dn_squared=True switches to the squared convention used by the
     one-sided bound in case that reading is intended.
     """
-    t = _checked_threshold(t)
+    t = checked_threshold(t)
     p = _checked_order(p)
     if K <= 0.0:
         raise DomainError(f"K must be positive; got {K}")
@@ -365,24 +357,29 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
         raise PreconditionError(
             f"missing-factor form needs t <= sigma^2/(K*b) = "
             f"{sigma2 / (K * b_max)}; got t = {t}")
-    if p == 1:
-        cs = [1.0] * len(vs)
-        d_n = None
-        if all(mv.p >= 2 for mv in vectors):
-            d_n = weighted_sum([mv.mu[1] / mv.mu[0] for mv in vectors], counts)
-    else:
-        if dn_squared:
-            d_n = weighted_sum([(v.mu[1] / v.mu[0]) ** 2 for v in vs], counts)
+    try:
+        if p == 1:
+            cs = [1.0] * len(vs)
+            d_n = None
+            if all(mv.p >= 2 for mv in vectors):
+                d_n = weighted_sum([mv.mu[1] / mv.mu[0] for mv in vectors],
+                                   counts)
         else:
-            d_n = weighted_sum([v.mu[1] / v.mu[0] for v in vs], counts)
-        cs = [c_factor_from_moments(8.0 * t * b / d_n, 2.0 * b, v.mu)
-              for v, b in zip(vs, bs)]
-    denom = weighted_sum([b * b * c for b, c in zip(bs, cs)], counts)
+            if dn_squared:
+                d_n = weighted_sum([(v.mu[1] / v.mu[0]) ** 2 for v in vs],
+                                   counts)
+            else:
+                d_n = weighted_sum([v.mu[1] / v.mu[0] for v in vs], counts)
+            cs = [c_factor_from_moments(8.0 * t * b / d_n, 2.0 * b, v.mu)
+                  for v, b in zip(vs, bs)]
+        # the variables live on [0, 2 b_i]
+        denom = weighted_sum(
+            [(2.0 * b) * (2.0 * b) * c for b, c in zip(bs, cs)], counts)
+    except FLOAT_RANGE_ERRORS as exc:
+        raise _range_error(exc) from None
     tail_factor = mills_theta(t / sigma) + K * b_max / sigma
-    return HoeffdingBound(
-        t=t, p=p, bound=_cap(-t * t / (2.0 * denom), factor=tail_factor),
-        c_values=expand_runs(cs, counts, len(shifted)), d_n=d_n,
-        s_star=t / denom, mode="missing_factor")
+    return _record("missing_factor", t, p, cs, counts, len(shifted), d_n,
+                   denom, factor=tail_factor)
 
 
 def ci_c_bar(mv: MomentVector, t: float, p: int) -> float:
@@ -392,20 +389,29 @@ def ci_c_bar(mv: MomentVector, t: float, p: int) -> float:
     argument 4*t*width/d(X) does not depend on the sample size: it is the
     factor of the two-sided bound on one copy of the variable.
     """
-    t = _checked_threshold(t)
+    t = checked_threshold(t)
     p = _checked_order(p)
     if p == 1:
         return 1.0
-    (c,), _, _ = _two_sided((mv,), (1,), t, p)
-    return c
+    return hoeffding_two_sided([mv], t, p).c_values[0]
+
+
+def _sample_size(width: float, c: float, t: float, alpha: float) -> int:
+    # smallest n >= 1 with 2*exp(-2*n*t^2/(width^2*c)) <= alpha
+    try:
+        return max(1, math.ceil(
+            math.log(2.0 / alpha) * width * width * c / (2.0 * t * t)))
+    except FLOAT_RANGE_ERRORS as exc:
+        raise DomainError(f"the sample size for half-width {t} leaves the "
+                          f"float range ({exc})") from None
 
 
 def classical_sample_size(width: float, t: float, alpha: float) -> int:
     """Smallest n with 2*exp(-2*n*t^2/width^2) <= alpha."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1); got {alpha}")
-    t = _checked_threshold(t)
-    return max(1, math.ceil(math.log(2.0 / alpha) * width * width / (2.0 * t * t)))
+    t = checked_threshold(t)
+    return _sample_size(width, 1.0, t, alpha)
 
 
 def sample_size_for_ci(mv: MomentVector, t: float, alpha: float, p: int) -> int:
@@ -417,9 +423,6 @@ def sample_size_for_ci(mv: MomentVector, t: float, alpha: float, p: int) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1); got {alpha}")
-    t = _checked_threshold(t)
+    t = checked_threshold(t)
     p = _checked_order(p)
-    width = mv.support.width
-    c_bar = ci_c_bar(mv, t, p)
-    n = math.ceil(math.log(2.0 / alpha) * width * width * c_bar / (2.0 * t * t))
-    return max(1, n)
+    return _sample_size(mv.support.width, ci_c_bar(mv, t, p), t, alpha)

@@ -275,6 +275,15 @@ def _binomial_shift(mv: MomentVector, shift: float, k: int) -> float:
     return 0.0 if -1e-15 < total < 0.0 else total
 
 
+def checked_threshold(t: float) -> float:
+    """t as a float, if it is a positive, finite deviation threshold."""
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise DomainError(
+            f"deviation threshold must be positive and finite; got {t}")
+    return t
+
+
 def identity_runs(items: Sequence) -> tuple[tuple, tuple[int, ...]]:
     """Runs of consecutive references to one object: (objects, lengths).
 

@@ -280,6 +280,24 @@ class TestLimit:
         for c in result.c_values:
             assert c == pytest.approx(c_want, rel=1e-12)
 
+    def test_uniform_tilt_near_series_threshold(self):
+        # the tilt 4t/D_n = 5.9e-5 puts s*hi just above 1e-4, where the
+        # tilted pair of a uniform law once lost three digits
+        import mpmath
+        n, t = 10, 2e-4
+        result = hoeffding_limit([Uniform(0.3, 1.7)] * n, t)
+        with mpmath.workdps(80):
+            s = 4 * mpmath.mpf(t) / result.d_n
+            lo, hi = mpmath.mpf(0.3), mpmath.mpf(1.7)
+            f1 = [mpmath.exp(s * x) * (x / s - 1 / s ** 2) for x in (lo, hi)]
+            f2 = [mpmath.exp(s * x) * (x * x / s - 2 * x / s ** 2 + 2 / s ** 3)
+                  for x in (lo, hi)]
+            ratio = (f2[1] - f2[0]) / (f1[1] - f1[0])
+            c_want = float(ratio ** 2 / hi ** 2)
+        assert len(result.c_values) == n
+        for c in result.c_values:
+            assert c == pytest.approx(c_want, rel=1e-13)
+
     def test_rejects_negative_support(self):
         with pytest.raises(DomainError):
             hoeffding_limit([Uniform(-1, 1)], 1.0)

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import tailbound
+from tailbound import special
 
 SRC = str(Path(tailbound.__file__).resolve().parent.parent)
 
@@ -57,3 +58,20 @@ def test_numpy_loads_only_to_sample_or_read_data(tmp_path):
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, (mode, proc.stderr)
+
+
+def test_residual_alias_for_the_benchmark_tracer(monkeypatch):
+    # perfbench/tracing.py counts residual evaluations by wrapping
+    # poly_exp_residual at the old kernel module path, and through it every
+    # module that holds the same function, special among them
+    alias = sys.modules["tailbound._kernels._pyfallback"]
+    assert alias.poly_exp_residual is special.poly_exp_residual
+    calls = []
+
+    def counted(alpha, x):
+        calls.append(x)
+        return alias.poly_exp_residual(alpha, x)
+
+    monkeypatch.setattr(special, "poly_exp_residual", counted)
+    special.solve_poly_exp((3.0, 1.0, -0.5))
+    assert calls

@@ -141,6 +141,20 @@ class TestAnalyticConstructors:
         mv = moments_uniform(4, 0.0, 2.0)
         assert mv.mu == pytest.approx((1.0, 4 / 3, 2.0, 16 / 5), rel=1e-15)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1e150), (1e8, 1e8 + 1.0),
+                                       (1e3, 1e3 + 1e-3), (0.3, 1.7)])
+    def test_uniform_against_mpmath(self, lo, hi):
+        # (hi^(k+1) - lo^(k+1)) / ((k+1)(hi - lo)) in floats overflows for
+        # a huge hi and cancels for a narrow support far from 0
+        import mpmath
+        p = 2 if hi > 1e100 else 6
+        mv = moments_uniform(p, lo, hi)
+        with mpmath.workdps(60):
+            a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+            want = [float((b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a)))
+                    for k in range(1, p + 1)]
+        assert mv.mu == pytest.approx(want, rel=1e-14)
+
     def test_uniform_rejects_bad_interval(self):
         with pytest.raises(DomainError):
             moments_uniform(2, 1.0, 1.0)

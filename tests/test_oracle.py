@@ -329,6 +329,39 @@ class TestTiltedExpectations:
         want = self._reference(lambda x: 1 / 1.4, 0.3, 1.7, 1.7, s)
         assert got == pytest.approx(want, rel=1e-10)
 
+    @staticmethod
+    def _uniform_exact(lo, hi, s):
+        # (1/w) int_lo^hi x^k e^{s(x-hi)} dx for k = 1, 2 from the
+        # antiderivatives e^{sx}(x/s - 1/s^2), e^{sx}(x^2/s - 2x/s^2 + 2/s^3),
+        # whose terms cancel by up to 25 digits at the smallest tilts
+        import mpmath
+        with mpmath.workdps(80):
+            lo, hi, s = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(s)
+
+            def f1(x):
+                return mpmath.exp(s * (x - hi)) * (x / s - 1 / s ** 2)
+
+            def f2(x):
+                return mpmath.exp(s * (x - hi)) * (x * x / s - 2 * x / s ** 2
+                                                   + 2 / s ** 3)
+
+            first = (f1(hi) - f1(lo)) / (hi - lo)
+            second = (f2(hi) - f2(lo)) / (hi - lo)
+            return float(first), float(second), float(second / first)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.3, 1.7), (0.9, 1.0),
+                                       (10.0, 11.0), (0.0, 1e-3), (0.0, 2.5)])
+    def test_uniform_against_antiderivatives(self, lo, hi):
+        # s*hi = 1e-4 was the switch between a series and closed forms whose
+        # terms cancel; the limit bound's tilts run through it
+        for s_hi in (1e-7, 1e-5, 9e-5, 1.01e-4, 1.2e-4, 2e-4, 1e-3, 0.05,
+                     1.0, 7.0, 50.0, 1e3):
+            s = s_hi / hi
+            first, second = Uniform(lo, hi).tilted_first_second(s)
+            want = self._uniform_exact(lo, hi, s)
+            assert (first, second, second / first) == pytest.approx(
+                want, rel=1e-13), s
+
     def test_closed_forms_do_not_overflow(self):
         s = 5000.0
         assert Bernoulli(0.2).tilted_first_second(s) == (0.2, 0.2)

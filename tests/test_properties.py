@@ -17,19 +17,23 @@ from tailbound import (
     Bernoulli,
     Beta,
     EnsembleSpec,
+    MomentVector,
     PointMass,
+    Support,
     TailboundError,
     TruncatedExponential,
     Uniform,
     bennett_bound,
     bennett_p3_lambert,
     bennett_unique_root,
+    classical_sample_size,
     hoeffding_bound,
     hoeffding_iid,
     hoeffding_limit,
     hoeffding_missing_factor,
     hoeffding_small_t,
     hoeffding_two_sided,
+    sample_size_for_ci,
 )
 from tailbound.cli import main
 
@@ -135,6 +139,16 @@ REPRODUCERS = {
         1e-300, 1e300).moment_vector(2),
     "truncexp rate power underflows": lambda: TruncatedExponential(
         1.0, 1e-300).moment_vector(2),
+    "missing-factor denominator underflows": lambda: hoeffding_missing_factor(
+        [MomentVector(1, (1e-200,), Support.interval(0.0, 2e-200))], 1.0, 1,
+        sigma2=1.0),
+    "missing-factor D_n underflows": lambda: hoeffding_missing_factor(
+        [MomentVector(2, (1e-200, 0.0), Support.interval(0.0, 2e-200))], 1.0,
+        2, sigma2=1.0),
+    "sample size overflows": lambda: sample_size_for_ci(
+        MomentVector(1, (5e199,), Support.interval(0.0, 1e200)), 1.0, 0.05, 1),
+    "classical sample size divides by t^2 = 0": lambda: classical_sample_size(
+        1.0, 1e-200, 0.05),
 }
 
 
