@@ -17,9 +17,9 @@ closed form through the Lambert W function and is never worse than p = 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record, setfield
 from .errors import (
     FLOAT_RANGE_ERRORS,
     DegenerateDistributionError,
@@ -34,16 +34,10 @@ from .moments import (
     restrict_order,
     weighted_sum,
 )
-from .special import (
-    RootSet,
-    lambert_w0_exp,
-    poly_exp_residual,
-    solve_poly_exp,
-)
+from .special import RootSet, poly_exp_residual, solve_poly_exp
 
 
-@dataclass(frozen=True)
-class BennettBound:
+class BennettBound(Record):
     """One bound evaluation with the transcendental-equation bookkeeping.
 
     alpha lists the equation coefficients alpha_0..alpha_{p-2}; y_star is
@@ -51,14 +45,20 @@ class BennettBound:
     the summed mu^2..mu^p actually used; b is the common upper bound.
     """
 
-    t: float
-    p: int
-    bound: float
-    alpha: tuple[float, ...]
-    roots: RootSet
-    y_star: float
-    aggregated_moments: tuple[float, ...]
-    b: float
+    __slots__ = _fields = ("t", "p", "bound", "alpha", "roots", "y_star",
+                           "aggregated_moments", "b")
+
+    def __init__(self, t: float, p: int, bound: float,
+                 alpha: tuple[float, ...], roots: RootSet, y_star: float,
+                 aggregated_moments: tuple[float, ...], b: float):
+        setfield(self, "t", t)
+        setfield(self, "p", p)
+        setfield(self, "bound", bound)
+        setfield(self, "alpha", alpha)
+        setfield(self, "roots", roots)
+        setfield(self, "y_star", y_star)
+        setfield(self, "aggregated_moments", aggregated_moments)
+        setfield(self, "b", b)
 
     @property
     def residual(self) -> float:
@@ -93,13 +93,15 @@ class BennettBound:
         )
 
 
-@dataclass(frozen=True)
-class TightnessComparison:
+class TightnessComparison(Record):
     """Third-moment bound next to the classical second-moment bound."""
 
-    t: float
-    bound_p2: float
-    bound_p3: float
+    __slots__ = _fields = ("t", "bound_p2", "bound_p3")
+
+    def __init__(self, t: float, bound_p2: float, bound_p3: float):
+        setfield(self, "t", t)
+        setfield(self, "bound_p2", bound_p2)
+        setfield(self, "bound_p3", bound_p3)
 
     @property
     def improvement(self) -> float:
@@ -206,6 +208,7 @@ def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
     the quadratic term vanish and the bound reduces to the second-moment
     form; otherwise the unique root is alpha0/alpha1 - W(e^{alpha0/alpha1}
     / alpha1), evaluated in log form when the exponential would overflow.
+    Both are the solver's closed forms for degree 1.
     """
     t = checked_threshold(t)
     b, agg = aggregate_moments(spec, 3)
@@ -216,18 +219,14 @@ def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
         raise PreconditionError(
             f"b*mu2 >= mu3 must hold for exact positive-part third moments; "
             f"got b*mu2 = {b * mu2}, mu3 = {mu3}")
-    if a1 == 0.0:
-        y = math.log(a0)
-    else:
-        z = a0 / a1
-        y = z - lambert_w0_exp(z - math.log(a1))
+    roots = solve_poly_exp(alpha, 1)
+    y = roots.roots[0]
     # backward-error scale: the subtraction alpha0 - alpha1*y is itself only
     # accurate to eps times the magnitude of its operands
     scale = 1.0 + a0 + a1 * abs(y) + math.exp(min(y, 700.0))
     if abs(poly_exp_residual(alpha, y)) > 1e-10 * scale:
         raise InternalConsistencyError(
             f"closed-form root failed its residual check at y={y}")
-    roots = RootSet((y,), True)
     return _build(t, b, 3, agg, alpha, roots)
 
 

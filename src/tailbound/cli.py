@@ -10,8 +10,6 @@ var TAILBOUND_SEED overrides any configured seed. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -38,6 +36,8 @@ from .moments import (
     EnsembleSpec,
     MomentVector,
     Support,
+    expand_runs,
+    identity_runs,
     moments_from_samples,
     read_sample_file,
 )
@@ -329,12 +329,18 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, (list, tuple)):
-        return ";".join(_fmt(v) for v in value)
+        # each run of one object (an iid factor's n copies) is formatted
+        # once. Runs go by identity: 0.0 == -0.0, yet they print apart
+        items, counts = identity_runs(value)
+        return ";".join(expand_runs([_fmt(v) for v in items], counts,
+                                    len(value)))
     return str(value)
 
 
 def _emit(records: list[dict], columns: list[str], args) -> None:
     if args.format == "json":
+        import json  # only JSON output needs it
+
         text = json.dumps(records, indent=2) + "\n"
     else:
         lines = [",".join(columns)]

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import Record, setfield
 from .errors import FLOAT_RANGE_ERRORS, ConfigError, DomainError, OracleError
 from .moments import MomentVector, Support
 from .special import _exp
@@ -24,9 +24,11 @@ if TYPE_CHECKING:
 _QUAD_TOL = 1e-12
 
 
-class Distribution:
-    """Interface shared by the concrete laws below."""
+class Distribution(Record):
+    """Interface shared by the concrete laws below. Each law's fields are its
+    parameters; tag names the law, and support is derived from the fields."""
 
+    __slots__ = ()
     tag: str
     support: Support
 
@@ -89,16 +91,17 @@ def _quad(fn, lo, hi):
     return value
 
 
-@dataclass(frozen=True)
 class Uniform(Distribution):
-    lo: float = 0.0
-    hi: float = 1.0
+    _fields = ("lo", "hi")
+    __slots__ = (*_fields, "support")
+    tag = "uniform"
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"uniform needs lo < hi; got [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "tag", "uniform")
-        object.__setattr__(self, "support", Support.interval(self.lo, self.hi))
+    def __init__(self, lo: float = 0.0, hi: float = 1.0):
+        if not lo < hi:
+            raise DomainError(f"uniform needs lo < hi; got [{lo}, {hi}]")
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
+        setfield(self, "support", Support.interval(lo, hi))
 
     def moment(self, k):
         # (hi^(k+1) - lo^(k+1)) / ((k+1)(hi - lo)) with the division done
@@ -117,7 +120,11 @@ class Uniform(Distribution):
             return self.moment(p)
         if self.hi <= 0:
             return 0.0
-        return self.hi ** (p + 1) / ((p + 1) * (self.hi - self.lo))
+        try:
+            return self.hi ** (p + 1) / ((p + 1) * (self.hi - self.lo))
+        except OverflowError:
+            # hi^(p+1) can overflow where the moment does not
+            return self.hi ** p * (self.hi / (self.hi - self.lo)) / (p + 1)
 
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
@@ -144,15 +151,16 @@ class Uniform(Distribution):
         return lo * m0 + w * m1, lo * lo * m0 + 2.0 * lo * w * m1 + w * w * m2
 
 
-@dataclass(frozen=True)
 class Bernoulli(Distribution):
-    q: float
+    _fields = ("q",)
+    __slots__ = (*_fields, "support")
+    tag = "bernoulli"
 
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise DomainError(f"success probability must be in [0, 1]; got {self.q}")
-        object.__setattr__(self, "tag", "bernoulli")
-        object.__setattr__(self, "support", Support.interval(0.0, 1.0))
+    def __init__(self, q: float):
+        if not 0.0 <= q <= 1.0:
+            raise DomainError(f"success probability must be in [0, 1]; got {q}")
+        setfield(self, "q", q)
+        setfield(self, "support", Support.interval(0.0, 1.0))
 
     def moment(self, k):
         return 1.0 if k == 0 else self.q
@@ -168,22 +176,24 @@ class Bernoulli(Distribution):
         return self.q, self.q
 
 
-@dataclass(frozen=True)
 class PointMass(Distribution):
-    c: float
-    lo: float | None = None
-    hi: float | None = None
+    """The point mass at c, on the support [lo, hi]: [c, c + 1] by default."""
 
-    def __post_init__(self):
-        lo = self.c if self.lo is None else self.lo
-        hi = self.c + 1.0 if self.hi is None else self.hi
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    _fields = ("c", "lo", "hi")
+    __slots__ = (*_fields, "support")
+    tag = "point"
+
+    def __init__(self, c: float, lo: float | None = None,
+                 hi: float | None = None):
+        lo = c if lo is None else lo
+        hi = c + 1.0 if hi is None else hi
         support = Support.interval(lo, hi)
-        if not support.contains(self.c):
-            raise DomainError(f"point mass at {self.c} outside [{lo}, {hi}]")
-        object.__setattr__(self, "tag", "point")
-        object.__setattr__(self, "support", support)
+        if not support.contains(c):
+            raise DomainError(f"point mass at {c} outside [{lo}, {hi}]")
+        setfield(self, "c", c)
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
+        setfield(self, "support", support)
 
     def moment(self, k):
         return self.c ** k
@@ -204,17 +214,18 @@ class PointMass(Distribution):
         return self.c * e, self.c * self.c * e
 
 
-@dataclass(frozen=True)
 class Beta(Distribution):
-    a: float
-    b: float
+    _fields = ("a", "b")
+    __slots__ = (*_fields, "support")
+    tag = "beta"
 
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+    def __init__(self, a: float, b: float):
+        if a <= 0 or b <= 0:
             raise DomainError(
-                f"beta shape parameters must be positive; got {self.a}, {self.b}")
-        object.__setattr__(self, "tag", "beta")
-        object.__setattr__(self, "support", Support.interval(0.0, 1.0))
+                f"beta shape parameters must be positive; got {a}, {b}")
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "support", Support.interval(0.0, 1.0))
 
     def moment(self, k):
         m = 1.0
@@ -256,18 +267,19 @@ class Beta(Distribution):
         return first, second
 
 
-@dataclass(frozen=True)
 class TruncatedExponential(Distribution):
     """b minus an Exponential(rate): unbounded below, capped above at b."""
 
-    b: float = 1.0
-    rate: float = 1.0
+    _fields = ("b", "rate")
+    __slots__ = (*_fields, "support")
+    tag = "truncexp"
 
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise DomainError(f"rate must be positive; got {self.rate}")
-        object.__setattr__(self, "tag", "truncexp")
-        object.__setattr__(self, "support", Support.upper_only(self.b))
+    def __init__(self, b: float = 1.0, rate: float = 1.0):
+        if rate <= 0:
+            raise DomainError(f"rate must be positive; got {rate}")
+        setfield(self, "b", b)
+        setfield(self, "rate", rate)
+        setfield(self, "support", Support.upper_only(b))
 
     def moment(self, k):
         # E(b - E)^k with E exponential: binomial over E(E^j) = j!/rate^j

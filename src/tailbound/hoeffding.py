@@ -16,9 +16,9 @@ size calculator for confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record, setfield
 from .distributions import Distribution
 from .errors import (
     FLOAT_RANGE_ERRORS,
@@ -45,8 +45,7 @@ MODES = ("one_sided", "two_sided", "iid", "small_t", "limit_p_infinity",
          "missing_factor")
 
 
-@dataclass(frozen=True)
-class HoeffdingBound:
+class HoeffdingBound(Record):
     """One bound evaluation with its intermediate quantities.
 
     t is always the absolute deviation of the sum. p is None for the
@@ -56,17 +55,21 @@ class HoeffdingBound:
     (None when the inputs do not determine it).
     """
 
-    t: float
-    p: Optional[int]
-    bound: float
-    c_values: tuple[float, ...]
-    d_n: Optional[float]
-    s_star: float
-    mode: str
+    __slots__ = _fields = ("t", "p", "bound", "c_values", "d_n", "s_star",
+                           "mode")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise DomainError(f"unknown mode {self.mode!r}")
+    def __init__(self, t: float, p: Optional[int], bound: float,
+                 c_values: tuple[float, ...], d_n: Optional[float],
+                 s_star: float, mode: str):
+        if mode not in MODES:
+            raise DomainError(f"unknown mode {mode!r}")
+        setfield(self, "t", t)
+        setfield(self, "p", p)
+        setfield(self, "bound", bound)
+        setfield(self, "c_values", c_values)
+        setfield(self, "d_n", d_n)
+        setfield(self, "s_star", s_star)
+        setfield(self, "mode", mode)
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,9 +14,9 @@ into the deviation bounds) a closed-form, nondecreasing function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record, setfield
 from .errors import DegenerateDistributionError, DomainError, OrderError
 from .moments import MomentVector, restrict_order
 from .special import taylor_remainder
@@ -47,16 +47,16 @@ def mgf_upper_bound(mv: MomentVector, s: float) -> float:
     return tail + poly
 
 
-@dataclass(frozen=True)
-class MgfBoundCurve:
+class MgfBoundCurve(Record):
     """Callable record: s >= 0 mapsto the order-p envelope for one variable."""
 
-    p: int
-    moments: MomentVector
+    __slots__ = _fields = ("p", "moments")
 
-    def __post_init__(self):
-        if self.p != self.moments.p:
-            object.__setattr__(self, "moments", restrict_order(self.moments, self.p))
+    def __init__(self, p: int, moments: MomentVector):
+        setfield(self, "p", p)
+        if p != moments.p:
+            moments = restrict_order(moments, p)
+        setfield(self, "moments", moments)
 
     def __call__(self, s: float) -> float:
         return mgf_upper_bound(self.moments, s)

@@ -10,11 +10,11 @@ infeasible moments are meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import index, is_not, mul, sub
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from ._record import Record, setfield
 from .errors import (
     DegenerateDistributionError,
     DomainError,
@@ -30,23 +30,23 @@ _REL_TOL = 1e-9
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(Record):
     """Almost-sure range of a variable: an interval [lower, upper], or only
     an upper bound (lower is None) for variables unbounded below."""
 
-    lower: Optional[float]
-    upper: float
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        if not math.isfinite(self.upper):
-            raise DomainError(f"upper support bound must be finite; got {self.upper}")
-        if self.lower is not None:
-            if not math.isfinite(self.lower):
+    def __init__(self, lower: Optional[float], upper: float):
+        if not math.isfinite(upper):
+            raise DomainError(f"upper support bound must be finite; got {upper}")
+        if lower is not None:
+            if not math.isfinite(lower):
                 raise DomainError("lower support bound must be finite or None")
-            if not self.lower < self.upper:
+            if not lower < upper:
                 raise DomainError(
-                    f"support needs lower < upper; got [{self.lower}, {self.upper}]")
+                    f"support needs lower < upper; got [{lower}, {upper}]")
+        setfield(self, "lower", lower)
+        setfield(self, "upper", upper)
 
     @classmethod
     def interval(cls, lower: float, upper: float) -> "Support":
@@ -72,30 +72,33 @@ class Support:
         return self.lower is None or x >= self.lower - tol
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(Record):
     """First p raw moments of one variable on a stated support.
 
     mu[k-1] = E(X^k) for k = 1..p. positive_part_pth stores E(max(X^p, 0)),
     which the above-bounded ("Bennett-style") formulas need; on nonnegative
     supports it defaults to mu[p] since max(X^p, 0) = X^p there. samples,
     when present, are the raw data the vector was computed from and let
-    shift/reflect recompute moments directly instead of re-expanding.
+    shift/reflect recompute moments directly instead of re-expanding; they
+    take no part in ==, hash or repr.
     """
 
-    p: int
-    mu: tuple[float, ...]
-    support: Support
-    positive_part_pth: Optional[float] = None
-    samples: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _fields = ("p", "mu", "support", "positive_part_pth")
+    __slots__ = (*_fields, "samples")
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
-            raise DomainError(f"order p must be a positive integer; got {self.p!r}")
-        mu = tuple(float(m) for m in self.mu)
-        object.__setattr__(self, "mu", mu)
-        if len(mu) != self.p:
-            raise OrderError(f"expected {self.p} moments; got {len(mu)}")
+    def __init__(self, p: int, mu: Sequence[float], support: Support,
+                 positive_part_pth: Optional[float] = None,
+                 samples: Optional[np.ndarray] = None):
+        if not isinstance(p, int) or p < 1:
+            raise DomainError(f"order p must be a positive integer; got {p!r}")
+        mu = tuple(float(m) for m in mu)
+        setfield(self, "p", p)
+        setfield(self, "mu", mu)
+        setfield(self, "support", support)
+        setfield(self, "positive_part_pth", positive_part_pth)
+        setfield(self, "samples", samples)
+        if len(mu) != p:
+            raise OrderError(f"expected {p} moments; got {len(mu)}")
         if any(not math.isfinite(m) for m in mu):
             raise DomainError(f"moments must be finite; got {mu}")
         self._validate_chains()
@@ -139,10 +142,10 @@ class MomentVector:
                 raise DomainError(
                     "positive_part_pth (a bound on E max(X^p, 0)) is required "
                     "for supports extending below zero")
-            object.__setattr__(self, "positive_part_pth", self.mu[-1])
+            setfield(self, "positive_part_pth", self.mu[-1])
             return
         pos = float(pos)
-        object.__setattr__(self, "positive_part_pth", pos)
+        setfield(self, "positive_part_pth", pos)
         if pos < 0.0:
             raise InfeasibleMomentsError(
                 f"E max(X^p, 0) cannot be negative; got {pos}")
@@ -317,18 +320,16 @@ def expand_runs(values: Sequence, counts: Sequence[int], n: int) -> tuple:
     return tuple(chain.from_iterable(map(repeat, values, counts)))
 
 
-@dataclass(frozen=True, init=False)
-class EnsembleSpec:
+class EnsembleSpec(Record):
     """The moment vectors defining a sum of independent terms, in groups.
 
     Group g is vectors[g] repeated counts[g] times: one group per run of
     consecutive references to the same vector object, so the bounds prepare
-    each group once and weight its terms by the multiplicity.
+    each group once and weight its terms by the multiplicity. The fields
+    are vectors (one per group), counts (the group sizes) and n, their sum.
     """
 
-    vectors: tuple[MomentVector, ...]
-    counts: tuple[int, ...]
-    n: int
+    __slots__ = _fields = ("vectors", "counts", "n")
 
     def __init__(self, variables: Sequence[MomentVector]):
         variables = tuple(variables)
@@ -337,9 +338,9 @@ class EnsembleSpec:
         self._set(*identity_runs(variables), len(variables))
 
     def _set(self, vectors, counts, n):
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", n)
+        setfield(self, "vectors", vectors)
+        setfield(self, "counts", counts)
+        setfield(self, "n", n)
 
     @classmethod
     def iid_replicate(cls, mv: MomentVector, n: int) -> "EnsembleSpec":

@@ -10,8 +10,8 @@ functions that sample or scan, so importing this module does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, setfield
 from .distributions import Distribution
 from .errors import DomainError, OracleError
 from .special import RootSet
@@ -25,15 +25,18 @@ _SCAN_BLOCK = 8192
 _NAN_SIGN = 2
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(Record):
     """Empirical estimate of P(S_n - E(S_n) >= t)."""
 
-    t: float
-    probability: float
-    stderr: float
-    trials: int
-    seed: int
+    __slots__ = _fields = ("t", "probability", "stderr", "trials", "seed")
+
+    def __init__(self, t: float, probability: float, stderr: float,
+                 trials: int, seed: int):
+        setfield(self, "t", t)
+        setfield(self, "probability", probability)
+        setfield(self, "stderr", stderr)
+        setfield(self, "trials", trials)
+        setfield(self, "seed", seed)
 
     def compatible_with_bound(self, bound: float, sigmas: float = 3.0) -> bool:
         return self.probability <= bound + sigmas * self.stderr

@@ -8,9 +8,9 @@ with its RootSet result type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
+from ._record import Record, setfield
 from .errors import DomainError, PreconditionError, SolverFailureError
 
 _EPS = 2.220446049250313e-16
@@ -19,8 +19,7 @@ _INV_E = 0.36787944117144233
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Record):
     """Positive solutions of alpha0 - sum_j alpha_j x^j = exp(x).
 
     roots are ascending; `unique` is True only when uniqueness is known
@@ -28,14 +27,15 @@ class RootSet:
     that forces a single crossing).
     """
 
-    roots: tuple[float, ...]
-    unique: bool
+    __slots__ = _fields = ("roots", "unique")
 
-    def __post_init__(self):
-        if not self.roots:
+    def __init__(self, roots: tuple[float, ...], unique: bool):
+        if not roots:
             raise SolverFailureError("empty root set")
-        if any(r <= 0.0 for r in self.roots):
-            raise SolverFailureError(f"non-positive root in {self.roots}")
+        if any(r <= 0.0 for r in roots):
+            raise SolverFailureError(f"non-positive root in {roots}")
+        setfield(self, "roots", roots)
+        setfield(self, "unique", unique)
 
 
 def _exp(x):

@@ -11,6 +11,7 @@ from tailbound import (
     EnsembleSpec,
     InternalConsistencyError,
     MomentVector,
+    PreconditionError,
     Support,
     TruncatedExponential,
     bennett_bound,
@@ -134,6 +135,18 @@ class TestOrderThreeLambert:
         # the scan agrees even in this regime
         scanned = bennett_bound(spec, 1.0, 3, root_method="scan")
         assert result.bound == pytest.approx(scanned.bound, rel=1e-9)
+
+    @pytest.mark.parametrize("hi", [1.0, 2.5, 7.0, 95.0])
+    def test_alpha0_rounding_to_one_is_a_precondition_failure(self, hi):
+        # t so small that alpha_0 = 1 + t b^2/mu^3 rounds to 1: no positive
+        # root exists, which bennett_bound reports as a violated
+        # precondition (exit 2), not as a solver failure (exit 4)
+        spec = EnsembleSpec.iid_replicate(moments_uniform(3, 0, hi), 1)
+        with pytest.raises(PreconditionError) as general:
+            bennett_bound(spec, 1e-30, 3)
+        with pytest.raises(PreconditionError) as closed:
+            bennett_p3_lambert(spec, 1e-30)
+        assert str(closed.value) == str(general.value)
 
 
 class TestGenericOrder:

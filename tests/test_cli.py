@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailbound import BennettBound, HoeffdingBound
-from tailbound.cli import _linspace, main
+from tailbound import BennettBound, HoeffdingBound, cli
+from tailbound.cli import _fmt, _linspace, main
 
 
 def run(capsys, *argv):
@@ -285,6 +285,71 @@ class TestOutputFormats:
         assert code == 0
         for line in out.splitlines():
             assert line == line.strip()
+
+
+def _fmt_per_entry(value):
+    """The CSV cell of a value, formatting each entry of a sequence on its
+    own: the reference for the run-wise formatter."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (list, tuple)):
+        return ";".join(_fmt_per_entry(v) for v in value)
+    return str(value)
+
+
+def _copy(x):
+    # an equal float that is a distinct object, with the same bits (NaN
+    # payload and sign included)
+    return struct.unpack("d", struct.pack("d", x))[0]
+
+
+class TestRunWiseFormatting:
+    """A sequence cell formats each run of one object once; the text must
+    be what formatting every entry gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.lists(st.one_of(
+               st.floats(allow_nan=True, allow_infinity=True),
+               st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])),
+               min_size=1, max_size=6),
+           picks=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4),
+                                    st.booleans()), max_size=12))
+    def test_matches_per_entry_formatting(self, pool, picks):
+        items = []
+        for i, count, fresh in picks:
+            x = pool[i % len(pool)]
+            items += [_copy(x) for _ in range(count)] if fresh else [x] * count
+        for seq in (items, tuple(items)):
+            assert _fmt(seq) == _fmt_per_entry(seq)
+
+    def test_signed_zeros_in_one_run_of_equal_values(self):
+        zero, negative = 0.0, -0.0
+        assert zero == negative
+        assert _fmt([zero, zero, negative, negative, zero]) == "0;0;-0;-0;0"
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "both", "--p", "2,3,4"],
+        ["--two-sided", "--p", "1,2,3"],
+    ])
+    def test_per_var_csv_matches_per_entry_formatting(self, capsys,
+                                                      monkeypatch, argv):
+        argv = ["bound", "--dist", "beta", "--params", "a=2,b=3", "--n",
+                "1000", "--t", "0.01:0.1:4", "--per-var", *argv]
+        code, out, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_fmt", _fmt_per_entry)
+        ref_code, ref, _ = run(capsys, *argv)
+        assert code == ref_code == 0
+        assert out == ref
+        cells = [line.split(",")[7] for line in out.splitlines()[1:]
+                 if line.startswith("hoeffding")]
+        assert len(cells) == 12
+        assert all(len(cell.split(";")) == 1000 for cell in cells)
 
 
 class TestThresholdGrid:

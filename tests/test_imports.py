@@ -75,3 +75,26 @@ def test_residual_alias_for_the_benchmark_tracer(monkeypatch):
     monkeypatch.setattr(special, "poly_exp_residual", counted)
     special.solve_poly_exp((3.0, 1.0, -0.5))
     assert calls
+
+
+def test_cli_import_loads_no_dataclass_machinery_or_json():
+    # dataclasses (with the inspect, ast and dis it imports) and json cost
+    # every command time; records are plain slotted classes, and only JSON
+    # output loads json
+    code = (
+        "import sys\n"
+        "import tailbound.cli as cli\n"
+        "for name in ('dataclasses', 'inspect', 'json'):\n"
+        "    assert name not in sys.modules, name\n"
+        "assert cli.main(['bound', '--family', 'both', '--dist', 'uniform',\n"
+        "                 '--n', '10', '--t', '0.5:2:4', '--p', '2,3',\n"
+        "                 '--per-var']) == 0\n"
+        "assert 'json' not in sys.modules\n"
+        "assert cli.main(['moments', '--dist', 'uniform',\n"
+        "                 '--format', 'json']) == 0\n"
+        "assert 'json' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

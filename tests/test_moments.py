@@ -11,6 +11,7 @@ from tailbound import (
     MomentVector,
     OrderError,
     Support,
+    Uniform,
     moments_bernoulli,
     moments_beta,
     moments_from_samples,
@@ -154,6 +155,25 @@ class TestAnalyticConstructors:
             want = [float((b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a)))
                     for k in range(1, p + 1)]
         assert mv.mu == pytest.approx(want, rel=1e-14)
+
+    def test_uniform_positive_part_past_the_float_range_of_its_power(self):
+        # odd p with lo < 0 < hi: E max(X^3, 0) = hi^4 / (4 (hi - lo)) is
+        # 2.5e299 here, although hi^4 itself overflows
+        import mpmath
+        mv = Uniform(-1.0, 1e100).moment_vector(3)
+        with mpmath.workdps(60):
+            a, b = mpmath.mpf(-1), mpmath.mpf(1e100)
+            want = [float((b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a)))
+                    for k in (1, 2, 3)]
+            pos = float(b ** 4 / (4 * (b - a)))
+        assert mv.mu == pytest.approx(want, rel=1e-14)
+        assert mv.positive_part_pth == pytest.approx(pos, rel=1e-14)
+
+    def test_uniform_positive_part_unchanged_where_finite(self):
+        # the fallback runs only where the direct form overflows
+        for lo, hi in ((-1.0, 2.0), (-0.3, 0.7), (-5.0, 1e50)):
+            got = Uniform(lo, hi).positive_part_moment(3)
+            assert got == hi ** 4 / (4 * (hi - lo))
 
     def test_uniform_rejects_bad_interval(self):
         with pytest.raises(DomainError):
