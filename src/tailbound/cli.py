@@ -10,6 +10,7 @@ var TAILBOUND_SEED overrides any configured seed. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -204,9 +205,15 @@ def _parse_grid(text: str) -> list[float]:
     try:
         if ":" in text:
             lo, hi, k = text.split(":")
-            values = _linspace(float(lo), float(hi), int(k))
+            lo, hi = float(lo), float(hi)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(
+                    f"threshold grid ends must be finite; got {text!r}")
+            values = _linspace(lo, hi, int(k))
         else:
             values = [float(v) for v in text.split(",") if v.strip()]
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"cannot parse threshold grid {text!r}: {exc}") from None
     if not values:
@@ -219,8 +226,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _linspace(lo: float, hi: float, k: int) -> list[float]:
-    """The k points of np.linspace(lo, hi, k), by numpy's own arithmetic,
-    so a grid does not need numpy loaded."""
+    """The k points of np.linspace(lo, hi, k) for finite lo and hi, by
+    numpy's own arithmetic, so a grid does not need numpy loaded."""
     if k < 0:
         raise ValueError(f"Number of samples, {k}, must be non-negative.")
     div = k - 1

@@ -3,8 +3,8 @@
 These back the sampling oracle, the exact-MGF oracle, the tilted-moment
 expectations of the infinite-order bound, and the CLI's named-distribution
 inputs. Each handle knows its raw moments, how to sample itself, and its
-moment-generating function; continuous laws without a closed form fall
-back to adaptive quadrature.
+moment-generating function; the Beta MGF, which has no elementary closed
+form, falls back to adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -32,8 +32,12 @@ class Distribution(Record):
     tag: str
     support: Support
 
-    def moment(self, k: int) -> float:
+    def moments(self, p: int) -> tuple[float, ...]:
+        """(E X, ..., E X^p)."""
         raise NotImplementedError
+
+    def moment(self, k: int) -> float:
+        return self.moments(k)[-1] if k else 1.0
 
     def positive_part_moment(self, p: int) -> float:
         """E max(X^p, 0); defaults to E(X^p) when that is the same thing."""
@@ -63,8 +67,14 @@ class Distribution(Record):
 
     def moment_vector(self, p: int) -> MomentVector:
         try:
-            mu = tuple(self.moment(k) for k in range(1, p + 1))
-            pos = self.positive_part_moment(p)
+            mu = self.moments(p)
+            # max(X^p, 0) = X^p for even p, and for any p once X >= 0; a
+            # point mass just below a lower end of 0 (within the support's
+            # tolerance) has a negative odd moment and falls through
+            if (p % 2 == 0 or self.support.is_nonnegative) and mu[-1] >= 0.0:
+                pos = mu[-1]
+            else:
+                pos = self.positive_part_moment(p)
         except FLOAT_RANGE_ERRORS as exc:
             raise DomainError(f"{self}: a moment of order <= {p} leaves the "
                               f"float range ({exc})") from None
@@ -73,7 +83,8 @@ class Distribution(Record):
 
 def _quad(fn, lo, hi):
     # imported here: scipy.integrate costs about 50 MiB and 0.3 s to import,
-    # and only the laws without closed forms need it
+    # and only the Beta MGF needs it. That MGF is what the exact_mgf oracle
+    # checks the Kummer series against, so it must not use the series
     from scipy import integrate
 
     # with full_output, quad returns a fourth item (its message) instead of
@@ -103,17 +114,20 @@ class Uniform(Distribution):
         setfield(self, "hi", hi)
         setfield(self, "support", Support.interval(lo, hi))
 
-    def moment(self, k):
+    def moments(self, p):
         # (hi^(k+1) - lo^(k+1)) / ((k+1)(hi - lo)) with the division done
-        # exactly, as sum_j hi^j lo^(k-j) by Horner's rule in hi. For lo >= 0
-        # every term is positive, so a narrow support far from 0 cancels
-        # none, and no partial sum overflows before the moment does
+        # exactly, as sum_j hi^j lo^(k-j) by Horner's rule in hi; step k of
+        # the rule holds that sum for order k. For lo >= 0 every term is
+        # positive, so a narrow support far from 0 cancels none, and no
+        # partial sum overflows before the moment does
         lo, hi = self.lo, self.hi
         total = lo_j = 1.0
-        for _ in range(k):
+        out = []
+        for k in range(1, p + 1):
             lo_j *= lo
             total = total * hi + lo_j
-        return total / (k + 1)
+            out.append(total / (k + 1))
+        return tuple(out)
 
     def positive_part_moment(self, p):
         if p % 2 == 0 or self.lo >= 0:
@@ -132,8 +146,8 @@ class Uniform(Distribution):
     def mgf(self, s):
         width = self.hi - self.lo
         if abs(s) * max(abs(self.lo), abs(self.hi)) < 1e-6:
-            return (1.0 + s * self.moment(1) + s * s * self.moment(2) / 2.0
-                    + s ** 3 * self.moment(3) / 6.0)
+            m1, m2, m3 = self.moments(3)
+            return 1.0 + s * m1 + s * s * m2 / 2.0 + s ** 3 * m3 / 6.0
         # (e^{s hi} - e^{s lo}) / (s width) with the larger exponential
         # factored out: only that factor can overflow, and it saturates
         top = self.hi if s > 0.0 else self.lo
@@ -162,8 +176,8 @@ class Bernoulli(Distribution):
         setfield(self, "q", q)
         setfield(self, "support", Support.interval(0.0, 1.0))
 
-    def moment(self, k):
-        return 1.0 if k == 0 else self.q
+    def moments(self, p):
+        return (self.q,) * p
 
     def sample(self, rng, size):
         return (rng.random(size) < self.q).astype(float)
@@ -195,8 +209,8 @@ class PointMass(Distribution):
         setfield(self, "hi", hi)
         setfield(self, "support", support)
 
-    def moment(self, k):
-        return self.c ** k
+    def moments(self, p):
+        return tuple(self.c ** k for k in range(1, p + 1))
 
     def positive_part_moment(self, p):
         return max(self.c ** p, 0.0)
@@ -220,18 +234,23 @@ class Beta(Distribution):
     tag = "beta"
 
     def __init__(self, a: float, b: float):
-        if a <= 0 or b <= 0:
-            raise DomainError(
-                f"beta shape parameters must be positive; got {a}, {b}")
+        for name, value in (("a", a), ("b", b)):
+            if not 0 < value < math.inf:
+                raise DomainError(f"beta shape parameter {name} must be "
+                                  f"positive and finite; got {value}")
         setfield(self, "a", a)
         setfield(self, "b", b)
         setfield(self, "support", Support.interval(0.0, 1.0))
 
-    def moment(self, k):
+    def moments(self, p):
+        # E X^k = prod_{j<k} (a+j)/(a+b+j), so each moment extends the last
+        a, ab = self.a, self.a + self.b
         m = 1.0
-        for j in range(k):
-            m *= (self.a + j) / (self.a + self.b + j)
-        return m
+        out = []
+        for j in range(p):
+            m *= (a + j) / (ab + j)
+            out.append(m)
+        return tuple(out)
 
     def sample(self, rng, size):
         return rng.beta(self.a, self.b, size)
@@ -255,15 +274,16 @@ class Beta(Distribution):
         a, ab = self.a, self.a + self.b
         m1, l1 = _kummer_scaled(a + 1.0, ab + 1.0, s)
         m2, l2 = _kummer_scaled(a + 2.0, ab + 2.0, s)
-        first = self.moment(1) * _from_log(m1, l1)
-        second = self.moment(2) * _from_log(m2, l2)
+        mean, mean_sq = self.moments(2)
+        first = mean * _from_log(m1, l1)
+        second = mean_sq * _from_log(m2, l2)
         if not (second >= _NORMAL_MIN and first < math.inf):
             # the e^{-s} scale leaves the float range: for a law massed near
             # 0, E X e^{sX} stays moderate while e^{-s} underflows past a
             # tilt of about 700. The factor e^{-s-l1} instead brings the
             # first entry to E(X) m1, and the second keeps its ratio to it
-            first = self.moment(1) * m1
-            second = self.moment(2) * _from_log(m2, l2 - l1)
+            first = mean * m1
+            second = mean_sq * _from_log(m2, l2 - l1)
         return first, second
 
 
@@ -275,28 +295,43 @@ class TruncatedExponential(Distribution):
     tag = "truncexp"
 
     def __init__(self, b: float = 1.0, rate: float = 1.0):
-        if rate <= 0:
-            raise DomainError(f"rate must be positive; got {rate}")
+        if not math.isfinite(b):
+            raise DomainError(f"upper end b must be finite; got {b}")
+        if not 0 < rate < math.inf:
+            raise DomainError(f"rate must be positive and finite; got {rate}")
         setfield(self, "b", b)
         setfield(self, "rate", rate)
         setfield(self, "support", Support.upper_only(b))
 
-    def moment(self, k):
-        # E(b - E)^k with E exponential: binomial over E(E^j) = j!/rate^j
-        total = 0.0
-        for j in range(k + 1):
-            total += (math.comb(k, j) * self.b ** (k - j) * (-1.0) ** j
-                      * math.factorial(j) / self.rate ** j)
-        return total
+    def moments(self, p):
+        # E(b - E)^k with E exponential: binomial over E(E^j) = j!/rate^j,
+        # summed over j = 0..k with the powers and the signed factorials
+        # (-1)^j j! tabulated once
+        b_pow = [self.b ** i for i in range(p + 1)]
+        signed_fact = [(-1.0) ** j * math.factorial(j) for j in range(p + 1)]
+        rate_pow = [self.rate ** j for j in range(p + 1)]
+        out = []
+        for k in range(1, p + 1):
+            total = 0.0
+            for j in range(k + 1):
+                total += (math.comb(k, j) * b_pow[k - j] * signed_fact[j]
+                          / rate_pow[j])
+            out.append(total)
+        return tuple(out)
 
     def positive_part_moment(self, p):
         if p % 2 == 0:
             return self.moment(p)
         if self.b <= 0:
             return 0.0
-        return _quad(
-            lambda e: (self.b - e) ** p * self.rate * math.exp(-self.rate * e),
-            0.0, self.b)
+        # E max((b - E)^p, 0) = rate b^(p+1) E U^p e^{a(U - 1)} for
+        # U ~ Uniform(0, 1) and a = rate b (put E = b(1 - U)), and Kummer's
+        # function gives m = E U^p e^{a(U - 1)} = e^{-a} M(p+1, p+2, a)/(p+1).
+        # a m <= 1 - e^{-a}, so only b^p can overflow. Past a = 1e300, a m
+        # rounds to 1 and a itself may overflow, so a stops there
+        a = min(self.rate * self.b, 1e300)
+        m = _from_log(*_kummer_scaled(p + 1.0, p + 2.0, a)) / (p + 1)
+        return self.b ** p * (a * m)
 
     def sample(self, rng, size):
         return self.b - rng.exponential(1.0 / self.rate, size)

@@ -91,7 +91,7 @@ class MomentVector(Record):
                  samples: Optional[np.ndarray] = None):
         if not isinstance(p, int) or p < 1:
             raise DomainError(f"order p must be a positive integer; got {p!r}")
-        mu = tuple(float(m) for m in mu)
+        mu = tuple(map(float, mu))
         setfield(self, "p", p)
         setfield(self, "mu", mu)
         setfield(self, "support", support)
@@ -99,7 +99,7 @@ class MomentVector(Record):
         setfield(self, "samples", samples)
         if len(mu) != p:
             raise OrderError(f"expected {p} moments; got {len(mu)}")
-        if any(not math.isfinite(m) for m in mu):
+        if not all(map(math.isfinite, mu)):
             raise DomainError(f"moments must be finite; got {mu}")
         self._validate_chains()
         self._resolve_positive_part()

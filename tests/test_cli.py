@@ -353,11 +353,12 @@ class TestRunWiseFormatting:
 
 
 class TestThresholdGrid:
-    """lo:hi:k grids are built without numpy, by np.linspace's arithmetic."""
+    """lo:hi:k grids are built without numpy, by np.linspace's arithmetic.
+    Their ends are finite: the CLI rejects a NaN or infinite end first."""
 
     @settings(max_examples=500, deadline=None)
-    @given(lo=st.floats(allow_nan=True, allow_infinity=True),
-           hi=st.floats(allow_nan=True, allow_infinity=True),
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False),
+           hi=st.floats(allow_nan=False, allow_infinity=False),
            k=st.integers(0, 300))
     def test_matches_numpy_linspace_bit_for_bit(self, lo, hi, k):
         with np.errstate(all="ignore"):
@@ -365,6 +366,12 @@ class TestThresholdGrid:
         got = _linspace(lo, hi, k)
         assert [struct.pack("<d", v) for v in got] \
             == [struct.pack("<d", v) for v in want]
+
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0.1:inf:3"])
+    def test_non_finite_ends(self, capsys, grid):
+        code, _, err = run(capsys, "bound", "--dist", "uniform", "--t", grid)
+        assert code == 2
+        assert f"threshold grid ends must be finite; got {grid!r}" in err
 
     @pytest.mark.parametrize("k, message", [("0", "empty threshold grid"),
                                             ("-1", "must be non-negative")])

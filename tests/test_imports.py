@@ -10,14 +10,21 @@ SRC = str(Path(tailbound.__file__).resolve().parent.parent)
 
 
 def test_scipy_loads_only_where_needed():
-    # scipy costs about 75 MiB and half a second to import; bounds on the
-    # closed-form laws, the Beta limit included, never need it
+    # scipy costs about 75 MiB and half a second to import; bounds and
+    # moment vectors never need it, the Beta limit and the truncated
+    # exponential's positive parts included
     code = (
         "import sys, tailbound as tb\n"
         "assert 'scipy' not in sys.modules\n"
         "tb.hoeffding_limit([tb.Beta(2.0, 3.0)] * 5, 1.0)\n"
         "tb.hoeffding_bound(tb.EnsembleSpec.iid_replicate("
         "tb.moments_uniform(3, 0, 1), 5), 1.0, 3)\n"
+        "for p in range(1, 8):\n"
+        "    tb.TruncatedExponential(1.0, 2.0).moment_vector(p)\n"
+        "laws = [tb.Beta(2.0, 3.0), tb.TruncatedExponential(1.0, 2.0),\n"
+        "        tb.Uniform(-0.5, 1.0), tb.TruncatedExponential(1.0, 4.0)]\n"
+        "spec = tb.EnsembleSpec(tuple(d.moment_vector(5) for d in laws))\n"
+        "assert 0.0 < tb.bennett_bound(spec, 2.0, 5).bound <= 1.0\n"
         "assert 'scipy' not in sys.modules\n"
         "tb.mills_theta(1.0)\n"
         "assert 'scipy' in sys.modules\n"
