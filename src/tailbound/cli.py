@@ -297,6 +297,8 @@ def _distribution_from_args(args) -> Distribution:
 
 
 def _variable_from_args(args, p: int) -> MomentVector:
+    if p < 1:
+        raise ConfigError(f"--p must be >= 1; got {p}")
     sources = [s for s in (args.dist, args.data, args.mu) if s]
     if len(sources) != 1:
         raise ConfigError("give exactly one of --dist, --data, --mu")
@@ -414,8 +416,6 @@ def _cmd_compare(args) -> int:
         dist = _distribution_from_args(args)
         mv = dist.moment_vector(2)
     else:
-        if args.p < 1:
-            raise ConfigError(f"--p must be >= 1; got {args.p}")
         dist = None
         mv = _variable_from_args(args, args.p)
     spec = EnsembleSpec.iid_replicate(mv, args.n)

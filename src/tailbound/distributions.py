@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record, setfield
 from .errors import FLOAT_RANGE_ERRORS, ConfigError, DomainError, OracleError
-from .moments import MomentVector, Support
+from .moments import MomentVector, Support, checked_order
 from .special import _exp
 
 if TYPE_CHECKING:
@@ -66,6 +66,7 @@ class Distribution(Record):
         raise NotImplementedError
 
     def moment_vector(self, p: int) -> MomentVector:
+        checked_order(p)
         try:
             mu = self.moments(p)
             # max(X^p, 0) = X^p for even p, and for any p once X >= 0; a
@@ -304,19 +305,15 @@ class TruncatedExponential(Distribution):
         setfield(self, "support", Support.upper_only(b))
 
     def moments(self, p):
-        # E(b - E)^k with E exponential: binomial over E(E^j) = j!/rate^j,
-        # summed over j = 0..k with the powers and the signed factorials
-        # (-1)^j j! tabulated once
-        b_pow = [self.b ** i for i in range(p + 1)]
-        signed_fact = [(-1.0) ** j * math.factorial(j) for j in range(p + 1)]
-        rate_pow = [self.rate ** j for j in range(p + 1)]
+        # (rate + s) M(s) = rate e^{sb} for the MGF of X = b - E; at s = 0 its
+        # k-th derivative is mu_k = b^k - (k/rate) mu_{k-1}, off by a few eps
+        # times sum_j C(k, j) |b|^{k-j} j!/rate^j, as the binomial sum is
+        b, rate = self.b, self.rate
+        m = 1.0
         out = []
         for k in range(1, p + 1):
-            total = 0.0
-            for j in range(k + 1):
-                total += (math.comb(k, j) * b_pow[k - j] * signed_fact[j]
-                          / rate_pow[j])
-            out.append(total)
+            m = b ** k - k / rate * m
+            out.append(m)
         return tuple(out)
 
     def positive_part_moment(self, p):
@@ -382,8 +379,7 @@ def _kummer_scaled(alpha: float, gamma: float,
         if value is not None:
             return value
     term = total = 1.0
-    log_scale = -s
-    n = 0
+    rescales = n = 0
     while True:
         # every later term ratio is below q = s/(n+1), which bounds the tail
         q = s / (n + 1)
@@ -399,8 +395,14 @@ def _kummer_scaled(alpha: float, gamma: float,
         if total > _RESCALE:
             term /= _RESCALE
             total /= _RESCALE
-            log_scale += math.log(_RESCALE)
-    return total, log_scale
+            rescales += 1
+    if rescales and s <= 1400.0:
+        # e^{-s} M = total 2^(800 rescales) e^{-s/2} e^{-s/2}: the power of
+        # two goes into the mantissa exactly (a rounded log(2^800) costs
+        # 1e-14), with one half of e^{-s}, a normal float up to s = 1400
+        half = -0.5 * s
+        return math.ldexp(total * math.exp(half), 800 * rescales), half
+    return total, rescales * math.log(_RESCALE) - s
 
 
 def _from_log(m: float, l: float) -> float:

@@ -89,10 +89,8 @@ class MomentVector(Record):
     def __init__(self, p: int, mu: Sequence[float], support: Support,
                  positive_part_pth: Optional[float] = None,
                  samples: Optional[np.ndarray] = None):
-        if not isinstance(p, int) or p < 1:
-            raise DomainError(f"order p must be a positive integer; got {p!r}")
+        setfield(self, "p", checked_order(p))
         mu = tuple(map(float, mu))
-        setfield(self, "p", p)
         setfield(self, "mu", mu)
         setfield(self, "support", support)
         setfield(self, "positive_part_pth", positive_part_pth)
@@ -111,29 +109,33 @@ class MomentVector(Record):
             # formulas, which take the supplied values as upper bounds
             return
         b = self.support.upper
+        mu = self.mu
         prev = 1.0  # mu[0]
-        for k, m in enumerate(self.mu, start=1):
-            scale = max(abs(b * prev), abs(m), _TINY)
-            if m < -_REL_TOL * scale:
-                raise InfeasibleMomentsError(
-                    f"mu[{k}] = {m} is negative for a variable on "
-                    f"[{self.support.lower}, {b}]")
-            if m - b * prev > _REL_TOL * scale:
-                raise InfeasibleMomentsError(
-                    f"support chain violated: mu[{k}] = {m} exceeds "
-                    f"upper*mu[{k - 1}] = {b * prev}")
+        # tolerances are positive: only a strict failure needs its scale
+        for k, m in enumerate(mu, start=1):
+            if not 0.0 <= m <= b * prev:
+                scale = max(abs(b * prev), abs(m), _TINY)
+                if m < -_REL_TOL * scale:
+                    raise InfeasibleMomentsError(
+                        f"mu[{k}] = {m} is negative for a variable on "
+                        f"[{self.support.lower}, {b}]")
+                if m - b * prev > _REL_TOL * scale:
+                    raise InfeasibleMomentsError(
+                        f"support chain violated: mu[{k}] = {m} exceeds "
+                        f"upper*mu[{k - 1}] = {b * prev}")
             prev = m
         for d in range(1, self.p - 1):
-            lhs = self.mu[d - 1] * self.mu[d + 1]
+            lhs = mu[d - 1] * mu[d + 1]
             try:
-                rhs = self.mu[d] ** 2
+                rhs = mu[d] ** 2
             except OverflowError:
                 raise DomainError(
                     f"mu[{d + 1}]^2 leaves the float range") from None
-            if lhs - rhs < -_REL_TOL * max(abs(lhs), rhs, _TINY):
-                raise InfeasibleMomentsError(
-                    f"Cauchy-Schwarz chain violated: mu[{d}]*mu[{d + 2}] = "
-                    f"{lhs} < mu[{d + 1}]^2 = {rhs}")
+            if lhs < rhs:
+                if lhs - rhs < -_REL_TOL * max(abs(lhs), rhs, _TINY):
+                    raise InfeasibleMomentsError(
+                        f"Cauchy-Schwarz chain violated: mu[{d}]*mu[{d + 2}]"
+                        f" = {lhs} < mu[{d + 1}]^2 = {rhs}")
 
     def _resolve_positive_part(self):
         pos = self.positive_part_pth
@@ -149,7 +151,7 @@ class MomentVector(Record):
         if pos < 0.0:
             raise InfeasibleMomentsError(
                 f"E max(X^p, 0) cannot be negative; got {pos}")
-        if self.support.is_nonnegative:
+        if self.support.is_nonnegative and pos < self.mu[-1]:
             scale = max(abs(self.mu[-1]), _TINY)
             if pos - self.mu[-1] < -_REL_TOL * scale:
                 raise InfeasibleMomentsError(
@@ -235,7 +237,14 @@ def shift_to_origin(mv: MomentVector) -> MomentVector:
         return moments_from_samples(mv.samples - a, mv.p,
                                     Support.interval(0.0, width))
     try:
-        mu = tuple(_binomial_shift(mv, -a, k) for k in range(1, mv.p + 1))
+        m = (1.0,) + mv.mu
+        shift_pow = [(-a) ** e for e in range(mv.p + 1)]
+        mu = []
+        for k in range(1, mv.p + 1):
+            total = 0.0
+            for j in range(k + 1):
+                total += math.comb(k, j) * m[j] * shift_pow[k - j]
+            mu.append(0.0 if -1e-15 < total < 0.0 else total)
     except FLOAT_RANGE_ERRORS as exc:
         raise DomainError(f"moments shifted by {-a} leave the float range "
                           f"({exc})") from None
@@ -253,9 +262,12 @@ def reflect_moments(mv: MomentVector) -> MomentVector:
         return moments_from_samples(b - mv.samples, mv.p,
                                     Support.interval(0.0, width))
     try:
+        # (-1)^j E(Y^j): a sign moves through a product exactly
+        m = [(-1.0) ** j * mj for j, mj in enumerate((1.0,) + mv.mu)]
+        b_pow = [b ** e for e in range(mv.p + 1)]
         mu = tuple(
             sum(
-                math.comb(k, j) * b ** (k - j) * (-1.0) ** j * mv.moment(j)
+                math.comb(k, j) * b_pow[k - j] * m[j]
                 for j in range(k + 1)
             )
             for k in range(1, mv.p + 1)
@@ -268,14 +280,11 @@ def reflect_moments(mv: MomentVector) -> MomentVector:
     return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
 
 
-def _binomial_shift(mv: MomentVector, shift: float, k: int) -> float:
-    if k > mv.p:
-        raise OrderError(
-            f"binomial expansion to order {k} needs moments beyond p = {mv.p}")
-    total = 0.0
-    for j in range(k + 1):
-        total += math.comb(k, j) * mv.moment(j) * shift ** (k - j)
-    return 0.0 if -1e-15 < total < 0.0 else total
+def checked_order(p: int) -> int:
+    """p, if it is a positive integer moment order."""
+    if not isinstance(p, int) or p < 1:
+        raise DomainError(f"order p must be a positive integer; got {p!r}")
+    return p
 
 
 def checked_threshold(t: float) -> float:

@@ -240,6 +240,10 @@ def _refine(fn, dfn, lo, hi, flo):
         df = dfn(x)
         xn = x - f / df if df != 0.0 and math.isfinite(df) else 0.5 * (lo + hi)
         if not lo < xn < hi:
+            # x is now a bracket end, and a step that rounds onto it or just
+            # past it means x has converged: bisecting on would cost ~30 evals
+            if abs(xn - x) <= 4.0 * _EPS * abs(x):
+                return x
             xn = 0.5 * (lo + hi)
         if abs(xn - x) <= 4.0 * _EPS * abs(x):
             return xn

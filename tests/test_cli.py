@@ -197,6 +197,30 @@ class TestMomentsCommand:
         assert "index 1" in err
 
 
+class TestOrderBelowOne:
+    """An order p < 1 is a configuration error (exit 2) in every command
+    that takes a single order, whatever the source of the moments."""
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--dist", "uniform", "--params", "lo=0,hi=1", "--p", "0"],
+        ["moments", "--dist", "truncexp", "--params", "b=1,rate=2",
+         "--p", "-1"],
+        ["moments", "--mu", "0.5,0.3", "--support", "0,1", "--p", "0"],
+        ["sample-size", "--dist", "uniform", "--params", "lo=0,hi=1",
+         "--t", "0.1", "--alpha", "0.05", "--p", "0"],
+        ["sample-size", "--dist", "uniform", "--params", "lo=0,hi=1",
+         "--t", "0.1", "--alpha", "0.05", "--p", "-2"],
+        ["compare", "--dist", "beta", "--params", "a=2,b=3", "--t", "1",
+         "--p", "0"],
+    ])
+    def test_exits_2_with_the_flag_named(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--p must be >= 1" in err
+        assert "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_smoke_grid_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--dist", "uniform", "--n", "10",

@@ -19,6 +19,7 @@ from tailbound import (
     bennett_bound,
 )
 from tailbound.cli import main
+from tailbound.distributions import _from_log, _kummer_scaled
 
 
 def bits(values):
@@ -43,14 +44,6 @@ def beta_moment(a, b, k):
     return m
 
 
-def truncexp_moment(b, rate, k):
-    total = 0.0
-    for j in range(k + 1):
-        total += (math.comb(k, j) * b ** (k - j) * (-1.0) ** j
-                  * math.factorial(j) / rate ** j)
-    return total
-
-
 def _uniform(pair):
     lo, width = pair
     return Uniform(lo, lo + width), lambda k: uniform_moment(lo, lo + width, k)
@@ -61,18 +54,11 @@ def _beta(pair):
     return Beta(a, b), lambda k: beta_moment(a, b, k)
 
 
-def _truncexp(pair):
-    b, rate = pair
-    return (TruncatedExponential(b, rate),
-            lambda k: truncexp_moment(b, rate, k))
-
-
 laws = st.one_of(
     st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)).map(_uniform),
     st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)).map(_beta),
     st.floats(0.0, 1.0).map(lambda q: (Bernoulli(q), lambda k: q)),
     st.floats(-1e3, 1e3).map(lambda c: (PointMass(c), lambda k: c ** k)),
-    st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(_truncexp),
 )
 
 
@@ -85,6 +71,68 @@ def test_moments_match_the_per_order_formulas_bit_for_bit(law, p):
     assert bits(dist.moment_vector(p).mu) == bits(want)
     assert dist.moment(p) == want[-1]
     assert dist.moment(0) == 1.0
+
+
+@pytest.mark.parametrize("dist", [Uniform(0.0, 1.0), Beta(2.0, 3.0),
+                                  Bernoulli(0.3), PointMass(0.5),
+                                  TruncatedExponential(1.0, 2.0)])
+@pytest.mark.parametrize("p", [0, -1, -2, 2.0, None])
+def test_moment_vector_rejects_an_order_that_is_not_a_positive_integer(
+        dist, p):
+    # the order is checked before any moment is computed or read
+    with pytest.raises(DomainError,
+                       match="order p must be a positive integer"):
+        dist.moment_vector(p)
+
+
+EPS = 2.0 ** -52
+
+
+def truncexp_moment(b, rate, k):
+    """E(b - E)^k for E ~ Exponential(rate), as the binomial sum over
+    E(E^j) = j!/rate^j that the moment recurrence replaced."""
+    total = 0.0
+    for j in range(k + 1):
+        total += (math.comb(k, j) * b ** (k - j) * (-1.0) ** j
+                  * math.factorial(j) / rate ** j)
+    return total
+
+
+def truncexp_exact(b, rate, k):
+    """E(b - E)^k at 60 digits, and the scale S_k = sum_j C(k, j) |b|^(k-j)
+    j!/rate^j against which a float evaluation's rounding error is bounded:
+    the binomial sum of absolute values."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        b, rate = mpmath.mpf(b), mpmath.mpf(rate)
+        terms = [mpmath.binomial(k, j) * b ** (k - j) * (-1) ** j
+                 * mpmath.factorial(j) / rate ** j for j in range(k + 1)]
+        return mpmath.fsum(terms), mpmath.fsum(map(abs, terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.floats(-1e3, 1e3),
+       rate=st.one_of(st.floats(1e-3, 1e3),
+                      st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+       p=st.integers(1, 8))
+def test_truncexp_moments_within_a_few_eps_of_the_exact_value(b, rate, p):
+    # mu_k = b^k - (k/rate) mu_{k-1} is not bit-identical to the binomial
+    # sum, but both stay within 4 k eps S_k of the exact moment
+    dist = TruncatedExponential(b, rate)
+    got = dist.moments(p)
+    assert dist.moment_vector(p).mu == got
+    assert dist.moment(p) == got[-1]
+    for k in range(1, p + 1):
+        exact, scale = truncexp_exact(b, rate, k)
+        tol = 4 * k * EPS * scale
+        assert abs(got[k - 1] - exact) <= tol, (k, got[k - 1], exact)
+        assert abs(truncexp_moment(b, rate, k) - exact) <= tol
+
+
+def test_truncexp_moments_past_the_float_range():
+    with pytest.raises(DomainError, match="leaves the float range"):
+        TruncatedExponential(1e200, 1.0).moment_vector(2)
 
 
 def truncexp_positive_part(b, rate, p):
@@ -118,6 +166,20 @@ def test_truncexp_odd_positive_part_against_mpmath(a, b):
         assert d.positive_part_moment(p) == pytest.approx(want, rel=1e-13)
         assert d.moment_vector(p).positive_part_pth \
             == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha,gamma,s", [
+    (4.0, 5.0, 622.0), (4.0, 5.0, 798.3), (4.0, 5.0, 999.0),
+    (1.0, 5.0, -622.0)])
+def test_kummer_series_past_its_rescales(alpha, gamma, s):
+    # the series divides by 2^800 as it grows; a rounded log(2^800) added
+    # per rescale put e^{-s} M 1.1e-14 to 1.8e-14 off at these tilts
+    import mpmath
+
+    with mpmath.workdps(50):
+        want = mpmath.exp(-s) * mpmath.hyp1f1(alpha, gamma, s)
+    got = _from_log(*_kummer_scaled(alpha, gamma, s))
+    assert abs(got - want) <= 5e-15 * want
 
 
 @pytest.mark.parametrize("b", [0.0, -0.5, -40.0])

@@ -1,8 +1,12 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 from helpers import random_interval_mv
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tailbound import (
     DomainError,
@@ -11,6 +15,7 @@ from tailbound import (
     MomentVector,
     OrderError,
     Support,
+    TailboundError,
     Uniform,
     moments_bernoulli,
     moments_beta,
@@ -255,6 +260,193 @@ class TestShiftAndReflect:
             shift_to_origin(mv)
         with pytest.raises(DomainError):
             reflect_moments(mv)
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def tolerant_check(mu, support, pos):
+    """MomentVector's feasibility checks on a nonnegative support as they
+    were before their strict pre-tests: every tolerance is computed for
+    every entry."""
+    b = support.upper
+    prev = 1.0
+    for k, m in enumerate(mu, start=1):
+        scale = max(abs(b * prev), abs(m), 1e-300)
+        if m < -1e-9 * scale:
+            raise InfeasibleMomentsError(
+                f"mu[{k}] = {m} is negative for a variable on "
+                f"[{support.lower}, {b}]")
+        if m - b * prev > 1e-9 * scale:
+            raise InfeasibleMomentsError(
+                f"support chain violated: mu[{k}] = {m} exceeds "
+                f"upper*mu[{k - 1}] = {b * prev}")
+        prev = m
+    for d in range(1, len(mu) - 1):
+        lhs = mu[d - 1] * mu[d + 1]
+        try:
+            rhs = mu[d] ** 2
+        except OverflowError:
+            raise DomainError(
+                f"mu[{d + 1}]^2 leaves the float range") from None
+        if lhs - rhs < -1e-9 * max(abs(lhs), rhs, 1e-300):
+            raise InfeasibleMomentsError(
+                f"Cauchy-Schwarz chain violated: mu[{d}]*mu[{d + 2}] = "
+                f"{lhs} < mu[{d + 1}]^2 = {rhs}")
+    if pos is None:
+        return
+    if pos < 0.0:
+        raise InfeasibleMomentsError(
+            f"E max(X^p, 0) cannot be negative; got {pos}")
+    if pos - mu[-1] < -1e-9 * max(abs(mu[-1]), 1e-300):
+        raise InfeasibleMomentsError(
+            f"on a nonnegative support E max(X^p, 0) = E X^p = "
+            f"{mu[-1]}, but positive_part_pth = {pos}")
+
+
+def nudged(draw, value):
+    """value moved by an ulp, by 1e-12 to 1e-7 relative, or to a tiny
+    negative value or 0, or left as it is."""
+    how = draw(st.sampled_from(["none", "ulp", "relative", "tiny", "zero"]))
+    if how == "ulp":
+        return math.nextafter(value, draw(st.sampled_from([-1.0, 1.0]))
+                              * math.inf)
+    if how == "relative":
+        return value * (1.0 + (draw(st.sampled_from([-1.0, 1.0]))
+                               * 10.0 ** draw(st.floats(-12.0, -7.0))))
+    if how == "tiny":
+        return -draw(st.sampled_from([5e-324, 1e-310, 1e-300, 1e-200,
+                                      1e-30]))
+    return 0.0 if how == "zero" else value
+
+
+def outcome(call):
+    try:
+        call()
+    except TailboundError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def nudged_moments(draw):
+    """The finite leading moments (up to 8) of a discrete law on
+    [0, upper], upper up to 1e160, with one entry nudged, and E max(X^p, 0)
+    as None or the last moment nudged."""
+    upper = 10.0 ** draw(st.integers(-3, 160))
+    atoms = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(atoms),
+                            max_size=len(atoms)))
+    total = math.fsum(weights)
+    mu = []
+    for k in range(1, draw(st.integers(1, 8)) + 1):
+        try:
+            m = math.fsum(w * (x * upper) ** k
+                          for w, x in zip(weights, atoms)) / total
+        except OverflowError:
+            break
+        if not math.isfinite(m):
+            break
+        mu.append(m)
+    assume(mu)
+    i = draw(st.integers(0, len(mu) - 1))
+    mu[i] = nudged(draw, mu[i])
+    pos = nudged(draw, mu[-1]) if draw(st.booleans()) else None
+    return mu, Support.interval(0.0, upper), pos
+
+
+@st.composite
+def interval_vectors(draw):
+    """Moment vectors of discrete laws on [lo, lo + width], lo of either
+    sign, with the exact positive part where lo < 0."""
+    lo = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-3, 1e3))
+    p = draw(st.integers(1, 8))
+    atoms = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(atoms),
+                            max_size=len(atoms)))
+    ys = [lo + x * width for x in atoms]
+    total = math.fsum(weights)
+    mu = [math.fsum(w * y ** k for w, y in zip(weights, ys)) / total
+          for k in range(1, p + 1)]
+    pos = math.fsum(w * max(y ** p, 0.0) for w, y in zip(weights, ys)) / total
+    try:
+        return MomentVector(p, mu, Support.interval(lo, lo + width), pos)
+    except TailboundError:
+        assume(False)
+
+
+# the binomial sums that shift_to_origin and reflect_moments evaluate,
+# one moment(j) and one power per term
+
+
+def shifted_by_formula(mv):
+    a = mv.support.lower
+    mu = []
+    for k in range(1, mv.p + 1):
+        total = 0.0
+        for j in range(k + 1):
+            total += math.comb(k, j) * mv.moment(j) * (-a) ** (k - j)
+        mu.append(0.0 if -1e-15 < total < 0.0 else total)
+    return mu
+
+
+def reflected_by_formula(mv):
+    b = mv.support.upper
+    mu = [sum(math.comb(k, j) * b ** (k - j) * (-1.0) ** j * mv.moment(j)
+              for j in range(k + 1))
+          for k in range(1, mv.p + 1)]
+    return [0.0 if -1e-15 < m < 0.0 else m for m in mu]
+
+
+class TestValidationAndTransformsAgainstTheirFormulas:
+    @settings(max_examples=500, deadline=None)
+    @given(case=nudged_moments())
+    # a point mass at 1e100: mu[2]^2 = 1e400 leaves the float range
+    @example(case=([1e100, 1e200, 1e300], Support.interval(0.0, 1e100),
+                   None))
+    # past the support chain's tolerance, and within it
+    @example(case=([0.5, 0.25 * (1 + 2e-9)], Support.interval(0.0, 0.5),
+                   None))
+    @example(case=([0.5, 0.25 * (1 + 5e-10)], Support.interval(0.0, 0.5),
+                   None))
+    # a negative moment after a zero one, where the scale is tiny
+    @example(case=([0.0, -1e-200], Support.interval(0.0, 1.0), None))
+    @example(case=([0.5, 0.4, 0.05], Support.interval(0.0, 1.0), None))
+    # a positive part below E X^p, past the tolerance and within it
+    @example(case=([0.5, 0.3], Support.interval(0.0, 1.0), 0.3 * (1 - 2e-9)))
+    @example(case=([0.5, 0.3], Support.interval(0.0, 1.0), 0.3 * (1 - 5e-10)))
+    def test_verdicts_match_the_tolerant_checks(self, case):
+        mu, support, pos = case
+        want = outcome(lambda: tolerant_check(mu, support, pos))
+        got = outcome(lambda: MomentVector(len(mu), mu, support, pos))
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(mv=interval_vectors())
+    def test_shift_and_reflect_match_the_binomial_sums_bit_for_bit(self, mv):
+        width = mv.support.width
+        for transform, formula in ((shift_to_origin, shifted_by_formula),
+                                   (reflect_moments, reflected_by_formula)):
+            if transform is shift_to_origin and mv.support.lower == 0.0:
+                assert shift_to_origin(mv) is mv
+                continue
+            try:
+                want = formula(mv)
+            except OverflowError:
+                with pytest.raises(DomainError, match="float range"):
+                    transform(mv)
+                continue
+            try:
+                got = transform(mv).mu
+            except TailboundError as exc:
+                # rejected after the transform: so are the formula's values
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    MomentVector(mv.p, want, Support.interval(0.0, width),
+                                 want[-1])
+                continue
+            assert bits(got) == bits(want)
 
 
 class TestFeasibilityProperties:

@@ -16,6 +16,7 @@ from tailbound import (
     solve_poly_exp,
     taylor_remainder,
 )
+from tailbound import special
 from tailbound.special import lambert_w0_exp, poly_exp_residual
 
 mpmath.mp.dps = 60
@@ -175,6 +176,35 @@ class TestSolvePolyExp:
                 assert r > 0
                 assert abs(poly_exp_residual(alpha, r)) <= 1e-10 * (
                     1 + math.exp(min(r, 700)))
+
+    @pytest.mark.parametrize("alpha,most", [
+        ((4.8103961635413635, 0.8398879030285629, 0.20374230634459767,
+          0.034157704117220605), 12),
+        ((4.810396163541364, 0.8398879030285631, 0.20374230634459778,
+          0.034157704117220605), 9),
+    ])
+    def test_refinement_stops_when_newton_rounds_onto_a_bracket_end(
+            self, monkeypatch, alpha, most):
+        # in the first case a Newton iterate lands within rounding of the
+        # root, every later step lands on that bracket end, and bisecting
+        # towards the far end took 39 residual evaluations; its last-digit
+        # twin takes 9
+        calls = []
+
+        def counting(a, x):
+            calls.append(x)
+            return poly_exp_residual(a, x)
+
+        monkeypatch.setattr(special, "poly_exp_residual", counting)
+        (root,) = solve_poly_exp(alpha).roots
+        assert len(calls) <= most
+        with mpmath.workdps(50):
+            a = [mpmath.mpf(v) for v in alpha]
+            want = mpmath.findroot(
+                lambda x: a[0] - a[1] * x - a[2] * x ** 2 - a[3] * x ** 3
+                - mpmath.exp(x), root)
+        ulp = math.ulp(float(want))
+        assert abs(root - want) <= 2 * ulp
 
     def test_no_certified_right_end_fails_cleanly(self):
         # an infinite alpha0 keeps the residual from turning negative
