@@ -186,17 +186,12 @@ def _build(t, b, p, agg, alpha, roots) -> BennettBound:
         b=b)
 
 
-def bennett_bound(spec: EnsembleSpec, t: float, p: int, *,
-                  root_method: str = "auto") -> BennettBound:
-    """Deviation bound from the first p moments, p >= 2.
-
-    root_method="scan" forces the generic root solver even where the root
-    has a closed form; used to cross-validate the closed forms.
-    """
+def bennett_bound(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
+    """Deviation bound from the first p moments, p >= 2."""
     t = checked_threshold(t)
     b, agg = aggregate_moments(spec, p)
     alpha = _alpha_coefficients(t, b, p, agg)
-    roots = solve_poly_exp(alpha, p - 2, method=root_method)
+    roots = solve_poly_exp(alpha, p - 2)
     return _build(t, b, p, agg, alpha, roots)
 
 
@@ -244,12 +239,12 @@ def bennett_unique_root(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
         for k, m in zip(range(2, p + 1), agg)
     )
     alpha = _alpha_coefficients(t, b, p, agg)
-    roots = solve_poly_exp(alpha, p - 2, assume_unique=True)
-    if len(roots.roots) != 1:
+    roots = solve_poly_exp(alpha, p - 2).roots
+    if len(roots) != 1:
         raise InternalConsistencyError(
             f"expected a single root under the odd-moment sign condition; "
-            f"solver found {list(roots.roots)}")
-    return _build(t, b, p, agg, alpha, roots)
+            f"solver found {list(roots)}")
+    return _build(t, b, p, agg, alpha, RootSet(roots, True))
 
 
 def bennett_tightness_check(spec: EnsembleSpec, t: float) -> TightnessComparison:

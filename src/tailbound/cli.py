@@ -390,9 +390,13 @@ def _cmd_bound(args) -> int:
     p_max = max(p_list)
     mv = _variable_from_args(args, p_max)
     spec = EnsembleSpec.iid_replicate(mv, args.n)
+    dist = _distribution_from_args(args) if args.dist else None
     records = []
     for family in families:
         for p in p_list:
+            # a law's vector knows E max(X^p, 0) at its own order only
+            spec_p = (EnsembleSpec.iid_replicate(dist.moment_vector(p), args.n)
+                      if family == "bennett" and dist is not None else spec)
             for t in t_grid:
                 t_abs = t * args.n if args.per_var else t
                 if family == "hoeffding":
@@ -401,7 +405,7 @@ def _cmd_bound(args) -> int:
                     else:
                         result = hoeffding_bound(spec, t_abs, p)
                 else:
-                    result = bennett_bound(spec, t_abs, p)
+                    result = bennett_bound(spec_p, t_abs, p)
                 rec = {"family": family, **result.to_json_dict()}
                 records.append(rec)
     _emit(records, _BOUND_COLUMNS, args)
@@ -491,9 +495,9 @@ def _cmd_verify(args) -> int:
             raise ConfigError(
                 f"TAILBOUND_SEED must be an integer; got {env_seed!r}") from None
     dist = _distribution_from_args(args)
-    p_max = max(p_list)
-    mv = dist.moment_vector(p_max)
-    spec = EnsembleSpec.iid_replicate(mv, args.n)
+    # a law's vector knows E max(X^p, 0) at its own order only
+    specs = {p: EnsembleSpec.iid_replicate(dist.moment_vector(p), args.n)
+             for p in p_list}
 
     lines = []
     failures = 0
@@ -504,9 +508,9 @@ def _cmd_verify(args) -> int:
         for family in families:
             for p in p_list:
                 if family == "hoeffding":
-                    bound = hoeffding_bound(spec, t_abs, p).bound
+                    bound = hoeffding_bound(specs[p], t_abs, p).bound
                 else:
-                    bound = bennett_bound(spec, t_abs, p).bound
+                    bound = bennett_bound(specs[p], t_abs, p).bound
                 margin = bound + 3.0 * estimate.stderr - estimate.probability
                 ok = estimate.compatible_with_bound(bound)
                 failures += 0 if ok else 1

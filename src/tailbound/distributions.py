@@ -442,27 +442,6 @@ def _kummer_asymptotic(alpha: float, gamma: float,
                    + (alpha - gamma) * log_s)
 
 
-def moments_uniform(p: int, lo: float, hi: float) -> MomentVector:
-    """Exact raw moments of the continuous uniform law on [lo, hi]."""
-    return Uniform(lo, hi).moment_vector(p)
-
-
-def moments_bernoulli(p: int, q: float) -> MomentVector:
-    """Raw moments of a {0,1} variable with success probability q."""
-    return Bernoulli(q).moment_vector(p)
-
-
-def moments_beta(p: int, a: float, b: float) -> MomentVector:
-    """Raw moments of the Beta(a, b) law on [0, 1]."""
-    return Beta(a, b).moment_vector(p)
-
-
-def moments_point(p: int, c: float, support: Support) -> MomentVector:
-    """Raw moments of the point mass at c inside the given support; a
-    support with no lower end becomes [c, upper]."""
-    return PointMass(c, support.lower, support.upper).moment_vector(p)
-
-
 _FACTORIES = {
     "uniform": lambda params: Uniform(params.pop("lo", 0.0), params.pop("hi", 1.0)),
     "bernoulli": lambda params: Bernoulli(params.pop("q")),

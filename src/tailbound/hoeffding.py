@@ -31,6 +31,7 @@ from .mgf import c_factor_from_moments, i_measure
 from .moments import (
     EnsembleSpec,
     MomentVector,
+    checked_order,
     checked_threshold,
     expand_runs,
     identity_runs,
@@ -93,12 +94,6 @@ class HoeffdingBound(Record):
             s_star=float(d["s_star"]),
             mode=str(d["mode"]),
         )
-
-
-def _checked_order(p) -> int:
-    if not isinstance(p, int) or p < 1:
-        raise DomainError(f"order p must be a positive integer; got {p!r}")
-    return p
 
 
 def _origin_groups(vectors, p: int):
@@ -174,7 +169,7 @@ def _one_sided(vectors, counts, t: float, p: int):
 def hoeffding_bound(spec: EnsembleSpec, t: float, p: int) -> HoeffdingBound:
     """One-sided bound on P(S_n - E(S_n) >= t) from the first p moments."""
     t = checked_threshold(t)
-    p = _checked_order(p)
+    p = checked_order(p)
     cs, d_n, denom = _one_sided(spec.vectors, spec.counts, t, p)
     return _record("one_sided", t, p, cs, spec.counts, spec.n, d_n, denom)
 
@@ -188,7 +183,7 @@ def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
     if n < 1:
         raise DomainError(f"need n >= 1; got {n}")
     t = checked_threshold(t)
-    p = _checked_order(p)
+    p = checked_order(p)
     t_abs = n * t
     cs, d_n, denom = _one_sided((mv,), (n,), t_abs, p)
     return _record("iid", t_abs, p, cs, (1,), 1, d_n, denom)
@@ -232,7 +227,7 @@ def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
     (Y - a) and reflected (b - Y) moments.
     """
     t = checked_threshold(t)
-    p = _checked_order(p)
+    p = checked_order(p)
     spec = EnsembleSpec(variables)
     cs, d_n, denom = _two_sided(spec.vectors, spec.counts, t, p)
     return _record("two_sided", t, p, cs, spec.counts, spec.n, d_n, denom,
@@ -250,7 +245,7 @@ def hoeffding_small_t(mv: MomentVector, n: int, t: float, c: float,
     if n < 1:
         raise DomainError(f"need n >= 1; got {n}")
     t = checked_threshold(t)
-    p = _checked_order(p)
+    p = checked_order(p)
     if mv.p < 2:
         raise OrderError(
             "the small-deviation precondition needs the second moment")
@@ -312,8 +307,8 @@ def hoeffding_limit(dists: Sequence[Distribution], t: float) -> HoeffdingBound:
 
 
 def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
-                             K: float = 1.0, *, sigma2: Optional[float] = None,
-                             dn_squared: bool = False) -> HoeffdingBound:
+                             K: float = 1.0, *,
+                             sigma2: Optional[float] = None) -> HoeffdingBound:
     """Optimal-order bound for centered X_i with |X_i| <= b_i.
 
     Inputs are the moment vectors of Z_i = X_i + b_i on [0, 2 b_i] (so
@@ -323,12 +318,10 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
     bounds are missing. K is a free universal constant; validity of the
     admissible range t <= sigma^2/(K*b) depends on its true value.
 
-    D_n here is sum_i mu2_i/mu1_i as printed in the source material;
-    dn_squared=True switches to the squared convention used by the
-    one-sided bound in case that reading is intended.
+    D_n here is sum_i mu2_i/mu1_i as printed in the source material.
     """
     t = checked_threshold(t)
-    p = _checked_order(p)
+    p = checked_order(p)
     if K <= 0.0:
         raise DomainError(f"K must be positive; got {K}")
     vectors, counts = identity_runs(tuple(shifted))
@@ -368,11 +361,7 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
                 d_n = weighted_sum([mv.mu[1] / mv.mu[0] for mv in vectors],
                                    counts)
         else:
-            if dn_squared:
-                d_n = weighted_sum([(v.mu[1] / v.mu[0]) ** 2 for v in vs],
-                                   counts)
-            else:
-                d_n = weighted_sum([v.mu[1] / v.mu[0] for v in vs], counts)
+            d_n = weighted_sum([v.mu[1] / v.mu[0] for v in vs], counts)
             cs = [c_factor_from_moments(8.0 * t * b / d_n, 2.0 * b, v.mu)
                   for v, b in zip(vs, bs)]
         # the variables live on [0, 2 b_i]
@@ -393,7 +382,7 @@ def ci_c_bar(mv: MomentVector, t: float, p: int) -> float:
     factor of the two-sided bound on one copy of the variable.
     """
     t = checked_threshold(t)
-    p = _checked_order(p)
+    p = checked_order(p)
     if p == 1:
         return 1.0
     return hoeffding_two_sided([mv], t, p).c_values[0]
@@ -427,5 +416,5 @@ def sample_size_for_ci(mv: MomentVector, t: float, alpha: float, p: int) -> int:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1); got {alpha}")
     t = checked_threshold(t)
-    p = _checked_order(p)
+    p = checked_order(p)
     return _sample_size(mv.support.width, ci_c_bar(mv, t, p), t, alpha)

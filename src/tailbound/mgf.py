@@ -186,7 +186,7 @@ def i_measure(mv: MomentVector, c: float) -> float:
 
     Defined for variables on [0, 1]; always >= 1, with 1 meaning the top
     moment adds nothing (e.g. any Bernoulli). Its square is the reciprocal
-    of c_factor at matched arguments.
+    of c_factor at y = c, which is how it is evaluated.
     """
     c = float(c)
     if c <= 0.0:
@@ -199,8 +199,4 @@ def i_measure(mv: MomentVector, c: float) -> float:
     if mv.mu[-1] <= 0.0:
         raise DegenerateDistributionError(
             f"highest moment must be positive; got {mv.mu[-1]}")
-    if mv.p == 1:
-        return 1.0
-    num = _v_raw(c, 1.0, mv.mu, 1)
-    den = _v_raw(c, 1.0, mv.mu, 2)
-    return num / den
+    return c_factor_from_moments(c, 1.0, mv.mu) ** -0.5

@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _REL_TOL = 1e-9
+_EPS = 2.220446049250313e-16
 _TINY = 1e-300
 
 
@@ -191,8 +192,8 @@ def restrict_order(mv: MomentVector, q: int) -> MomentVector:
         pos = mv.mu[q - 1]
     else:
         raise OrderError(
-            f"E max(X^{q}, 0) is not determined by the stored moments for a "
-            "variable unbounded below; construct the vector at that order")
+            f"E max(X^{q}, 0) is not determined by the stored moments when the "
+            "support extends below 0; construct the vector at that order")
     return MomentVector(q, mv.mu[:q], mv.support, pos, samples=mv.samples)
 
 
@@ -248,7 +249,10 @@ def shift_to_origin(mv: MomentVector) -> MomentVector:
     except FLOAT_RANGE_ERRORS as exc:
         raise DomainError(f"moments shifted by {-a} leave the float range "
                           f"({exc})") from None
-    return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
+    try:
+        return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
+    except InfeasibleMomentsError as exc:
+        raise _precision_lost(exc, mv, mu, a) from None
 
 
 def reflect_moments(mv: MomentVector) -> MomentVector:
@@ -277,7 +281,26 @@ def reflect_moments(mv: MomentVector) -> MomentVector:
                           f"range ({exc})") from None
     # reflected values live in [0, width]; clip the float dust at zero
     mu = tuple(0.0 if -1e-15 < m < 0.0 else m for m in mu)
-    return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
+    try:
+        return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
+    except InfeasibleMomentsError as exc:
+        raise _precision_lost(exc, mv, mu, b) from None
+
+
+def _precision_lost(exc, mv: MomentVector, mu, c: float):
+    """exc, or a DomainError if rounding explains it: mu[k-1] re-expands mv's
+    moments m_j as sum_j C(k, j) m_j c^(k-j), signs aside, so it is off by at
+    most e_k = (k+1) eps sum_j C(k, j) |m_j c^(k-j)|."""
+    m, x, b = (1.0, *mv.mu), (1.0, *mu), mv.support.width
+    e = [(k + 1) * _EPS * sum(math.comb(k, j) * abs(m[j] * c ** (k - j))
+                              for j in range(k + 1)) for k in range(mv.p + 1)]
+    if all(-e[k] <= x[k] <= b * (x[k - 1] + e[k - 1]) + e[k] and (
+            k == mv.p or x[k] * x[k] - x[k - 1] * x[k + 1] <= 2 * abs(x[k])
+            * e[k] + abs(x[k - 1]) * e[k + 1] + abs(x[k + 1]) * e[k - 1])
+           for k in range(1, mv.p + 1)):
+        return DomainError(f"moments re-expanded about {c} lose precision: "
+                           f"mu[{mv.p}] may err by {e[-1]:.3g} ({exc})")
+    return exc
 
 
 def checked_order(p: int) -> int:

@@ -155,20 +155,12 @@ def mills_theta(x: float) -> float:
     return 0.5 * float(erfcx(x / _SQRT2))
 
 
-def solve_poly_exp(alpha, q: int | None = None, *, assume_unique: bool = False,
-                   method: str = "auto") -> RootSet:
+def solve_poly_exp(alpha, q: int | None = None) -> RootSet:
     """Positive roots of alpha[0] - sum_{j=1}^{q} alpha[j]*x^j = exp(x).
 
     alpha[0] > 1 guarantees at least one positive root. Degree 0 and degree
     1 with a positive linear coefficient have closed forms (log and Lambert
-    W). Everything else goes to the generic solver, which isolates every
-    root by Rolle's theorem and refines each by safeguarded Newton steps;
-    the root set holds the sign changes of the residual and any point where
-    it is exactly zero. Pass method="scan" to force the generic solver even
-    where a closed form exists (used for cross-validation).
-
-    assume_unique marks the result as provably single-rooted; use it only
-    when the coefficient sign condition for a monotone residual holds.
+    W), each with its single root; everything else goes to poly_exp_roots.
     """
     alpha = tuple(float(a) for a in alpha)
     if q is None:
@@ -180,29 +172,18 @@ def solve_poly_exp(alpha, q: int | None = None, *, assume_unique: bool = False,
         raise PreconditionError(
             f"alpha[0] must exceed 1 for a positive root to exist; "
             f"got {alpha[0]}")
-    if method not in ("auto", "scan"):
-        raise DomainError(f"unknown method {method!r}")
 
     # trailing zero coefficients do not change the equation
     while q >= 1 and alpha[q] == 0.0:
         alpha = alpha[:q]
         q -= 1
 
-    if method == "auto":
-        if q == 0:
-            root = math.log(alpha[0])
-            return RootSet((root,), True)
-        if q == 1 and alpha[1] > 0.0:
-            z = alpha[0] / alpha[1]
-            root = z - lambert_w0_exp(z - math.log(alpha[1]))
-            return RootSet((root,), True)
-
-    roots = _poly_exp_roots(alpha)
-    if roots is None:
-        raise SolverFailureError(
-            f"no right end certifies the roots of alpha={alpha} below x=1024")
-    unique = assume_unique or q == 0 or (q == 1 and alpha[1] > 0.0)
-    return RootSet(tuple(roots), unique)
+    if q == 0:
+        return RootSet((math.log(alpha[0]),), True)
+    if q == 1 and alpha[1] > 0.0:
+        z = alpha[0] / alpha[1]
+        return RootSet((z - lambert_w0_exp(z - math.log(alpha[1])),), True)
+    return poly_exp_roots(alpha)
 
 
 def poly_exp_residual(alpha, x: float) -> float:
@@ -267,9 +248,9 @@ def _sign_change_roots(fn, dfn, points):
     return roots
 
 
-def _poly_exp_roots(alpha):
-    """All positive roots of poly_exp_residual(alpha, x), ascending, or
-    None if no right end is certified below x = 1024.
+def poly_exp_roots(alpha) -> RootSet:
+    """Every positive root of poly_exp_residual(alpha, x), ascending: the
+    generic solver, and the reference the closed forms are tested against.
 
     Rolle isolation: with q = len(alpha) - 1, the (q+1)-th derivative of
     the residual f is -exp(x) < 0, so f^(q) is decreasing and each root of
@@ -278,6 +259,7 @@ def _poly_exp_roots(alpha):
     them negative past X. Going down from k = q to 0, the roots of
     f^(k+1) in (0, X) split [0, X] into pieces on which f^(k) is
     monotone, and each piece holds at most one sign change of f^(k).
+    Raises SolverFailureError if no right end is certified below x = 1024.
     """
     # fns[k] evaluates f^(k); past f itself, each is a polynomial (constant
     # term first) minus exp(x), and f^(q+1) = -exp(x) has an empty one
@@ -290,11 +272,12 @@ def _poly_exp_roots(alpha):
     while not all(fn(x_end) < 0.0 for fn in fns[:-1]):
         x_end *= 2.0
         if x_end > 1024.0:
-            return None
+            raise SolverFailureError(
+                f"no right end certifies the roots of alpha={alpha} below x=1024")
     turning = []
     for k in range(len(alpha) - 1, -1, -1):
         turning = _sign_change_roots(fns[k], fns[k + 1], [0.0, *turning, x_end])
-    return turning
+    return RootSet(tuple(turning), False)
 
 
 # perfbench/tracing.py finds poly_exp_residual at this module path in

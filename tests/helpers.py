@@ -7,8 +7,10 @@ moments satisfy every feasibility inequality by construction.
 import math
 
 import numpy as np
+import pytest
 
-from tailbound import MomentVector, Support
+from tailbound import MomentVector, Support, bennett_bound
+from tailbound.special import poly_exp_roots
 
 
 def random_interval_mv(rng, p, lo=0.0, hi=None, min_mean=1e-3):
@@ -50,3 +52,12 @@ def w_defining_residual(result):
         x = math.exp(u)
         return abs(w * math.exp(min(w, 700.0)) - x) / max(x, 1.0)
     return abs(w + math.log(w) - u) / max(abs(u), 1.0)
+
+
+def bennett_bound_generic(spec, t, p):
+    """bennett_bound with its roots from the generic solver, which is the
+    reference for the closed forms that bennett_bound takes at p = 2, 3."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr("tailbound.bennett.solve_poly_exp",
+                  lambda alpha, q: poly_exp_roots(alpha))
+        return bennett_bound(spec, t, p)

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_upper_bounded_mv, w_defining_residual
+from helpers import (
+    bennett_bound_generic,
+    random_upper_bounded_mv,
+    w_defining_residual,
+)
 
 from tailbound import (
     BennettBound,
+    Bernoulli,
     DegenerateDistributionError,
     DomainError,
     EnsembleSpec,
@@ -14,19 +19,18 @@ from tailbound import (
     PreconditionError,
     Support,
     TruncatedExponential,
+    Uniform,
     bennett_bound,
     bennett_p3_lambert,
     bennett_tightness_check,
     bennett_unique_root,
     lambert_w0,
     mc_tail,
-    moments_bernoulli,
-    moments_uniform,
 )
 
 
 def uniform_spec(p=3, n=1):
-    return EnsembleSpec.iid_replicate(moments_uniform(p, 0, 1), n)
+    return EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(p), n)
 
 
 def classical_second_moment_bound(t, b, mu2):
@@ -91,13 +95,13 @@ class TestOrderThreeLambert:
             spec = EnsembleSpec.iid_replicate(mv, n)
             t = float(rng.uniform(0.01, 2.0)) * n * mv.support.upper
             closed = bennett_p3_lambert(spec, t)
-            scanned = bennett_bound(spec, t, 3, root_method="scan")
+            scanned = bennett_bound_generic(spec, t, 3)
             assert closed.bound == pytest.approx(scanned.bound, rel=1e-9)
             assert w_defining_residual(closed) <= 1e-12
 
     def test_zero_quadratic_falls_back_to_order_two(self):
         # Bernoulli: mu3 = mu2 means alpha_1 = 0 and no quadratic correction
-        spec = EnsembleSpec.iid_replicate(moments_bernoulli(3, 0.4), 5)
+        spec = EnsembleSpec.iid_replicate(Bernoulli(0.4).moment_vector(3), 5)
         t = 0.7
         p3 = bennett_p3_lambert(spec, t)
         p2 = bennett_bound(spec, t, 2)
@@ -133,7 +137,7 @@ class TestOrderThreeLambert:
         assert w_defining_residual(result) <= 1e-12
         assert 0.0 < result.bound <= 1.0
         # the scan agrees even in this regime
-        scanned = bennett_bound(spec, 1.0, 3, root_method="scan")
+        scanned = bennett_bound_generic(spec, 1.0, 3)
         assert result.bound == pytest.approx(scanned.bound, rel=1e-9)
 
     @pytest.mark.parametrize("hi", [1.0, 2.5, 7.0, 95.0])
@@ -141,7 +145,7 @@ class TestOrderThreeLambert:
         # t so small that alpha_0 = 1 + t b^2/mu^3 rounds to 1: no positive
         # root exists, which bennett_bound reports as a violated
         # precondition (exit 2), not as a solver failure (exit 4)
-        spec = EnsembleSpec.iid_replicate(moments_uniform(3, 0, hi), 1)
+        spec = EnsembleSpec.iid_replicate(Uniform(0, hi).moment_vector(3), 1)
         with pytest.raises(PreconditionError) as general:
             bennett_bound(spec, 1e-30, 3)
         with pytest.raises(PreconditionError) as closed:
@@ -183,8 +187,8 @@ class TestGenericOrder:
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_requires_common_upper_bound(self):
-        a = moments_uniform(2, 0, 1)
-        b = moments_uniform(2, 0, 2)
+        a = Uniform(0, 1).moment_vector(2)
+        b = Uniform(0, 2).moment_vector(2)
         with pytest.raises(DomainError):
             bennett_bound(EnsembleSpec((a, b)), 0.5, 2)
 
@@ -238,7 +242,7 @@ class TestTightness:
             assert cmp_.improvement >= -1e-12
 
     def test_equality_when_third_equals_second(self):
-        spec = EnsembleSpec.iid_replicate(moments_bernoulli(3, 0.35), 6)
+        spec = EnsembleSpec.iid_replicate(Bernoulli(0.35).moment_vector(3), 6)
         cmp_ = bennett_tightness_check(spec, 0.9)
         assert abs(cmp_.bound_p3 - cmp_.bound_p2) <= 1e-10
 

@@ -77,6 +77,20 @@ class TestBoundCommand:
         assert code == 3
         assert "chain" in err
 
+    @pytest.mark.parametrize("argv,want", [
+        # a valid law whose shifted moments lose every digit to rounding
+        (("--dist", "uniform", "--params", "lo=1000,hi=1001", "--p", "6"), 2),
+        (("--dist", "uniform", "--params", "lo=1000,hi=1001", "--p", "5",
+          "--two-sided"), 2),
+        # truly infeasible: 7.695 < 8.41 in the Cauchy-Schwarz chain
+        (("--mu", "0.9,0.1,0.05", "--support=-1,1", "--pos-pth", "0.05",
+          "--p", "3"), 3),
+    ])
+    def test_precision_lost_in_a_shift_is_not_infeasibility(self, capsys,
+                                                            argv, want):
+        code, _, err = run(capsys, "bound", "--t", "1", *argv)
+        assert code == want, err
+
     def test_huge_factor_argument(self, capsys):
         # 4 t b / d_n = 2e4 here, far past where e^y overflows
         code, out, _ = run(capsys, "bound", "--dist", "beta",
@@ -85,6 +99,19 @@ class TestBoundCommand:
         assert code == 0
         row = out.strip().splitlines()[1].split(",")
         assert float(row[3]) == pytest.approx(math.exp(-5.0), rel=1e-12)
+
+    @pytest.mark.parametrize("dist,params", [("uniform", "lo=-1,hi=1"),
+                                             ("truncexp", "b=1,rate=2")])
+    def test_mixed_parity_orders_below_zero(self, capsys, dist, params):
+        # a law's vector knows E max(X^p, 0) at its own order only: each
+        # Bennett row must be what its order alone prints
+        args = ("bound", "--family", "bennett", "--dist", dist, "--params",
+                params, "--n", "5", "--t", "1")
+        code, out, err = run(capsys, *args, "--p", "3,4")
+        assert code == 0, err
+        for p, row in zip((3, 4), out.splitlines()[1:]):
+            _, single, _ = run(capsys, *args, "--p", str(p))
+            assert row == single.splitlines()[1]
 
     def test_bennett_needs_order_two(self, capsys):
         code, _, _ = run(capsys, "bound", "--family", "bennett",
@@ -254,12 +281,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "seed=12345" in out
 
-    def test_bennett_family(self, capsys):
-        code, out, _ = run(capsys, "verify", "--family", "bennett",
-                           "--dist", "truncexp", "--params", "b=1,rate=1",
-                           "--n", "10", "--t", "2.0", "--p", "2,3",
-                           "--trials", "20000", "--seed", "3")
-        assert code == 0
+    @pytest.mark.parametrize("orders", ["2,3", "3,4"])
+    def test_bennett_family(self, capsys, orders):
+        code, out, err = run(capsys, "verify", "--family", "bennett",
+                             "--dist", "truncexp", "--params", "b=1,rate=1",
+                             "--n", "10", "--t", "2.0", "--p", orders,
+                             "--trials", "20000", "--seed", "3")
+        assert code == 0, err
         assert "verify: PASS" in out
 
 

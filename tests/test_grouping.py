@@ -25,7 +25,6 @@ from tailbound import (
     hoeffding_missing_factor,
     hoeffding_two_sided,
     moments_from_samples,
-    moments_uniform,
 )
 from tailbound.cli import main
 from tailbound.moments import expand_runs, identity_runs
@@ -45,7 +44,7 @@ def _interval_bases(p):
     rng = np.random.default_rng(11)
     data = rng.uniform(-0.5, 1.5, 40)
     return [random_interval_mv(rng, p),
-            moments_uniform(p, -0.7, 1.3),
+            Uniform(-0.7, 1.3).moment_vector(p),
             moments_from_samples(data, p, Support.interval(-0.5, 1.5))]
 
 
@@ -76,7 +75,7 @@ class TestRuns:
         assert identity_runs(()) == ((), ())
 
     def test_equal_copies_stay_apart(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         copy = _fresh(mv)
         assert copy == mv
         spec = EnsembleSpec((mv, copy, mv))
@@ -88,14 +87,14 @@ class TestRuns:
         assert expand_runs(values, counts, 6) == tuple("aabacc")
 
     def test_variables_expand_groups(self):
-        a, b = moments_uniform(2, 0, 1), moments_uniform(2, 0, 2)
+        a, b = Uniform(0, 1).moment_vector(2), Uniform(0, 2).moment_vector(2)
         spec = EnsembleSpec([a, a, b, a])
         assert spec.n == 4
         assert spec.vectors == (a, b, a) and spec.counts == (2, 1, 1)
         assert all(x is y for x, y in zip(spec.variables, (a, a, b, a)))
 
     def test_iid_replicate_is_one_group(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         spec = EnsembleSpec.iid_replicate(mv, 10**9)
         assert spec.vectors[0] is mv and spec.counts == (10**9,)
         assert spec.n == 10**9
@@ -121,7 +120,7 @@ class TestMatchesPerVariablePath:
         # recentered Z = X + b on [0, 2b] with E Z = b
         two_point = MomentVector(4, tuple(2.0 ** k / 2.0 for k in range(1, 5)),
                                  Support.interval(0.0, 2.0))
-        bases = [moments_uniform(4, 0.0, 2.0), moments_uniform(4, 0.0, 3.0),
+        bases = [Uniform(0.0, 2.0).moment_vector(4), Uniform(0.0, 3.0).moment_vector(4),
                  two_point]
         grouped = [bases[i] for i in pattern]
         fresh = [_fresh(bases[i]) for i in pattern]
@@ -185,7 +184,7 @@ class TestPreparationIsPerGroup:
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_one_sided(self, monkeypatch, p):
-        mv = moments_uniform(4, -0.5, 1.5)
+        mv = Uniform(-0.5, 1.5).moment_vector(4)
         counters = self._counters(monkeypatch)
         result = hoeffding_bound(EnsembleSpec.iid_replicate(mv, self.N), 50.0, p)
         assert len(result.c_values) == self.N
@@ -194,7 +193,7 @@ class TestPreparationIsPerGroup:
         assert counters["c_factor_from_moments"].calls == 1
 
     def test_order_one_prepares_once(self, monkeypatch):
-        mv = moments_uniform(4, -0.5, 1.5)
+        mv = Uniform(-0.5, 1.5).moment_vector(4)
         counters = self._counters(monkeypatch)
         result = hoeffding_bound(EnsembleSpec.iid_replicate(mv, self.N), 50.0, 1)
         assert result.d_n is not None
@@ -202,7 +201,7 @@ class TestPreparationIsPerGroup:
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_two_sided(self, monkeypatch, p):
-        mv = moments_uniform(4, -0.5, 1.5)
+        mv = Uniform(-0.5, 1.5).moment_vector(4)
         counters = self._counters(monkeypatch)
         result = hoeffding_two_sided([mv] * self.N, 50.0, p)
         assert len(result.c_values) == self.N

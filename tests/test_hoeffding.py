@@ -26,10 +26,7 @@ from tailbound import (
     hoeffding_two_sided,
     i_measure,
     mills_theta,
-    moments_bernoulli,
     moments_from_samples,
-    moments_point,
-    moments_uniform,
     sample_size_for_ci,
 )
 
@@ -37,7 +34,7 @@ E = math.e
 
 
 def uniform_spec(p, n):
-    return EnsembleSpec.iid_replicate(moments_uniform(p, 0, 1), n)
+    return EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(p), n)
 
 
 class TestOneSided:
@@ -51,7 +48,7 @@ class TestOneSided:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_threshold_must_be_positive_and_finite(self, t, p):
         # at t = inf the p = 3 factor was NaN, and so was the bound
-        mv = moments_uniform(3, 0, 1)
+        mv = Uniform(0, 1).moment_vector(3)
         with pytest.raises(DomainError):
             hoeffding_bound(EnsembleSpec.iid_replicate(mv, 10), t, p)
         with pytest.raises(DomainError):
@@ -59,7 +56,7 @@ class TestOneSided:
 
     def test_bernoulli_reduces_to_order_one(self):
         for p in range(1, 7):
-            spec = EnsembleSpec.iid_replicate(moments_bernoulli(p, 0.3), 1)
+            spec = EnsembleSpec.iid_replicate(Bernoulli(0.3).moment_vector(p), 1)
             b_p = hoeffding_bound(spec, 0.5, p).bound
             b_1 = hoeffding_bound(spec, 0.5, 1).bound
             assert b_p == pytest.approx(b_1, rel=1e-12)
@@ -77,8 +74,8 @@ class TestOneSided:
 
     def test_auto_shifts_general_interval(self):
         # one-sided sum deviations are shift invariant
-        mv = moments_uniform(3, -1.0, 1.0)
-        shifted = moments_uniform(3, 0.0, 2.0)
+        mv = Uniform(-1.0, 1.0).moment_vector(3)
+        shifted = Uniform(0.0, 2.0).moment_vector(3)
         a = hoeffding_bound(EnsembleSpec.iid_replicate(mv, 8), 2.0, 3)
         b = hoeffding_bound(EnsembleSpec.iid_replicate(shifted, 8), 2.0, 3)
         assert a.bound == pytest.approx(b.bound, rel=1e-13)
@@ -90,7 +87,7 @@ class TestOneSided:
         with pytest.raises(DomainError):
             hoeffding_bound(spec, 1.0, 0)
         degenerate = EnsembleSpec.iid_replicate(
-            moments_point(2, 0.0, Support.interval(0, 1)), 3)
+            PointMass(0.0, 0, 1).moment_vector(2), 3)
         with pytest.raises(DegenerateDistributionError):
             hoeffding_bound(degenerate, 1.0, 2)
 
@@ -114,19 +111,19 @@ class TestIid:
             assert via_iid.t == pytest.approx(n * t)
 
     def test_order_one_formula(self):
-        mv = moments_uniform(1, 0, 1)
+        mv = Uniform(0, 1).moment_vector(1)
         result = hoeffding_iid(mv, 7, 0.2, 1)
         assert result.bound == pytest.approx(math.exp(-2 * 7 * 0.04), rel=1e-14)
 
     def test_uniform_strictly_better_than_classical(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         result = hoeffding_iid(mv, 40, 0.25, 2)
         assert result.bound < math.exp(-2 * 40 * 0.0625)
 
 
 class TestTwoSided:
     def test_symmetric_uniform_doubles_one_sided(self):
-        mv = moments_uniform(3, 0, 1)
+        mv = Uniform(0, 1).moment_vector(3)
         n, t = 20, 4.0
         two = hoeffding_two_sided([mv] * n, t, 3)
         one = hoeffding_bound(EnsembleSpec.iid_replicate(mv, n), t, 3)
@@ -134,7 +131,7 @@ class TestTwoSided:
         assert two.mode == "two_sided"
 
     def test_order_one_classical(self):
-        mv = moments_uniform(1, -0.5, 1.5)
+        mv = Uniform(-0.5, 1.5).moment_vector(1)
         result = hoeffding_two_sided([mv] * 5, 3.0, 1)
         assert result.bound == pytest.approx(
             2 * math.exp(-2 * 9.0 / (5 * 4.0)), rel=1e-14)
@@ -142,7 +139,7 @@ class TestTwoSided:
     def test_bernoulli_takes_max_of_both_orientations(self):
         # q = 0.9 on [0,1]: both orientations are Bernoulli, factors equal 1
         from tailbound import c_factor_from_moments, reflect_moments, shift_to_origin
-        mv = moments_bernoulli(2, 0.9)
+        mv = Bernoulli(0.9).moment_vector(2)
         n, t = 10, 0.2
         shifted = shift_to_origin(mv)
         reflected = reflect_moments(mv)
@@ -164,20 +161,20 @@ class TestTwoSided:
         assert all(0 < c <= 1 + 1e-12 for c in result.c_values)
 
     def test_capped_at_one(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         assert hoeffding_two_sided([mv] * 3, 1e-9, 2).bound == 1.0
 
 
 class TestSmallT:
     def test_order_one_formula(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         result = hoeffding_small_t(mv, n=25, t=0.02, c=1.0, p=1)
         assert result.bound == pytest.approx(math.exp(-2 * 25 * 0.02 ** 2),
                                              rel=1e-14)
         assert result.mode == "small_t"
 
     def test_never_beats_full_iid_bound(self):
-        mv = moments_uniform(3, 0, 1)
+        mv = Uniform(0, 1).moment_vector(3)
         for t in (0.01, 0.05, 0.1):
             for p in (2, 3):
                 relaxed = hoeffding_small_t(mv, 30, t, c=1.0, p=p).bound
@@ -185,14 +182,14 @@ class TestSmallT:
                 assert relaxed >= full - 1e-14
 
     def test_uniform_golden_informativeness(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         result = hoeffding_small_t(mv, n=10, t=0.05, c=1.0, p=2)
         i2 = (E - 1) / E + (1 / E) * 1.5
         assert result.bound == pytest.approx(
             math.exp(-2 * 10 * 0.05 ** 2 * i2 ** 2), rel=1e-13)
 
     def test_rejects_large_t(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         limit = 1.0 * (mv.mu[1] / (2 * mv.mu[0])) ** 2
         with pytest.raises(PreconditionError) as err:
             hoeffding_small_t(mv, 10, limit * 1.01, c=1.0, p=2)
@@ -221,7 +218,7 @@ class TestLimit:
                     / (x * (1 + math.exp(x) * (x - 1)))) ** 2
 
         from tailbound import c_factor
-        c20 = c_factor(moments_uniform(20, 0, 1), 1.0)
+        c20 = c_factor(Uniform(0, 1).moment_vector(20), 1.0)
         assert abs(c20 - c_inf(1.0)) <= 1e-3
 
     def test_improves_on_classical_for_beta(self):
@@ -310,7 +307,7 @@ class TestLimit:
 class TestMissingFactor:
     # X_i ~ uniform on [-1, 1], centered; pass Z_i = X_i + 1 on [0, 2]
     def _z(self, p):
-        return moments_uniform(p, 0.0, 2.0)
+        return Uniform(0.0, 2.0).moment_vector(p)
 
     def test_order_one_formula(self):
         n, t = 10, 1.0
@@ -347,13 +344,6 @@ class TestMissingFactor:
             plain = hoeffding_bound(spec, t, 3).bound
             assert missing < plain
 
-    def test_dn_convention_switch(self):
-        n = 10
-        z = self._z(3)
-        printed = hoeffding_missing_factor([z] * n, 0.5, 3).bound
-        squared = hoeffding_missing_factor([z] * n, 0.5, 3, dn_squared=True).bound
-        assert printed != squared
-
     def test_rejects_out_of_range_t(self):
         n = 10
         z = self._z(2)
@@ -361,21 +351,20 @@ class TestMissingFactor:
             hoeffding_missing_factor([z] * n, 100.0, 2, K=1.0)
 
     def test_rejects_uncentered_input(self):
-        from tailbound import moments_beta
-        skew = moments_beta(2, 2.0, 5.0)  # E Z = 2/7 != upper/2
+        skew = Beta(2.0, 5.0).moment_vector(2)  # E Z = 2/7 != upper/2
         with pytest.raises(DomainError):
             hoeffding_missing_factor([skew] * 2, 0.1, 2)
 
 
 class TestSampleSize:
     def test_order_one_is_classical(self):
-        mv = moments_uniform(1, 0, 1)
+        mv = Uniform(0, 1).moment_vector(1)
         n = sample_size_for_ci(mv, t=0.1, alpha=0.05, p=1)
         assert n == classical_sample_size(1.0, 0.1, 0.05)
         assert n == math.ceil(math.log(2 / 0.05) / (2 * 0.01))
 
     def test_never_exceeds_classical(self):
-        mv = moments_uniform(3, 0, 1)
+        mv = Uniform(0, 1).moment_vector(3)
         for alpha in (0.01, 0.05):
             for t in (0.05, 0.1):
                 for p in (1, 2, 3):
@@ -383,13 +372,13 @@ class TestSampleSize:
                     assert n <= classical_sample_size(1.0, t, alpha)
 
     def test_strict_improvement_for_uniform(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         assert ci_c_bar(mv, 0.1, 2) < 1.0
         assert sample_size_for_ci(mv, 0.1, 0.05, 2) \
             < classical_sample_size(1.0, 0.1, 0.05)
 
     def test_closed_loop_two_sided_bound_meets_alpha(self):
-        mv = moments_uniform(3, 0, 1)
+        mv = Uniform(0, 1).moment_vector(3)
         for alpha in (0.01, 0.05):
             for t in (0.05, 0.1):
                 for p in (1, 2, 3):
@@ -403,7 +392,7 @@ class TestSampleSize:
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(DomainError):
-            sample_size_for_ci(moments_uniform(2, 0, 1), 0.1, 1.5, 2)
+            sample_size_for_ci(Uniform(0, 1).moment_vector(2), 0.1, 1.5, 2)
 
 
 class TestSerialization:

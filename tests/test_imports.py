@@ -18,7 +18,7 @@ def test_scipy_loads_only_where_needed():
         "assert 'scipy' not in sys.modules\n"
         "tb.hoeffding_limit([tb.Beta(2.0, 3.0)] * 5, 1.0)\n"
         "tb.hoeffding_bound(tb.EnsembleSpec.iid_replicate("
-        "tb.moments_uniform(3, 0, 1), 5), 1.0, 3)\n"
+        "tb.Uniform(0, 1).moment_vector(3), 5), 1.0, 3)\n"
         "for p in range(1, 8):\n"
         "    tb.TruncatedExponential(1.0, 2.0).moment_vector(p)\n"
         "laws = [tb.Beta(2.0, 3.0), tb.TruncatedExponential(1.0, 2.0),\n"
@@ -33,6 +33,17 @@ def test_scipy_loads_only_where_needed():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_once():
+    names = tailbound.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(tailbound, name), name
+    # second names for Law(...).moment_vector(p), removed
+    for name in ("moments_uniform", "moments_bernoulli", "moments_beta",
+                 "moments_point"):
+        assert not hasattr(tailbound, name), name
 
 
 def test_numpy_loads_only_to_sample_or_read_data(tmp_path):

@@ -10,6 +10,7 @@ from tailbound import (
     DegenerateDistributionError,
     DomainError,
     MgfBoundCurve,
+    PointMass,
     TruncatedExponential,
     Uniform,
     c_factor,
@@ -19,14 +20,9 @@ from tailbound import (
     i_measure,
     mgf_bound_sequence,
     mgf_upper_bound,
-    moments_bernoulli,
-    moments_beta,
-    moments_point,
-    moments_uniform,
     restrict_order,
     taylor_remainder,
     v_derivatives,
-    Support,
 )
 
 E = math.e
@@ -40,23 +36,23 @@ class TestMgfUpperBound:
 
     def test_bernoulli_attains_equality_order_one(self):
         q = 0.37
-        mv = restrict_order(moments_bernoulli(1, q), 1)
+        mv = restrict_order(Bernoulli(q).moment_vector(1), 1)
         for s in (0.0, 0.5, 2.0, 7.0):
             assert mgf_upper_bound(mv, s) == pytest.approx(
                 q * math.exp(s) + 1 - q, rel=1e-14)
 
     def test_uniform_order_two_golden_value(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         value = mgf_upper_bound(mv, 1.0)
         assert value == pytest.approx((E - 2) / 3 + 1.5, rel=1e-14)
         assert value >= E - 1  # exact MGF of uniform at s=1
 
     def test_rejects_negative_s(self):
         with pytest.raises(DomainError):
-            mgf_upper_bound(moments_uniform(2, 0, 1), -0.1)
+            mgf_upper_bound(Uniform(0, 1).moment_vector(2), -0.1)
 
     def test_rejects_nonpositive_upper_bound(self):
-        mv = moments_uniform(2, -2.0, -1.0)
+        mv = Uniform(-2.0, -1.0).moment_vector(2)
         with pytest.raises(DomainError):
             mgf_upper_bound(mv, 1.0)
 
@@ -76,7 +72,7 @@ class TestMgfUpperBound:
                 assert mgf_upper_bound(mv, float(s)) >= exact_mgf(dist, float(s)) - 1e-10
 
     def test_curve_record(self):
-        mv = moments_uniform(4, 0, 1)
+        mv = Uniform(0, 1).moment_vector(4)
         curve = MgfBoundCurve(2, mv)
         assert curve(0.0) == 1.0
         assert curve(1.0) == pytest.approx(mgf_upper_bound(restrict_order(mv, 2), 1.0))
@@ -84,19 +80,19 @@ class TestMgfUpperBound:
 
 class TestMgfBoundSequence:
     def test_uniform_nonincreasing(self):
-        mv = moments_uniform(4, 0, 1)
+        mv = Uniform(0, 1).moment_vector(4)
         values = mgf_bound_sequence(mv, 1.0, [2, 3, 4])
         assert values[0] >= values[1] >= values[2]
 
     def test_bernoulli_all_orders_identical(self):
-        mv = moments_bernoulli(5, 0.42)
+        mv = Bernoulli(0.42).moment_vector(5)
         values = mgf_bound_sequence(mv, 1.7, [1, 2, 3, 4, 5])
         expected = 0.42 * math.exp(1.7) + 0.58
         assert values == pytest.approx([expected] * 5, rel=1e-14)
 
     def test_uniform_gap_matches_direct_difference(self):
         # value(2) - value(3) = (mu2 - mu3) * T_4(s) on [0, 1]
-        mv = moments_uniform(3, 0, 1)
+        mv = Uniform(0, 1).moment_vector(3)
         s = 2.0
         v2, v3 = mgf_bound_sequence(mv, s, [2, 3])
         expected = (1 / 3 - 1 / 4) * taylor_remainder(4, s)
@@ -110,7 +106,7 @@ class TestMgfBoundSequence:
     def test_requires_enough_moments(self):
         from tailbound import OrderError
         with pytest.raises(OrderError):
-            mgf_bound_sequence(moments_uniform(2, 0, 1), 1.0, [2, 3])
+            mgf_bound_sequence(Uniform(0, 1).moment_vector(2), 1.0, [2, 3])
 
 
 class TestVDerivatives:
@@ -123,7 +119,7 @@ class TestVDerivatives:
             assert v_derivatives(mv, 0.0, 2) == pytest.approx(mv.mu[1] / b ** 2)
 
     def test_finite_difference_consistency(self):
-        mv = moments_uniform(4, 0, 1)
+        mv = Uniform(0, 1).moment_vector(4)
         h = 1e-6
         for y in (0.1, 1.0, 5.0):
             fd = (v_derivatives(mv, y + h, 0) - v_derivatives(mv, y, 0)) / h
@@ -150,17 +146,17 @@ class TestVDerivatives:
 
     def test_rejects_negative_y(self):
         with pytest.raises(DomainError):
-            v_derivatives(moments_uniform(2, 0, 1), -1.0, 1)
+            v_derivatives(Uniform(0, 1).moment_vector(2), -1.0, 1)
 
 
 class TestCFactor:
     def test_order_one_is_one(self, rng):
-        mv = restrict_order(moments_uniform(1, 0, 1), 1)
+        mv = restrict_order(Uniform(0, 1).moment_vector(1), 1)
         for y in (0.0, 1.0, 50.0):
             assert c_factor(mv, y) == 1.0
 
     def test_order_two_closed_form(self):
-        mv = moments_uniform(2, 0, 2.0)
+        mv = Uniform(0, 2.0).moment_vector(2)
         mu1, mu2, b = 1.0, 4 / 3, 2.0
         for y in (0.0, 0.5, 3.0):
             expected = (mu2 * math.exp(y)
@@ -168,7 +164,7 @@ class TestCFactor:
             assert c_factor(mv, y) == pytest.approx(expected, rel=1e-14)
 
     def test_order_three_uniform_at_zero(self):
-        assert c_factor(moments_uniform(3, 0, 1), 0.0) == pytest.approx(4 / 9)
+        assert c_factor(Uniform(0, 1).moment_vector(3), 0.0) == pytest.approx(4 / 9)
 
     def test_value_at_zero_is_d_over_b_squared(self, rng):
         for _ in range(20):
@@ -193,40 +189,40 @@ class TestCFactor:
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_huge_argument_no_overflow(self):
-        mv = moments_uniform(5, 0, 1)
+        mv = Uniform(0, 1).moment_vector(5)
         assert c_factor(mv, 5000.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_order_two_huge_argument_no_overflow(self):
         # Beta(0.01, 100) at the factor argument 2000: e^y alone overflows
-        mu = moments_beta(2, 0.01, 100.0).mu
+        mu = Beta(0.01, 100.0).moment_vector(2).mu
         assert c_factor_from_moments(2000.0, 1.0, mu) == 1.0
         assert c_factor_from_moments(800.0, 1.0, mu) == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_inputs_rejected(self):
-        mv = moments_point(2, 0.0, Support.interval(0.0, 1.0))
+        mv = PointMass(0.0, 0.0, 1.0).moment_vector(2)
         with pytest.raises(DegenerateDistributionError):
             c_factor(mv, 1.0)
 
     def test_raw_moment_entry_point_allows_other_scale(self):
         # same moments, doubled scale: used by the recentered missing-factor form
-        mv = moments_uniform(3, 0, 1)
+        mv = Uniform(0, 1).moment_vector(3)
         value = c_factor_from_moments(1.0, 2.0, mv.mu)
         assert 0.0 < value < 1.0
 
 
 class TestIMeasure:
     def test_order_one_is_one(self):
-        assert i_measure(moments_uniform(1, 0, 1), 0.7) == 1.0
+        assert i_measure(Uniform(0, 1).moment_vector(1), 0.7) == 1.0
 
     def test_order_two_closed_form(self):
-        mv = moments_uniform(2, 0, 1)
+        mv = Uniform(0, 1).moment_vector(2)
         expected = (E - 1) / E + (1 / E) * (0.5 / (1 / 3))
         assert i_measure(mv, 1.0) == pytest.approx(expected, rel=1e-14)
 
     def test_collapses_when_top_moment_uninformative(self):
         # mu3 = mu2 makes the third moment useless: I_3 equals I_2
-        mv3 = moments_bernoulli(3, 0.4)
-        mv2 = moments_bernoulli(2, 0.4)
+        mv3 = Bernoulli(0.4).moment_vector(3)
+        mv2 = Bernoulli(0.4).moment_vector(2)
         assert i_measure(mv3, 1.0) == pytest.approx(i_measure(mv2, 1.0), rel=1e-13)
 
     def test_at_least_one(self, rng):
@@ -242,6 +238,34 @@ class TestIMeasure:
                 ip = i_measure(mv, c)
                 assert ip * ip * c_factor(mv, c) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [709.0, 800.0, 1e4])
+    def test_finite_where_e_to_the_c_overflows(self, c):
+        for p in range(1, 7):
+            ip = i_measure(Uniform(0, 1).moment_vector(p), c)
+            assert math.isfinite(ip) and ip >= 1.0
+
+    def test_matches_the_derivative_ratio_written_out(self, rng):
+        # v'(c)/v''(c) for the envelope v at unit scale, with the bare e^c
+        # that overflows past c = 709.78; below that the two must agree
+        def ratio(mu, c):
+            p = len(mu)
+            v = []
+            for k in (1, 2):
+                order = p + 1 - k
+                tail = math.exp(c) if order <= 1 else taylor_remainder(order, c)
+                total, term = mu[-1] * tail, 1.0
+                for j in range(p - k):
+                    total += term * mu[j + k - 1]
+                    term *= c / (j + 1)
+                v.append(total)
+            return v[0] / v[1]
+
+        for _ in range(60):
+            mv = random_interval_mv(rng, int(rng.integers(2, 7)), hi=1.0)
+            for c in (1e-3, 0.3, 1.0, 4.0, 29.9, 30.1, 100.0, 700.0):
+                want = ratio(mv.mu, c)
+                assert abs(i_measure(mv, c) - want) <= 1e-15 * want
+
     def test_requires_unit_interval(self):
         with pytest.raises(DomainError):
-            i_measure(moments_uniform(2, 0, 2.0), 1.0)
+            i_measure(Uniform(0, 2.0).moment_vector(2), 1.0)

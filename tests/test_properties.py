@@ -78,7 +78,10 @@ def _in_unit_interval_or_error(call):
           suppress_health_check=[HealthCheck.too_slow])
 @given(dists=st.lists(laws(), min_size=1, max_size=3),
        n=st.integers(1, 40), t=thresholds, p=st.integers(1, 6),
-       c=st.floats(0.01, 10.0))
+       c=st.floats(0.01, 1e4))
+# I_p at c = 800, where e^c overflows: an OverflowError at p = 2, NaN at p = 3
+@example(dists=[Uniform(0.0, 1.0)], n=10, t=1e-3, p=2, c=800.0)
+@example(dists=[Uniform(0.0, 1.0)], n=10, t=1e-3, p=3, c=800.0)
 def test_bounds_in_unit_interval_or_tailbound_error(dists, n, t, p, c):
     try:
         vectors = [d.moment_vector(p) for d in dists]

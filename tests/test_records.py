@@ -26,8 +26,6 @@ from tailbound import (
     TruncatedExponential,
     Uniform,
     bennett_bound,
-    moments_bernoulli,
-    moments_uniform,
 )
 
 UNIT = "Support(lower=0.0, upper=1.0)"
@@ -72,9 +70,9 @@ CASES = [
      lambda: MomentVector(2, (0.5, 0.4), Support(0.0, 1.0)),
      "MomentVector(p=2, mu=(0.5, 0.3), support=" + UNIT
      + ", positive_part_pth=0.3)"),
-    (EnsembleSpec, lambda: EnsembleSpec(variables=[moments_uniform(2, 0, 1)] * 3),
-     lambda: EnsembleSpec.iid_replicate(moments_uniform(2, 0, 1), 3),
-     lambda: EnsembleSpec.iid_replicate(moments_uniform(2, 0, 1), 4),
+    (EnsembleSpec, lambda: EnsembleSpec(variables=[Uniform(0, 1).moment_vector(2)] * 3),
+     lambda: EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(2), 3),
+     lambda: EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(2), 4),
      f"EnsembleSpec(vectors=({MV2},), counts=(3,), n=3)"),
     (RootSet, lambda: RootSet(roots=(1.0, 2.5), unique=False),
      lambda: RootSet((1.0, 2.5), False), lambda: RootSet((1.0, 2.5), True),
@@ -97,9 +95,9 @@ CASES = [
      lambda: TightnessComparison(1.0, 0.5, 0.125),
      "TightnessComparison(t=1.0, bound_p2=0.5, bound_p3=0.25)"),
     (MgfBoundCurve,
-     lambda: MgfBoundCurve(p=2, moments=moments_uniform(3, 0, 1)),
-     lambda: MgfBoundCurve(2, moments_uniform(2, 0, 1)),
-     lambda: MgfBoundCurve(3, moments_uniform(3, 0, 1)),
+     lambda: MgfBoundCurve(p=2, moments=Uniform(0, 1).moment_vector(3)),
+     lambda: MgfBoundCurve(2, Uniform(0, 1).moment_vector(2)),
+     lambda: MgfBoundCurve(3, Uniform(0, 1).moment_vector(3)),
      f"MgfBoundCurve(p=2, moments={MV2})"),
     (TailEstimate,
      lambda: TailEstimate(t=1.0, probability=0.01, stderr=0.001, trials=1000,
@@ -198,7 +196,7 @@ def test_moment_vector_samples_stay_out_of_value_semantics():
 
 
 def test_bound_records_round_trip_through_json():
-    spec = EnsembleSpec.iid_replicate(moments_bernoulli(3, 0.3), 20)
+    spec = EnsembleSpec.iid_replicate(Bernoulli(0.3).moment_vector(3), 20)
     h = _hoeffding(d_n=0.25, c_values=(0.5,) * 3, mode="one_sided")
     b = bennett_bound(spec, 2.0, 3)
     for rec in (h, b):

@@ -17,7 +17,7 @@ from tailbound import (
     taylor_remainder,
 )
 from tailbound import special
-from tailbound.special import lambert_w0_exp, poly_exp_residual
+from tailbound.special import lambert_w0_exp, poly_exp_residual, poly_exp_roots
 
 mpmath.mp.dps = 60
 
@@ -149,7 +149,7 @@ class TestSolvePolyExp:
             a0 = float(rng.uniform(1.0 + 1e-3, 100.0))
             a1 = float(rng.uniform(0.01, 10.0))
             closed = solve_poly_exp([a0, a1], 1)
-            scanned = solve_poly_exp([a0, a1], 1, method="scan")
+            scanned = poly_exp_roots([a0, a1])
             assert len(scanned.roots) == 1
             assert closed.roots[0] == pytest.approx(scanned.roots[0], rel=1e-10)
 
@@ -214,10 +214,6 @@ class TestSolvePolyExp:
     def test_rejects_alpha0_at_most_one(self):
         with pytest.raises(PreconditionError):
             solve_poly_exp([1.0], 0)
-
-    def test_assume_unique_flag(self):
-        rs = solve_poly_exp([3.0, 0.5, 0.1], 2, assume_unique=True)
-        assert rs.unique
 
 
 class TestMillsTheta:
