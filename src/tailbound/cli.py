@@ -297,23 +297,27 @@ def _distribution_from_args(args) -> Distribution:
 
 
 def _variable_from_args(args, p: int) -> MomentVector:
+    return _law_and_variable(args, p)[1]
+
+
+def _law_and_variable(args, p: int) -> tuple[Distribution | None, MomentVector]:
+    """The --dist law and its order-p vector; no law for --data and --mu."""
     if p < 1:
         raise ConfigError(f"--p must be >= 1; got {p}")
     sources = [s for s in (args.dist, args.data, args.mu) if s]
     if len(sources) != 1:
         raise ConfigError("give exactly one of --dist, --data, --mu")
     if args.dist:
-        return _distribution_from_args(args).moment_vector(p)
+        dist = _distribution_from_args(args)
+        return dist, dist.moment_vector(p)
     support = _support_from_args(args)
     if args.data:
         mv = moments_from_samples(read_sample_file(args.data), p, support)
-        return _inflate(mv, args.inflate)
+        return None, _inflate(mv, args.inflate)
     mu = _parse_floats("--mu", [v for v in args.mu.split(",") if v.strip()])
     if len(mu) < p:
         raise ConfigError(f"--mu lists {len(mu)} moments but order {p} is needed")
-    pos = args.pos_pth
-    return MomentVector(p, tuple(mu[:p]), support,
-                        pos if pos is not None else None)
+    return None, MomentVector(p, tuple(mu[:p]), support, args.pos_pth)
 
 
 def _inflate(mv: MomentVector, factor: float) -> MomentVector:
@@ -388,9 +392,8 @@ def _cmd_bound(args) -> int:
     if args.two_sided and "bennett" in families:
         raise ConfigError("--two-sided applies to the hoeffding family only")
     p_max = max(p_list)
-    mv = _variable_from_args(args, p_max)
+    dist, mv = _law_and_variable(args, p_max)
     spec = EnsembleSpec.iid_replicate(mv, args.n)
-    dist = _distribution_from_args(args) if args.dist else None
     records = []
     for family in families:
         for p in p_list:

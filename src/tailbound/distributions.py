@@ -26,7 +26,9 @@ _QUAD_TOL = 1e-12
 
 class Distribution(Record):
     """Interface shared by the concrete laws below. Each law's fields are its
-    parameters; tag names the law, and support is derived from the fields."""
+    parameters; tag names the law, and support is derived from the fields.
+    _vectors holds the moment vectors built so far, keyed by order; it is
+    not a field, so ==, hash and repr ignore it."""
 
     __slots__ = ()
     tag: str
@@ -66,7 +68,13 @@ class Distribution(Record):
         raise NotImplementedError
 
     def moment_vector(self, p: int) -> MomentVector:
+        """The law's first p moments, built once per order: later calls
+        return the same vector. The order is checked before the lookup, as
+        2.0 and numpy's 2 hash and compare equal to 2."""
         checked_order(p)
+        mv = self._vectors.get(p)
+        if mv is not None:
+            return mv
         try:
             mu = self.moments(p)
             # max(X^p, 0) = X^p for even p, and for any p once X >= 0; a
@@ -79,7 +87,9 @@ class Distribution(Record):
         except FLOAT_RANGE_ERRORS as exc:
             raise DomainError(f"{self}: a moment of order <= {p} leaves the "
                               f"float range ({exc})") from None
-        return MomentVector(p, mu, self.support, pos)
+        # a racing thread may have stored one first: all callers get that one
+        mv = MomentVector(p, mu, self.support, pos)
+        return self._vectors.setdefault(p, mv)
 
 
 def _quad(fn, lo, hi):
@@ -105,7 +115,7 @@ def _quad(fn, lo, hi):
 
 class Uniform(Distribution):
     _fields = ("lo", "hi")
-    __slots__ = (*_fields, "support")
+    __slots__ = (*_fields, "support", "_vectors")
     tag = "uniform"
 
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
@@ -114,6 +124,7 @@ class Uniform(Distribution):
         setfield(self, "lo", lo)
         setfield(self, "hi", hi)
         setfield(self, "support", Support.interval(lo, hi))
+        setfield(self, "_vectors", {})
 
     def moments(self, p):
         # (hi^(k+1) - lo^(k+1)) / ((k+1)(hi - lo)) with the division done
@@ -168,7 +179,7 @@ class Uniform(Distribution):
 
 class Bernoulli(Distribution):
     _fields = ("q",)
-    __slots__ = (*_fields, "support")
+    __slots__ = (*_fields, "support", "_vectors")
     tag = "bernoulli"
 
     def __init__(self, q: float):
@@ -176,6 +187,7 @@ class Bernoulli(Distribution):
             raise DomainError(f"success probability must be in [0, 1]; got {q}")
         setfield(self, "q", q)
         setfield(self, "support", Support.interval(0.0, 1.0))
+        setfield(self, "_vectors", {})
 
     def moments(self, p):
         return (self.q,) * p
@@ -195,7 +207,7 @@ class PointMass(Distribution):
     """The point mass at c, on the support [lo, hi]: [c, c + 1] by default."""
 
     _fields = ("c", "lo", "hi")
-    __slots__ = (*_fields, "support")
+    __slots__ = (*_fields, "support", "_vectors")
     tag = "point"
 
     def __init__(self, c: float, lo: float | None = None,
@@ -209,6 +221,7 @@ class PointMass(Distribution):
         setfield(self, "lo", lo)
         setfield(self, "hi", hi)
         setfield(self, "support", support)
+        setfield(self, "_vectors", {})
 
     def moments(self, p):
         return tuple(self.c ** k for k in range(1, p + 1))
@@ -231,7 +244,7 @@ class PointMass(Distribution):
 
 class Beta(Distribution):
     _fields = ("a", "b")
-    __slots__ = (*_fields, "support")
+    __slots__ = (*_fields, "support", "_vectors")
     tag = "beta"
 
     def __init__(self, a: float, b: float):
@@ -242,6 +255,7 @@ class Beta(Distribution):
         setfield(self, "a", a)
         setfield(self, "b", b)
         setfield(self, "support", Support.interval(0.0, 1.0))
+        setfield(self, "_vectors", {})
 
     def moments(self, p):
         # E X^k = prod_{j<k} (a+j)/(a+b+j), so each moment extends the last
@@ -292,7 +306,7 @@ class TruncatedExponential(Distribution):
     """b minus an Exponential(rate): unbounded below, capped above at b."""
 
     _fields = ("b", "rate")
-    __slots__ = (*_fields, "support")
+    __slots__ = (*_fields, "support", "_vectors")
     tag = "truncexp"
 
     def __init__(self, b: float = 1.0, rate: float = 1.0):
@@ -303,6 +317,7 @@ class TruncatedExponential(Distribution):
         setfield(self, "b", b)
         setfield(self, "rate", rate)
         setfield(self, "support", Support.upper_only(b))
+        setfield(self, "_vectors", {})
 
     def moments(self, p):
         # (rate + s) M(s) = rate e^{sb} for the MGF of X = b - E; at s = 0 its

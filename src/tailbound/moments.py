@@ -125,18 +125,20 @@ class MomentVector(Record):
                         f"support chain violated: mu[{k}] = {m} exceeds "
                         f"upper*mu[{k - 1}] = {b * prev}")
             prev = m
-        for d in range(1, self.p - 1):
-            lhs = mu[d - 1] * mu[d + 1]
+        # mu[d-1] mu[d+1] >= mu[d]^2, from the variance (d = 1) up
+        m = (1.0, *mu)
+        for d in range(1, self.p):
+            lhs = m[d - 1] * m[d + 1]
             try:
-                rhs = mu[d] ** 2
+                rhs = m[d] ** 2
             except OverflowError:
                 raise DomainError(
-                    f"mu[{d + 1}]^2 leaves the float range") from None
+                    f"mu[{d}]^2 leaves the float range") from None
             if lhs < rhs:
                 if lhs - rhs < -_REL_TOL * max(abs(lhs), rhs, _TINY):
                     raise InfeasibleMomentsError(
-                        f"Cauchy-Schwarz chain violated: mu[{d}]*mu[{d + 2}]"
-                        f" = {lhs} < mu[{d + 1}]^2 = {rhs}")
+                        f"Cauchy-Schwarz chain violated: mu[{d - 1}]*"
+                        f"mu[{d + 1}] = {lhs} < mu[{d}]^2 = {rhs}")
 
     def _resolve_positive_part(self):
         pos = self.positive_part_pth
@@ -304,8 +306,9 @@ def _precision_lost(exc, mv: MomentVector, mu, c: float):
 
 
 def checked_order(p: int) -> int:
-    """p, if it is a positive integer moment order."""
-    if not isinstance(p, int) or p < 1:
+    """p, if it is a positive integer moment order. A bool is not one, though
+    True == 1: a law would file a vector of order True under the key 1."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise DomainError(f"order p must be a positive integer; got {p!r}")
     return p
 

@@ -1,4 +1,5 @@
-"""Generators of always-feasible moment vectors for randomized tests.
+"""Generators of always-feasible moment vectors for randomized tests, and a
+call counter.
 
 Finite mixtures of point masses are genuine distributions, so their exact
 moments satisfy every feasibility inequality by construction.
@@ -11,6 +12,21 @@ import pytest
 
 from tailbound import MomentVector, Support, bennett_bound
 from tailbound.special import poly_exp_roots
+
+
+class CallCounter:
+    """Counts the calls of owner.name (a module's function or a class's
+    method), patched through pytest's monkeypatch."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
 
 
 def random_interval_mv(rng, p, lo=0.0, hi=None, min_mean=1e-3):

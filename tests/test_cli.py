@@ -4,10 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import CallCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailbound import BennettBound, HoeffdingBound, cli
+from tailbound import BennettBound, HoeffdingBound, Uniform, cli
 from tailbound.cli import _fmt, _linspace, main
 
 
@@ -57,6 +58,15 @@ class TestBoundCommand:
         assert float(row[1]) == 10.0  # absolute t recorded
         assert float(row[3]) == pytest.approx(math.exp(-5.0), rel=1e-15)
 
+    def test_one_law_and_one_vector_per_order(self, capsys, monkeypatch):
+        laws = CallCounter(monkeypatch, cli, "make_distribution")
+        builds = CallCounter(monkeypatch, Uniform, "moments")
+        code, out, _ = run(capsys, "bound", "--family", "both", "--dist",
+                           "uniform", "--n", "10", "--t", "1,2", "--p", "2,3,4")
+        assert code == 0 and len(out.splitlines()) == 13
+        # the Hoeffding rows' order-4 vector serves the Bennett rows at p = 4
+        assert (laws.calls, builds.calls) == (1, 3)
+
     def test_two_sided_flag(self, capsys):
         code, out, _ = run(capsys, "bound", "--dist", "uniform", "--n", "10",
                            "--t", "2.0", "--p", "2", "--two-sided")
@@ -76,6 +86,14 @@ class TestBoundCommand:
                            "--p", "2")
         assert code == 3
         assert "chain" in err
+
+    def test_negative_variance_exit_code(self, capsys):
+        # no law on [0, 1] with mean 0.5 has E X^2 < 0.25
+        code, _, err = run(capsys, "bound", "--mu", "0.5,0.2",
+                           "--support", "0,1", "--n", "10", "--t", "1",
+                           "--p", "2")
+        assert code == 3
+        assert "mu[0]*mu[2] = 0.2 < mu[1]^2 = 0.25" in err
 
     @pytest.mark.parametrize("argv,want", [
         # a valid law whose shifted moments lose every digit to rounding

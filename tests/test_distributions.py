@@ -1,10 +1,15 @@
 """Moment vectors of the analytic distribution handles: the one-pass raw
-moments, the truncated exponential's positive part, and parameter checks."""
+moments, one vector per law and order, the truncated exponential's positive
+part, and parameter checks."""
 
 import math
 import struct
+import sys
+import threading
 
+import numpy as np
 import pytest
+from helpers import CallCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +22,7 @@ from tailbound import (
     TruncatedExponential,
     Uniform,
     bennett_bound,
+    hoeffding_bound,
 )
 from tailbound.cli import main
 from tailbound.distributions import _from_log, _kummer_scaled
@@ -76,13 +82,79 @@ def test_moments_match_the_per_order_formulas_bit_for_bit(law, p):
 @pytest.mark.parametrize("dist", [Uniform(0.0, 1.0), Beta(2.0, 3.0),
                                   Bernoulli(0.3), PointMass(0.5),
                                   TruncatedExponential(1.0, 2.0)])
-@pytest.mark.parametrize("p", [0, -1, -2, 2.0, None])
+@pytest.mark.parametrize("p", [0, -1, -2, 2.0, None, np.int64(2), True])
 def test_moment_vector_rejects_an_order_that_is_not_a_positive_integer(
         dist, p):
-    # the order is checked before any moment is computed or read
+    # the order is checked before any moment is computed or read, and before
+    # the stored vectors are: 2.0 and np.int64(2) hash and compare equal to 2,
+    # and True to 1
+    dist.moment_vector(1)
+    dist.moment_vector(2)
     with pytest.raises(DomainError,
                        match="order p must be a positive integer"):
         dist.moment_vector(p)
+
+
+LAWS = [
+    lambda: Uniform(0.0, 1.0), lambda: Uniform(-0.5, 1.0),
+    lambda: Beta(2.0, 3.0), lambda: Bernoulli(0.3), lambda: PointMass(0.5),
+    lambda: TruncatedExponential(1.0, 2.0),
+]
+LAW_IDS = ["uniform", "uniform-signed", "beta", "bernoulli", "point",
+           "truncexp"]
+
+
+@pytest.mark.parametrize("make", LAWS, ids=LAW_IDS)
+@pytest.mark.parametrize("p", [1, 2, 3, 6])
+def test_a_law_builds_one_vector_per_order(make, p):
+    dist = make()
+    mv = dist.moment_vector(p)
+    assert dist.moment_vector(p) is mv
+    assert dist.moment_vector(p + 1) is not mv
+    # equal but distinct laws keep their own vectors
+    twin = make()
+    assert twin == dist and hash(twin) == hash(dist)
+    assert twin.moment_vector(p) == mv and twin.moment_vector(p) is not mv
+    assert repr(dist) == repr(twin)
+
+
+def test_bounds_over_one_list_of_laws_build_each_vector_once(monkeypatch):
+    # as a sweep does: Bennett at two thresholds, then Hoeffding, same order
+    laws = [Beta(2.0, 3.0), Uniform(-0.5, 1.0), Bernoulli(0.3)]
+    counters = [CallCounter(monkeypatch, type(law), "moments")
+                for law in laws]
+    for p in (2, 4):
+        for t in (0.5, 1.5):
+            bennett_bound(EnsembleSpec([law.moment_vector(p) for law in laws]),
+                          t, p)
+        hoeffding_bound(EnsembleSpec([law.moment_vector(p) for law in laws]),
+                        1.0, p)
+    assert [counter.calls for counter in counters] == [2, 2, 2]
+
+
+def test_racing_threads_get_one_vector():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            dist = TruncatedExponential(1.0, 2.0)
+            start = threading.Barrier(8)
+            got = []
+
+            def build():
+                start.wait(timeout=10)
+                got.append(dist.moment_vector(5))
+
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == 8
+            assert all(mv is dist.moment_vector(5) for mv in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 EPS = 2.0 ** -52

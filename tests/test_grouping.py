@@ -6,7 +6,7 @@ distinct copies runs the per-variable path and serves as the reference.
 
 import numpy as np
 import pytest
-from helpers import random_interval_mv, random_upper_bounded_mv
+from helpers import CallCounter, random_interval_mv, random_upper_bounded_mv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,23 +162,11 @@ def _copy_dist(d):
     return Beta(d.a, d.b)
 
 
-class _Counter:
-    def __init__(self, monkeypatch, module, name):
-        self.calls = 0
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-
 class TestPreparationIsPerGroup:
     N = 10_000
 
     def _counters(self, monkeypatch):
-        return {name: _Counter(monkeypatch, hoeffding_module, name)
+        return {name: CallCounter(monkeypatch, hoeffding_module, name)
                 for name in ("shift_to_origin", "reflect_moments",
                              "c_factor_from_moments")}
 
@@ -229,7 +217,7 @@ class TestSampleBackedEnsemble:
         data = np.random.default_rng(3).uniform(-0.5, 1.5, 200)
         path = tmp_path / "values.txt"
         path.write_text("\n".join(repr(float(x)) for x in data) + "\n")
-        counter = _Counter(monkeypatch, moments_module, "moments_from_samples")
+        counter = CallCounter(monkeypatch, moments_module, "moments_from_samples")
         code = main(["bound", "--data", str(path), "--support=-0.5,1.5",
                      "--n", "1000", "--t", "50", "--p", "2"])
         capsys.readouterr()

@@ -298,17 +298,17 @@ def tolerant_check(mu, support, pos):
                 f"support chain violated: mu[{k}] = {m} exceeds "
                 f"upper*mu[{k - 1}] = {b * prev}")
         prev = m
-    for d in range(1, len(mu) - 1):
-        lhs = mu[d - 1] * mu[d + 1]
+    m = (1.0, *mu)
+    for d in range(1, len(mu)):
+        lhs = m[d - 1] * m[d + 1]
         try:
-            rhs = mu[d] ** 2
+            rhs = m[d] ** 2
         except OverflowError:
-            raise DomainError(
-                f"mu[{d + 1}]^2 leaves the float range") from None
+            raise DomainError(f"mu[{d}]^2 leaves the float range") from None
         if lhs - rhs < -1e-9 * max(abs(lhs), rhs, 1e-300):
             raise InfeasibleMomentsError(
-                f"Cauchy-Schwarz chain violated: mu[{d}]*mu[{d + 2}] = "
-                f"{lhs} < mu[{d + 1}]^2 = {rhs}")
+                f"Cauchy-Schwarz chain violated: mu[{d - 1}]*mu[{d + 1}] = "
+                f"{lhs} < mu[{d}]^2 = {rhs}")
     if pos is None:
         return
     if pos < 0.0:
@@ -429,6 +429,10 @@ class TestValidationAndTransformsAgainstTheirFormulas:
     # a negative moment after a zero one, where the scale is tiny
     @example(case=([0.0, -1e-200], Support.interval(0.0, 1.0), None))
     @example(case=([0.5, 0.4, 0.05], Support.interval(0.0, 1.0), None))
+    # a negative variance, past the tolerance and within it
+    @example(case=([0.5, 0.2], Support.interval(0.0, 1.0), None))
+    @example(case=([0.5, 0.25 * (1 - 5e-10)], Support.interval(0.0, 1.0),
+                   None))
     # a positive part below E X^p, past the tolerance and within it
     @example(case=([0.5, 0.3], Support.interval(0.0, 1.0), 0.3 * (1 - 2e-9)))
     @example(case=([0.5, 0.3], Support.interval(0.0, 1.0), 0.3 * (1 - 5e-10)))

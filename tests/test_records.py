@@ -12,6 +12,7 @@ from tailbound import (
     BennettBound,
     Bernoulli,
     Beta,
+    Distribution,
     DomainError,
     EnsembleSpec,
     HoeffdingBound,
@@ -108,6 +109,20 @@ CASES = [
      "seed=7)"),
 ]
 IDS = [case[0].__name__ for case in CASES]
+
+
+def _with_vectors(law):
+    law.moment_vector(4)
+    return law
+
+
+# a law that holds a built vector compares, hashes and prints as one that
+# does not, and carries the vector through pickle and copy
+CASES.append((Uniform, lambda: _with_vectors(Uniform(lo=0.0, hi=1.0)),
+              lambda: Uniform(), lambda: _with_vectors(Uniform(0.0, 2.0)),
+              "Uniform(lo=0.0, hi=1.0)"))
+IDS.append("Uniform-with-vectors")
+
 FIELDS = {
     Uniform: ("lo", "hi"), Bernoulli: ("q",), PointMass: ("c", "lo", "hi"),
     Beta: ("a", "b"), TruncatedExponential: ("b", "rate"),
@@ -157,10 +172,16 @@ class TestRecordSemantics:
 
     def test_pickle_and_copy(self, cls, make, same, other, text):
         rec = make()
-        for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec),
-                      copy.deepcopy(rec)):
+        clones = (pickle.loads(pickle.dumps(rec)), copy.copy(rec),
+                  copy.deepcopy(rec))
+        for clone in clones:
             assert type(clone) is cls and clone == rec
             assert repr(clone) == text
+        if isinstance(rec, Distribution):
+            # a law's built vectors go with it
+            assert [clone._vectors for clone in clones] == [rec._vectors] * 3
+            for clone in clones:
+                assert clone.moment_vector(4) == rec.moment_vector(4)
 
 
 def test_distribution_derived_attributes():
