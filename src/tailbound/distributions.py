@@ -1,10 +1,8 @@
 """Analytic distribution handles.
 
-These back the sampling oracle, the exact-MGF oracle, the tilted-moment
-expectations of the infinite-order bound, and the CLI's named-distribution
-inputs. Each handle knows its raw moments, how to sample itself, and its
-moment-generating function; the Beta MGF, which has no elementary closed
-form, falls back to adaptive quadrature.
+These back the sampling oracle, the tilted-moment expectations of the
+infinite-order bound, and the CLI's named-distribution inputs. Each handle
+knows its raw moments, its moment vectors and how to sample itself.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from .special import _exp
 
 if TYPE_CHECKING:
     import numpy as np
-
-_QUAD_TOL = 1e-12
 
 
 class Distribution(Record):
@@ -52,9 +48,6 @@ class Distribution(Record):
         return self.moment(1)
 
     def sample(self, rng: np.random.Generator, size):
-        raise NotImplementedError
-
-    def mgf(self, s: float) -> float:
         raise NotImplementedError
 
     def tilted_first_second(self, s: float) -> tuple[float, float]:
@@ -90,27 +83,6 @@ class Distribution(Record):
         # a racing thread may have stored one first: all callers get that one
         mv = MomentVector(p, mu, self.support, pos)
         return self._vectors.setdefault(p, mv)
-
-
-def _quad(fn, lo, hi):
-    # imported here: scipy.integrate costs about 50 MiB and 0.3 s to import,
-    # and only the Beta MGF needs it. That MGF is what the exact_mgf oracle
-    # checks the Kummer series against, so it must not use the series
-    from scipy import integrate
-
-    # with full_output, quad returns a fourth item (its message) instead of
-    # warning whenever it flags the result: no convergence, roundoff, a
-    # probably divergent integral
-    value, err, _, *flag = integrate.quad(
-        fn, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
-        full_output=1)
-    if flag:
-        raise OracleError(f"quadrature did not converge (value={value}, "
-                          f"err={err}): {flag[0]}")
-    # an integrand saturated to inf gives (inf, inf), which passes through
-    if math.isnan(value) or err > 1e-8 * max(abs(value), 1.0):
-        raise OracleError(f"quadrature failed (value={value}, err={err})")
-    return value
 
 
 class Uniform(Distribution):
@@ -155,17 +127,6 @@ class Uniform(Distribution):
     def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
 
-    def mgf(self, s):
-        width = self.hi - self.lo
-        if abs(s) * max(abs(self.lo), abs(self.hi)) < 1e-6:
-            m1, m2, m3 = self.moments(3)
-            return 1.0 + s * m1 + s * s * m2 / 2.0 + s ** 3 * m3 / 6.0
-        # (e^{s hi} - e^{s lo}) / (s width) with the larger exponential
-        # factored out: only that factor can overflow, and it saturates
-        top = self.hi if s > 0.0 else self.lo
-        shrink = -abs(s) * width
-        return _exp(s * top) * math.expm1(shrink) / shrink
-
     def tilted_first_second(self, s):
         # X = lo + w U with U ~ Uniform(0, 1) = Beta(1, 1), and the scaled
         # e^{s(X - hi)} is e^{a(U - 1)} for a = s w. Kummer's function gives
@@ -194,9 +155,6 @@ class Bernoulli(Distribution):
 
     def sample(self, rng, size):
         return (rng.random(size) < self.q).astype(float)
-
-    def mgf(self, s):
-        return self.q * _exp(s) + 1.0 - self.q
 
     def tilted_first_second(self, s):
         # X e^{sX} and X^2 e^{sX} are e^s on X = 1 and 0 on X = 0
@@ -234,9 +192,6 @@ class PointMass(Distribution):
 
         return np.full(size, self.c)
 
-    def mgf(self, s):
-        return _exp(s * self.c)
-
     def tilted_first_second(self, s):
         e = math.exp(s * (self.c - self.hi))
         return self.c * e, self.c * self.c * e
@@ -269,19 +224,6 @@ class Beta(Distribution):
 
     def sample(self, rng, size):
         return rng.beta(self.a, self.b, size)
-
-    def _log_pdf(self, x):
-        if x <= 0.0 or x >= 1.0:
-            return -math.inf
-        lg = math.lgamma
-        lognorm = lg(self.a + self.b) - lg(self.a) - lg(self.b)
-        return (lognorm + (self.a - 1) * math.log(x)
-                + (self.b - 1) * math.log(1 - x))
-
-    def mgf(self, s):
-        # e^{sx} times the density, in log form: it saturates to inf only
-        # where the product itself overflows, and then so does the integral
-        return _quad(lambda x: _exp(s * x + self._log_pdf(x)), 0.0, 1.0)
 
     def tilted_first_second(self, s):
         # E X^k e^{sX} = E(X^k) M(a+k, a+b+k, s): the moment series of the
@@ -347,11 +289,6 @@ class TruncatedExponential(Distribution):
 
     def sample(self, rng, size):
         return self.b - rng.exponential(1.0 / self.rate, size)
-
-    def mgf(self, s):
-        if s <= -self.rate:
-            raise DomainError(f"MGF diverges for s <= -rate = {-self.rate}")
-        return _exp(s * self.b) * self.rate / (self.rate + s)
 
     def tilted_first_second(self, s):
         if s <= -self.rate:

@@ -46,7 +46,7 @@ class InternalConsistencyError(TailboundError, RuntimeError):
 
 
 class OracleError(TailboundError, RuntimeError):
-    """A verification oracle (quadrature, sampling) failed to converge."""
+    """An oracle (the brute root scan) or a series failed to converge."""
 
 
 # what float arithmetic raises when a value leaves the range of a double: a

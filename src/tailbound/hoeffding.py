@@ -322,7 +322,7 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
     """
     t = checked_threshold(t)
     p = checked_order(p)
-    if K <= 0.0:
+    if not K > 0.0:
         raise DomainError(f"K must be positive; got {K}")
     vectors, counts = identity_runs(tuple(shifted))
     vs = []
@@ -400,6 +400,8 @@ def _sample_size(width: float, c: float, t: float, alpha: float) -> int:
 
 def classical_sample_size(width: float, t: float, alpha: float) -> int:
     """Smallest n with 2*exp(-2*n*t^2/width^2) <= alpha."""
+    if not 0.0 < width < math.inf:
+        raise DomainError(f"width must be positive and finite; got {width}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1); got {alpha}")
     t = checked_threshold(t)

@@ -33,8 +33,9 @@ def mgf_upper_bound(mv: MomentVector, s: float) -> float:
     p = 1, so the inequality is tight in general.
     """
     s = float(s)
-    if s < 0.0:
-        raise DomainError(f"the envelope is defined for s >= 0; got {s}")
+    if not 0.0 <= s < math.inf:
+        raise DomainError(
+            f"the envelope is defined for finite s >= 0; got {s}")
     b = mv.support.upper
     if b <= 0.0:
         raise DomainError(f"upper support bound must be positive; got {b}")
@@ -70,41 +71,12 @@ def mgf_bound_sequence(mv: MomentVector, s: float,
     supports the whole sequence is nonincreasing, so more moments never
     hurt.
     """
+    if not p_list:
+        raise DomainError("the sequence needs at least one order")
     if max(p_list) > mv.p:
         raise OrderError(
             f"sequence needs moments to order {max(p_list)}; have {mv.p}")
     return [mgf_upper_bound(restrict_order(mv, p), s) for p in p_list]
-
-
-def v_derivatives(mv: MomentVector, y: float, k: int) -> float:
-    """The envelope at unit scale (y = s*b) and its first two y-derivatives.
-
-    v(y)    = mu_p/b^p T_{p+1}(y) + sum_{j=0}^{p-1} y^j mu_j / (b^j j!)
-    v^{(k)}(y) shifts the tail order and the moment indices by k. At zero:
-    v = 1, v' = mu_1/b, v'' = mu_2/b^2.
-    """
-    if k not in (0, 1, 2):
-        raise DomainError(f"only derivatives of order 0..2 exist; got {k}")
-    y = float(y)
-    if y < 0.0:
-        raise DomainError(f"derivatives are evaluated on y >= 0; got {y}")
-    if not mv.support.is_nonnegative:
-        raise DomainError("the derivative family needs a nonnegative support")
-    return _v_raw(y, mv.support.upper, mv.mu, k)
-
-
-def _v_raw(y: float, b: float, mu: tuple[float, ...], k: int) -> float:
-    p = len(mu)
-    order = p + 1 - k
-    # tail order 0 or 1 both mean the bare exponential
-    tail = math.exp(y) if order <= 1 else taylor_remainder(order, y)
-    total = (mu[p - 1] / b ** p) * tail
-    term = 1.0  # y^j / j!
-    for j in range(p - k):
-        mom = 1.0 if j + k == 0 else mu[j + k - 1]
-        total += term * mom / b ** (j + k)
-        term *= y / (j + 1)
-    return total
 
 
 def c_factor(mv: MomentVector, y: float) -> float:
@@ -168,17 +140,6 @@ def c_factor_from_moments(y: float, b: float, mu: Sequence[float]) -> float:
             num += w * (b ** (p - j - 2) * mu[j + 1] - mu_p)
         den += w * (b ** (p - j - 1) * mu[j] - mu_p)
     return (num / den) ** 2
-
-
-def c_factor_via_derivatives(mv: MomentVector, y: float) -> float:
-    """(v''/v')^2 computed from the derivative family directly.
-
-    Redundant with c_factor by construction; kept as an independent code
-    path so tests can guard the closed form against transcription slips.
-    """
-    v1 = v_derivatives(mv, y, 1)
-    v2 = v_derivatives(mv, y, 2)
-    return (v2 / v1) ** 2
 
 
 def i_measure(mv: MomentVector, c: float) -> float:

@@ -1,9 +1,8 @@
-"""Independent ground truth: sampling, exact MGFs, and brute-force roots.
+"""Independent ground truth: sampling and brute-force roots.
 
 Everything here deliberately avoids the production code paths it checks:
-tail probabilities come from seeded Monte-Carlo simulation, MGFs from the
-distribution handles' analytic forms or quadrature, and roots from a dense
-numpy grid refined by plain bisection. numpy is imported inside the
+tail probabilities come from seeded Monte-Carlo simulation, and roots from
+a dense numpy grid refined by plain bisection. numpy is imported inside the
 functions that sample or scan, so importing this module does not load it.
 """
 
@@ -70,14 +69,6 @@ def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
     stderr = math.sqrt(prob * (1.0 - prob) / trials)
     return TailEstimate(t=float(t), probability=prob, stderr=stderr,
                         trials=trials, seed=seed)
-
-
-def exact_mgf(dist: Distribution, s: float) -> float:
-    """E exp(s*X) from the analytic form (or adaptive quadrature)."""
-    value = dist.mgf(float(s))
-    if not math.isfinite(value) or value <= 0.0:
-        raise OracleError(f"MGF evaluation failed for {dist.tag} at s={s}")
-    return value
 
 
 def brute_root_scan(alpha, q: int | None = None,

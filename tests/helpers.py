@@ -1,12 +1,15 @@
-"""Generators of always-feasible moment vectors for randomized tests, and a
-call counter.
+"""Generators of always-feasible moment vectors for randomized tests, a
+call counter, and mpmath references for the MGF envelope.
 
 Finite mixtures of point masses are genuine distributions, so their exact
-moments satisfy every feasibility inequality by construction.
+moments satisfy every feasibility inequality by construction. The
+references share no code with tailbound: each law's MGF is its closed form,
+and the envelope's derivatives are summed at 30 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -77,3 +80,46 @@ def bennett_bound_generic(spec, t, p):
         m.setattr("tailbound.bennett.solve_poly_exp",
                   lambda alpha, q: poly_exp_roots(alpha))
         return bennett_bound(spec, t, p)
+
+
+def exact_mgf(dist, s):
+    """E e^{sX} from the law's closed form, at 30 digits."""
+    exp = mpmath.exp
+    with mpmath.workdps(30):
+        s = mpmath.mpf(s)
+        if dist.tag == "uniform":
+            # (e^{s hi} - e^{s lo})/(s w), with expm1 so that a small s w
+            # does not cancel
+            sw = s * (mpmath.mpf(dist.hi) - dist.lo)
+            value = exp(s * dist.lo) * (mpmath.expm1(sw) / sw if sw else 1)
+        elif dist.tag == "bernoulli":
+            value = dist.q * exp(s) + 1 - dist.q
+        elif dist.tag == "point":
+            value = exp(s * dist.c)
+        elif dist.tag == "truncexp":
+            value = exp(s * dist.b) * dist.rate / (dist.rate + s)
+        elif dist.tag == "beta":
+            value = mpmath.hyp1f1(dist.a, mpmath.mpf(dist.a) + dist.b, s)
+        else:
+            raise ValueError(f"no exact MGF for {dist.tag}")
+        return float(value)
+
+
+def envelope_derivative(mv, y, k):
+    """k-th y-derivative of the envelope at unit scale (y = s b),
+
+        v(y) = mu_p/b^p (e^y - sum_{j<p} y^j/j!) + sum_{j<p} mu_j y^j/(b^j j!),
+
+    at 30 digits, for mu_0 = 1 and b the support's upper end."""
+    with mpmath.workdps(30):
+        y, b = mpmath.mpf(y), mpmath.mpf(mv.support.upper)
+        mu = [1, *mv.mu]
+        p = mv.p
+
+        def poly(j):  # k-th derivative of y^j/j!
+            return y ** (j - k) / mpmath.factorial(j - k)
+
+        tail = mpmath.exp(y) - sum(poly(j) for j in range(k, p))
+        value = mu[p] / b ** p * tail + sum(
+            mu[j] / b ** j * poly(j) for j in range(k, p))
+        return float(value)

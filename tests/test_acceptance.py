@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from helpers import (
     bennett_bound_generic,
+    envelope_derivative,
+    exact_mgf,
     random_interval_mv,
     random_upper_bounded_mv,
     w_defining_residual,
@@ -26,7 +28,6 @@ from tailbound import (
     bennett_p3_lambert,
     c_factor,
     classical_sample_size,
-    exact_mgf,
     hoeffding_bound,
     hoeffding_limit,
     hoeffding_two_sided,
@@ -35,7 +36,6 @@ from tailbound import (
     mgf_upper_bound,
     restrict_order,
     sample_size_for_ci,
-    v_derivatives,
 )
 
 MC_TRIALS = 1_000_000
@@ -212,7 +212,7 @@ def test_criterion_10_log_convex_derivative():
         mv = random_interval_mv(rng, int(rng.integers(2, 7)))
 
         def logv1(y):
-            return math.log(v_derivatives(mv, y, 1))
+            return math.log(envelope_derivative(mv, y, 1))
 
         for y in np.linspace(h, 10.0, 25):
             second = (logv1(y - h) - 2 * logv1(y) + logv1(y + h)) / (h * h)

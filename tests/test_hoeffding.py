@@ -355,6 +355,14 @@ class TestMissingFactor:
         with pytest.raises(DomainError):
             hoeffding_missing_factor([skew] * 2, 0.1, 2)
 
+    @pytest.mark.parametrize("K,error", [
+        (math.nan, DomainError), (0.0, DomainError), (-1.0, DomainError),
+        (math.inf, PreconditionError)])
+    def test_rejects_bad_constant(self, K, error):
+        # a NaN K used to pass the K <= 0 check and give a NaN bound
+        with pytest.raises(error):
+            hoeffding_missing_factor([self._z(3)] * 4, 0.1, 3, K=K)
+
 
 class TestSampleSize:
     def test_order_one_is_classical(self):
@@ -362,6 +370,13 @@ class TestSampleSize:
         n = sample_size_for_ci(mv, t=0.1, alpha=0.05, p=1)
         assert n == classical_sample_size(1.0, 0.1, 0.05)
         assert n == math.ceil(math.log(2 / 0.05) / (2 * 0.01))
+
+    @pytest.mark.parametrize("width", [math.nan, -1.0, 0.0, math.inf])
+    def test_classical_rejects_bad_width(self, width):
+        # NaN reached math.ceil's bare ValueError, and -1.0 gave 185: the
+        # width is only ever squared
+        with pytest.raises(DomainError):
+            classical_sample_size(width, 0.1, 0.05)
 
     def test_never_exceeds_classical(self):
         mv = Uniform(0, 1).moment_vector(3)

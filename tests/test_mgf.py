@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_interval_mv
+from helpers import envelope_derivative, exact_mgf, random_interval_mv
 
 from tailbound import (
     Bernoulli,
@@ -15,14 +15,11 @@ from tailbound import (
     Uniform,
     c_factor,
     c_factor_from_moments,
-    c_factor_via_derivatives,
-    exact_mgf,
     i_measure,
     mgf_bound_sequence,
     mgf_upper_bound,
     restrict_order,
     taylor_remainder,
-    v_derivatives,
 )
 
 E = math.e
@@ -47,9 +44,11 @@ class TestMgfUpperBound:
         assert value == pytest.approx((E - 2) / 3 + 1.5, rel=1e-14)
         assert value >= E - 1  # exact MGF of uniform at s=1
 
-    def test_rejects_negative_s(self):
+    @pytest.mark.parametrize("s", [-0.1, math.nan, math.inf])
+    def test_rejects_s_outside_the_domain(self, s):
+        # NaN and inf used to pass the s < 0 check and return NaN
         with pytest.raises(DomainError):
-            mgf_upper_bound(Uniform(0, 1).moment_vector(2), -0.1)
+            mgf_upper_bound(Uniform(0, 1).moment_vector(2), s)
 
     def test_rejects_nonpositive_upper_bound(self):
         mv = Uniform(-2.0, -1.0).moment_vector(2)
@@ -108,31 +107,38 @@ class TestMgfBoundSequence:
         with pytest.raises(OrderError):
             mgf_bound_sequence(Uniform(0, 1).moment_vector(2), 1.0, [2, 3])
 
+    def test_requires_an_order(self):
+        # an empty list used to reach max() and raise its bare ValueError
+        with pytest.raises(DomainError):
+            mgf_bound_sequence(Uniform(0, 1).moment_vector(2), 1.0, [])
+
 
 class TestVDerivatives:
     def test_values_at_zero(self, rng):
         for _ in range(10):
             mv = random_interval_mv(rng, int(rng.integers(2, 6)))
             b = mv.support.upper
-            assert v_derivatives(mv, 0.0, 0) == 1.0
-            assert v_derivatives(mv, 0.0, 1) == pytest.approx(mv.mu[0] / b)
-            assert v_derivatives(mv, 0.0, 2) == pytest.approx(mv.mu[1] / b ** 2)
+            v0, v1, v2 = (envelope_derivative(mv, 0.0, k) for k in range(3))
+            assert v0 == 1.0
+            assert v1 == pytest.approx(mv.mu[0] / b)
+            assert v2 == pytest.approx(mv.mu[1] / b ** 2)
 
     def test_finite_difference_consistency(self):
         mv = Uniform(0, 1).moment_vector(4)
         h = 1e-6
         for y in (0.1, 1.0, 5.0):
-            fd = (v_derivatives(mv, y + h, 0) - v_derivatives(mv, y, 0)) / h
-            assert fd == pytest.approx(v_derivatives(mv, y, 1), rel=1e-5)
-            fd2 = (v_derivatives(mv, y + h, 1) - v_derivatives(mv, y, 1)) / h
-            assert fd2 == pytest.approx(v_derivatives(mv, y, 2), rel=1e-5)
+            v0, v1, v2 = (envelope_derivative(mv, y, k) for k in range(3))
+            fd = (envelope_derivative(mv, y + h, 0) - v0) / h
+            assert fd == pytest.approx(v1, rel=1e-5)
+            fd2 = (envelope_derivative(mv, y + h, 1) - v1) / h
+            assert fd2 == pytest.approx(v2, rel=1e-5)
 
     def test_second_never_exceeds_first(self, rng):
         for _ in range(30):
             mv = random_interval_mv(rng, int(rng.integers(1, 7)))
             for y in np.linspace(0.0, 10.0, 21):
-                v1 = v_derivatives(mv, float(y), 1)
-                v2 = v_derivatives(mv, float(y), 2)
+                v1 = envelope_derivative(mv, float(y), 1)
+                v2 = envelope_derivative(mv, float(y), 2)
                 assert v2 <= v1 * (1 + 1e-12)
 
     def test_log_convexity_of_first_derivative(self, rng):
@@ -140,13 +146,9 @@ class TestVDerivatives:
         for _ in range(50):
             mv = random_interval_mv(rng, int(rng.integers(2, 7)))
             for y in np.linspace(h, 10.0, 25):
-                f = lambda z: math.log(v_derivatives(mv, z, 1))
+                f = lambda z: math.log(envelope_derivative(mv, z, 1))
                 second = (f(y - h) - 2 * f(y) + f(y + h)) / (h * h)
                 assert second >= -1e-8
-
-    def test_rejects_negative_y(self):
-        with pytest.raises(DomainError):
-            v_derivatives(Uniform(0, 1).moment_vector(2), -1.0, 1)
 
 
 class TestCFactor:
@@ -178,7 +180,8 @@ class TestCFactor:
             mv = random_interval_mv(rng, int(rng.integers(2, 7)))
             for y in np.linspace(0.0, 40.0, 17):
                 closed = c_factor(mv, float(y))
-                via = c_factor_via_derivatives(mv, float(y))
+                via = (envelope_derivative(mv, float(y), 2)
+                       / envelope_derivative(mv, float(y), 1)) ** 2
                 assert closed == pytest.approx(via, rel=1e-12)
 
     def test_range_and_monotonicity(self, rng):
