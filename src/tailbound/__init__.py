@@ -1,134 +1,27 @@
 """Concentration bounds for sums of independent bounded random variables,
-sharpened with information from the variables' first p moments."""
+sharpened with information from the variables' first p moments.
 
-from .bennett import (
-    BennettBound,
-    TightnessComparison,
-    bennett_bound,
-    bennett_p3_lambert,
-    bennett_tightness_check,
-    bennett_unique_root,
-)
-from .distributions import (
-    Bernoulli,
-    Beta,
-    Distribution,
-    PointMass,
-    TruncatedExponential,
-    Uniform,
-    make_distribution,
-)
-from .errors import (
-    ConfigError,
-    DegenerateDistributionError,
-    DomainError,
-    InfeasibleMomentsError,
-    InternalConsistencyError,
-    OracleError,
-    OrderError,
-    PreconditionError,
-    SolverFailureError,
-    TailboundError,
-)
-from .hoeffding import (
-    HoeffdingBound,
-    ci_c_bar,
-    classical_sample_size,
-    hoeffding_bound,
-    hoeffding_iid,
-    hoeffding_limit,
-    hoeffding_missing_factor,
-    hoeffding_small_t,
-    hoeffding_two_sided,
-    sample_size_for_ci,
-)
-from .mgf import (
-    MgfBoundCurve,
-    c_factor,
-    c_factor_from_moments,
-    i_measure,
-    mgf_bound_sequence,
-    mgf_upper_bound,
-)
-from .moments import (
-    EnsembleSpec,
-    MomentVector,
-    Support,
-    moments_from_samples,
-    read_sample_file,
-    reflect_moments,
-    restrict_order,
-    shift_to_origin,
-)
-from .oracle import TailEstimate, brute_root_scan, mc_tail
-from .special import (
-    RootSet,
-    lambert_w0,
-    mills_theta,
-    solve_poly_exp,
-    taylor_remainder,
-)
+Each module lists its public names in its own __all__; the package
+re-exports them all.
+"""
+
+from . import (bennett, distributions, errors, hoeffding, mgf, moments,
+               oracle, special)
+from .bennett import *
+from .distributions import *
+from .errors import *
+from .hoeffding import *
+from .mgf import *
+from .moments import *
+from .oracle import *
+from .special import *
 
 __version__ = "0.1.0"
 # one pure-Python kernel; perfbench/worker.py records this name, so it stays
 kernel_backend = "python"
 
-__all__ = [
-    "kernel_backend",
-    "BennettBound",
-    "TightnessComparison",
-    "bennett_bound",
-    "bennett_p3_lambert",
-    "bennett_tightness_check",
-    "bennett_unique_root",
-    "Bernoulli",
-    "Beta",
-    "Distribution",
-    "PointMass",
-    "TruncatedExponential",
-    "Uniform",
-    "make_distribution",
-    "ConfigError",
-    "DegenerateDistributionError",
-    "DomainError",
-    "InfeasibleMomentsError",
-    "InternalConsistencyError",
-    "OracleError",
-    "OrderError",
-    "PreconditionError",
-    "SolverFailureError",
-    "TailboundError",
-    "HoeffdingBound",
-    "ci_c_bar",
-    "classical_sample_size",
-    "hoeffding_bound",
-    "hoeffding_iid",
-    "hoeffding_limit",
-    "hoeffding_missing_factor",
-    "hoeffding_small_t",
-    "hoeffding_two_sided",
-    "sample_size_for_ci",
-    "MgfBoundCurve",
-    "c_factor",
-    "c_factor_from_moments",
-    "i_measure",
-    "mgf_bound_sequence",
-    "mgf_upper_bound",
-    "EnsembleSpec",
-    "MomentVector",
-    "Support",
-    "moments_from_samples",
-    "read_sample_file",
-    "reflect_moments",
-    "restrict_order",
-    "shift_to_origin",
-    "TailEstimate",
-    "brute_root_scan",
-    "mc_tail",
-    "RootSet",
-    "lambert_w0",
-    "mills_theta",
-    "solve_poly_exp",
-    "taylor_remainder",
-    "__version__",
-]
+__all__ = ["kernel_backend", "__version__"]
+for _module in (bennett, distributions, errors, hoeffding, mgf, moments,
+                oracle, special):
+    __all__ += _module.__all__
+del _module

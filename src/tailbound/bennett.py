@@ -36,6 +36,11 @@ from .moments import (
 )
 from .special import RootSet, poly_exp_residual, solve_poly_exp
 
+__all__ = [
+    "BennettBound", "TightnessComparison", "bennett_bound",
+    "bennett_p3_lambert", "bennett_tightness_check", "bennett_unique_root",
+]
+
 
 class BennettBound(Record):
     """One bound evaluation with the transcendental-equation bookkeeping.
@@ -191,7 +196,7 @@ def bennett_bound(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
     t = checked_threshold(t)
     b, agg = aggregate_moments(spec, p)
     alpha = _alpha_coefficients(t, b, p, agg)
-    roots = solve_poly_exp(alpha, p - 2)
+    roots = solve_poly_exp(alpha)
     return _build(t, b, p, agg, alpha, roots)
 
 
@@ -214,7 +219,7 @@ def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
         raise PreconditionError(
             f"b*mu2 >= mu3 must hold for exact positive-part third moments; "
             f"got b*mu2 = {b * mu2}, mu3 = {mu3}")
-    roots = solve_poly_exp(alpha, 1)
+    roots = solve_poly_exp(alpha)
     y = roots.roots[0]
     # backward-error scale: the subtraction alpha0 - alpha1*y is itself only
     # accurate to eps times the magnitude of its operands
@@ -239,7 +244,7 @@ def bennett_unique_root(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
         for k, m in zip(range(2, p + 1), agg)
     )
     alpha = _alpha_coefficients(t, b, p, agg)
-    roots = solve_poly_exp(alpha, p - 2).roots
+    roots = solve_poly_exp(alpha).roots
     if len(roots) != 1:
         raise InternalConsistencyError(
             f"expected a single root under the odd-moment sign condition; "

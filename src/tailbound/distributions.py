@@ -19,6 +19,11 @@ from .special import _exp
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = [
+    "Bernoulli", "Beta", "Distribution", "PointMass", "TruncatedExponential",
+    "Uniform", "make_distribution",
+]
+
 
 class Distribution(Record):
     """Interface shared by the concrete laws below. Each law's fields are its
@@ -394,31 +399,23 @@ def _kummer_asymptotic(alpha: float, gamma: float,
                    + (alpha - gamma) * log_s)
 
 
-_FACTORIES = {
-    "uniform": lambda params: Uniform(params.pop("lo", 0.0), params.pop("hi", 1.0)),
-    "bernoulli": lambda params: Bernoulli(params.pop("q")),
-    "point": lambda params: PointMass(params.pop("c"), params.pop("lo", None),
-                                      params.pop("hi", None)),
-    "beta": lambda params: Beta(params.pop("a"), params.pop("b")),
-    "truncexp": lambda params: TruncatedExponential(params.pop("b", 1.0),
-                                                    params.pop("rate", 1.0)),
-}
+_LAWS = {law.tag: law for law in
+         (Uniform, Bernoulli, PointMass, Beta, TruncatedExponential)}
 _ALIASES = {"truncated-exponential": "truncexp"}
 
 
 def make_distribution(tag: str, **params) -> Distribution:
-    """Build a distribution from its string tag and keyword parameters."""
-    key = _ALIASES.get(tag, tag)
-    factory = _FACTORIES.get(key)
-    if factory is None:
+    """Build a distribution from its string tag and keyword parameters: the
+    law's fields, of which those without a default are required."""
+    law = _LAWS.get(_ALIASES.get(tag, tag))
+    if law is None:
         raise ConfigError(
-            f"unknown distribution tag {tag!r}; known: "
-            f"{sorted(_FACTORIES)}")
-    params = dict(params)
-    try:
-        dist = factory(params)
-    except KeyError as exc:
-        raise ConfigError(f"distribution {tag!r} needs parameter {exc}") from None
+            f"unknown distribution tag {tag!r}; known: {sorted(_LAWS)}")
+    fields = law._fields
+    for name in fields[:len(fields) - len(law.__init__.__defaults__ or ())]:
+        if name not in params:
+            raise ConfigError(f"distribution {tag!r} needs parameter {name!r}")
+    dist = law(**{name: params.pop(name) for name in fields if name in params})
     if params:
         raise ConfigError(
             f"unused parameters for {tag!r}: {sorted(params)}")

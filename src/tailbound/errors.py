@@ -4,6 +4,12 @@ Everything raised on purpose by this package derives from TailboundError so
 callers can catch one type. The CLI maps subclasses to exit codes.
 """
 
+__all__ = [
+    "ConfigError", "DegenerateDistributionError", "DomainError",
+    "InfeasibleMomentsError", "InternalConsistencyError", "OracleError",
+    "OrderError", "PreconditionError", "SolverFailureError", "TailboundError",
+]
+
 
 class TailboundError(Exception):
     """Base class for all tailbound errors."""

@@ -31,6 +31,7 @@ from .mgf import c_factor_from_moments, i_measure
 from .moments import (
     EnsembleSpec,
     MomentVector,
+    checked_count,
     checked_order,
     checked_threshold,
     expand_runs,
@@ -41,6 +42,12 @@ from .moments import (
     weighted_sum,
 )
 from .special import mills_theta
+
+__all__ = [
+    "HoeffdingBound", "ci_c_bar", "classical_sample_size", "hoeffding_bound",
+    "hoeffding_iid", "hoeffding_limit", "hoeffding_missing_factor",
+    "hoeffding_small_t", "hoeffding_two_sided", "sample_size_for_ci",
+]
 
 MODES = ("one_sided", "two_sided", "iid", "small_t", "limit_p_infinity",
          "missing_factor")
@@ -96,10 +103,11 @@ class HoeffdingBound(Record):
         )
 
 
-def _origin_groups(vectors, p: int):
-    """Shift each group's vector to [0, width] once.
+def _origin_groups(vectors, p: int, move):
+    """Move each group's vector onto [0, width] once, with shift_to_origin
+    (Y - a) or reflect_moments (b - Y).
 
-    Returns the shifted vectors trimmed to order p and their d values (None
+    Returns the moved vectors trimmed to order p and their d values (None
     for a vector with fewer than two moments), one of each per group.
     """
     vs = []
@@ -108,11 +116,11 @@ def _origin_groups(vectors, p: int):
         if mv.support.lower is None:
             raise DomainError(
                 "these bounds need variables bounded on both sides")
-        shifted = shift_to_origin(mv)
-        v = restrict_order(shifted, p)
+        moved = move(mv)
+        v = restrict_order(moved, p)
         v.require_positive_mean()
         vs.append(v)
-        ds.append(_d_value(shifted) if shifted.p >= 2 else None)
+        ds.append(_d_value(moved) if moved.p >= 2 else None)
     return vs, ds
 
 
@@ -148,17 +156,20 @@ def _range_error(exc: ArithmeticError) -> DomainError:
     return DomainError(f"the bound's factors leave the float range ({exc})")
 
 
+def _factor(t: float, w: float, d_n: float, v: MomentVector) -> float:
+    """The factor c(4 t w / D_n) of a variable on [0, w] with moments v.mu."""
+    return c_factor_from_moments(4.0 * t * w / d_n, w, v.mu)
+
+
 def _one_sided(vectors, counts, t: float, p: int):
     """Per-group factors, d_n and sum_i b_i^2 c_i of the one-sided bound."""
     try:
-        vs, ds = _origin_groups(vectors, p)
+        vs, ds = _origin_groups(vectors, p, shift_to_origin)
         d_n = None if None in ds else weighted_sum(ds, counts)
         if p == 1:
             cs = [1.0] * len(vs)
         else:
-            cs = [c_factor_from_moments(4.0 * t * v.support.upper / d_n,
-                                        v.support.upper, v.mu)
-                  for v in vs]
+            cs = [_factor(t, v.support.upper, d_n, v) for v in vs]
         denom = weighted_sum(
             [v.support.upper ** 2 * c for v, c in zip(vs, cs)], counts)
     except FLOAT_RANGE_ERRORS as exc:
@@ -180,42 +191,12 @@ def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
     The one-sided bound on a single group of n copies at threshold n*t;
     the record keeps the one factor c that every copy shares.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1; got {n}")
+    n = checked_count(n)
     t = checked_threshold(t)
     p = checked_order(p)
     t_abs = n * t
     cs, d_n, denom = _one_sided((mv,), (n,), t_abs, p)
     return _record("iid", t_abs, p, cs, (1,), 1, d_n, denom)
-
-
-def _two_sided(vectors, counts, t: float, p: int):
-    """Per-group factors, d_n and sum_i w_i^2 c_i of the two-sided bound."""
-    try:
-        shifted, ds = _origin_groups(vectors, p)
-        reflected = []
-        for mv in vectors:
-            r = restrict_order(reflect_moments(mv), p)
-            r.require_positive_mean()
-            reflected.append(r)
-        if p == 1:
-            cs = [1.0] * len(shifted)
-            d_n = None
-        else:
-            d_n = weighted_sum(ds, counts)
-            d_n_lam = weighted_sum([_d_value(r) for r in reflected], counts)
-            cs = []
-            for s, r in zip(shifted, reflected):
-                w = s.support.upper
-                cs.append(max(
-                    c_factor_from_moments(4.0 * t * w / d_n, w, s.mu),
-                    c_factor_from_moments(4.0 * t * w / d_n_lam, w, r.mu),
-                ))
-        denom = weighted_sum(
-            [s.support.upper ** 2 * c for s, c in zip(shifted, cs)], counts)
-    except FLOAT_RANGE_ERRORS as exc:
-        raise _range_error(exc) from None
-    return cs, d_n, denom
 
 
 def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
@@ -229,7 +210,22 @@ def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
     t = checked_threshold(t)
     p = checked_order(p)
     spec = EnsembleSpec(variables)
-    cs, d_n, denom = _two_sided(spec.vectors, spec.counts, t, p)
+    try:
+        shifted, ds = _origin_groups(spec.vectors, p, shift_to_origin)
+        reflected, ds_lam = _origin_groups(spec.vectors, p, reflect_moments)
+        if p == 1:
+            cs = [1.0] * len(shifted)
+            d_n = None
+        else:
+            d_n = weighted_sum(ds, spec.counts)
+            d_n_lam = weighted_sum(ds_lam, spec.counts)
+            cs = [max(_factor(t, s.support.upper, d_n, s),
+                      _factor(t, s.support.upper, d_n_lam, r))
+                  for s, r in zip(shifted, reflected)]
+        denom = weighted_sum([s.support.upper ** 2 * c
+                              for s, c in zip(shifted, cs)], spec.counts)
+    except FLOAT_RANGE_ERRORS as exc:
+        raise _range_error(exc) from None
     return _record("two_sided", t, p, cs, spec.counts, spec.n, d_n, denom,
                    factor=2.0)
 
@@ -242,8 +238,7 @@ def hoeffding_small_t(mv: MomentVector, n: int, t: float, c: float,
     evaluated at the fixed scale c instead of the t-dependent argument,
     which loosens the bound slightly but decouples it from t.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1; got {n}")
+    n = checked_count(n)
     t = checked_threshold(t)
     p = checked_order(p)
     if mv.p < 2:
@@ -313,7 +308,7 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
 
     Inputs are the moment vectors of Z_i = X_i + b_i on [0, 2 b_i] (so
     b_i = E Z_i). The exponential factor uses the improvement factors at
-    8*t*b_i/D_n with scale 2*b_i; multiplying by the Gaussian-tail term
+    4*t*(2 b_i)/D_n with scale 2*b_i; multiplying by the Gaussian-tail term
     theta(t/sigma) + K*b/sigma recovers the 1/x factor plain exponential
     bounds are missing. K is a free universal constant; validity of the
     admissible range t <= sigma^2/(K*b) depends on its true value.
@@ -324,7 +319,8 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
     p = checked_order(p)
     if not K > 0.0:
         raise DomainError(f"K must be positive; got {K}")
-    vectors, counts = identity_runs(tuple(shifted))
+    spec = EnsembleSpec(shifted)
+    vectors, counts = spec.vectors, spec.counts
     vs = []
     bs = []
     for mv in vectors:
@@ -339,8 +335,9 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
                 f"upper/2 = {v.support.upper / 2.0}, got {b_i}")
         vs.append(v)
         bs.append(b_i)
+    has_second = all(mv.p >= 2 for mv in vectors)
     if sigma2 is None:
-        if any(mv.p < 2 for mv in vectors):
+        if not has_second:
             raise OrderError("deriving the variance needs second moments; "
                              "pass sigma2 explicitly")
         sigma2 = weighted_sum(
@@ -354,24 +351,21 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
             f"missing-factor form needs t <= sigma^2/(K*b) = "
             f"{sigma2 / (K * b_max)}; got t = {t}")
     try:
+        d_n = None
+        if has_second:
+            d_n = weighted_sum([mv.mu[1] / mv.mu[0] for mv in vectors], counts)
+        # the variables live on [0, 2 b_i]
+        ws = [2.0 * b for b in bs]
         if p == 1:
             cs = [1.0] * len(vs)
-            d_n = None
-            if all(mv.p >= 2 for mv in vectors):
-                d_n = weighted_sum([mv.mu[1] / mv.mu[0] for mv in vectors],
-                                   counts)
         else:
-            d_n = weighted_sum([v.mu[1] / v.mu[0] for v in vs], counts)
-            cs = [c_factor_from_moments(8.0 * t * b / d_n, 2.0 * b, v.mu)
-                  for v, b in zip(vs, bs)]
-        # the variables live on [0, 2 b_i]
-        denom = weighted_sum(
-            [(2.0 * b) * (2.0 * b) * c for b, c in zip(bs, cs)], counts)
+            cs = [_factor(t, w, d_n, v) for v, w in zip(vs, ws)]
+        denom = weighted_sum([w * w * c for w, c in zip(ws, cs)], counts)
     except FLOAT_RANGE_ERRORS as exc:
         raise _range_error(exc) from None
     tail_factor = mills_theta(t / sigma) + K * b_max / sigma
-    return _record("missing_factor", t, p, cs, counts, len(shifted), d_n,
-                   denom, factor=tail_factor)
+    return _record("missing_factor", t, p, cs, counts, spec.n, d_n, denom,
+                   factor=tail_factor)
 
 
 def ci_c_bar(mv: MomentVector, t: float, p: int) -> float:

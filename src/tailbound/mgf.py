@@ -21,6 +21,11 @@ from .errors import DegenerateDistributionError, DomainError, OrderError
 from .moments import MomentVector, restrict_order
 from .special import taylor_remainder
 
+__all__ = [
+    "MgfBoundCurve", "c_factor", "c_factor_from_moments", "i_measure",
+    "mgf_bound_sequence", "mgf_upper_bound",
+]
+
 # beyond this the exp(y) terms are factored out of the C ratio to avoid
 # overflow; the two branches agree to machine precision at the seam
 _FACTOR_OUT_Y = 30.0

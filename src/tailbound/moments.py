@@ -26,6 +26,11 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
+__all__ = [
+    "EnsembleSpec", "MomentVector", "Support", "moments_from_samples",
+    "read_sample_file", "reflect_moments", "restrict_order", "shift_to_origin",
+]
+
 _REL_TOL = 1e-9
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
@@ -67,10 +72,11 @@ class Support(Record):
     def is_nonnegative(self) -> bool:
         return self.lower is not None and self.lower >= 0.0
 
-    def contains(self, x: float, tol: float = 1e-12) -> bool:
-        if x > self.upper + tol:
+    def contains(self, x: float) -> bool:
+        """Whether x lies in the support, within 1e-12."""
+        if x > self.upper + 1e-12:
             return False
-        return self.lower is None or x >= self.lower - tol
+        return self.lower is None or x >= self.lower - 1e-12
 
 
 class MomentVector(Record):
@@ -168,10 +174,6 @@ class MomentVector(Record):
         if not 1 <= k <= self.p:
             raise OrderError(f"moment of order {k} not available (p = {self.p})")
         return self.mu[k - 1]
-
-    @property
-    def mean(self) -> float:
-        return self.mu[0]
 
     def require_positive_mean(self):
         if self.mu[0] <= 0.0:
@@ -313,6 +315,18 @@ def checked_order(p: int) -> int:
     return p
 
 
+def checked_count(n: int) -> int:
+    """n, if it is a positive integer count of variables."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise DomainError(
+            f"the number of variables must be an integer; got {n!r}") from None
+    if n < 1:
+        raise DomainError(f"need n >= 1 variables; got {n}")
+    return n
+
+
 def checked_threshold(t: float) -> float:
     """t as a float, if it is a positive, finite deviation threshold."""
     t = float(t)
@@ -379,9 +393,7 @@ class EnsembleSpec(Record):
 
     @classmethod
     def iid_replicate(cls, mv: MomentVector, n: int) -> "EnsembleSpec":
-        n = index(n)
-        if n < 1:
-            raise DomainError(f"need n >= 1 variables; got {n}")
+        n = checked_count(n)
         spec = cls.__new__(cls)
         spec._set((mv,), (n,), n)
         return spec

@@ -13,7 +13,10 @@ import math
 from ._record import Record, setfield
 from .distributions import Distribution
 from .errors import DomainError, OracleError
+from .moments import checked_count
 from .special import RootSet
+
+__all__ = ["TailEstimate", "brute_root_scan", "mc_tail"]
 
 # trials per sampling block; fixed so results are reproducible per seed
 _BLOCK = 1 << 16
@@ -37,8 +40,9 @@ class TailEstimate(Record):
         setfield(self, "trials", trials)
         setfield(self, "seed", seed)
 
-    def compatible_with_bound(self, bound: float, sigmas: float = 3.0) -> bool:
-        return self.probability <= bound + sigmas * self.stderr
+    def compatible_with_bound(self, bound: float) -> bool:
+        """Whether the estimate is within three standard errors of bound."""
+        return self.probability <= bound + 3.0 * self.stderr
 
 
 def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
@@ -49,8 +53,7 @@ def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
     blocked to bound memory, with a fixed block size so the stream of
     draws does not depend on available RAM.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1; got {n}")
+    n = checked_count(n)
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials; got {trials}")
     import numpy as np

@@ -13,6 +13,11 @@ from functools import partial
 from ._record import Record, setfield
 from .errors import DomainError, PreconditionError, SolverFailureError
 
+__all__ = [
+    "RootSet", "lambert_w0", "mills_theta", "solve_poly_exp",
+    "taylor_remainder",
+]
+
 _EPS = 2.220446049250313e-16
 _EXP_MAX = 709.782712893384
 _INV_E = 0.36787944117144233
@@ -54,7 +59,9 @@ def taylor_remainder(p: int, x: float) -> float:
     |x| <= p/2 the tail series sum_{j>=p-1} x^j/j! is summed directly,
     which avoids the cancellation of exp(x) against the polynomial; the
     terms then shrink by at least a factor 2 per step so the alternating
-    case is stable too.
+    case is stable too. Where a term of either sum overflows, the value is
+    taken again from _overflowed_remainder: it is inf or -inf only where
+    the remainder itself leaves the float range.
     """
     if not isinstance(p, int) or p < 1:
         raise DomainError(f"order must be a positive integer; got {p!r}")
@@ -72,13 +79,51 @@ def taylor_remainder(p: int, x: float) -> float:
             term *= x / j
             total += term
             if abs(term) <= _EPS * abs(total) or j > p + 400:
-                return total
-    poly = 0.0
-    term = 1.0
-    for j in range(p - 1):
-        poly += term
-        term *= x / (j + 1)
-    return _exp(x) - poly
+                break
+    else:
+        poly = 0.0
+        term = 1.0
+        for j in range(p - 1):
+            poly += term
+            term *= x / (j + 1)
+        total = _exp(x) - poly
+    if math.isfinite(total) or not math.isfinite(x):
+        return total
+    return _overflowed_remainder(p, x)
+
+
+def _overflowed_remainder(p: int, x: float) -> float:
+    """taylor_remainder(p, x) for a finite x at which a term of its sums
+    overflowed (|x| > 700).
+
+    Below x = -(p - 2) the polynomial's terms grow up to its top one, which
+    dominates: Horner's rule sums it with no term larger than the result.
+    Elsewhere the tail series sum_{j>=p-1} x^j/j! is summed as its first
+    term, kept as the logarithm L of its size, times the sum S of the
+    terms divided by it, and stops at +-inf once L + log S overflows. Its
+    terms shrink from j = |x| on; for x < 0 that is from the start, and
+    S >= 1 - |x|/p >= 2/p.
+    """
+    if -x > p - 2:
+        poly = 1.0
+        for j in range(p - 2, 0, -1):
+            poly = 1.0 + poly * (x / j)
+        return _exp(x) - poly
+    log_first = (p - 1) * math.log(abs(x)) - math.lgamma(p)
+    # the sign of the first term x^(p-1)
+    sign = -1.0 if x < 0.0 and p % 2 == 0 else 1.0
+    if x < 0.0 and log_first + math.log(2.0 / p) > _EXP_MAX:
+        return sign * math.inf
+    limit = _exp(_EXP_MAX - log_first)
+    total = term = 1.0
+    j = p - 1
+    while j < abs(x) or abs(term) > _EPS * total:
+        j += 1
+        term *= x / j
+        total += term
+        if total > limit:
+            return sign * math.inf
+    return sign * _exp(log_first + math.log(total))
 
 
 def lambert_w0(x: float) -> float:
@@ -172,32 +217,29 @@ def _erfcx(x: float) -> float:
     return 1.0 / (_SQRT_PI * f)
 
 
-def solve_poly_exp(alpha, q: int | None = None) -> RootSet:
-    """Positive roots of alpha[0] - sum_{j=1}^{q} alpha[j]*x^j = exp(x).
+def solve_poly_exp(alpha) -> RootSet:
+    """Positive roots of alpha[0] - sum_{j>=1} alpha[j]*x^j = exp(x), an
+    equation of degree len(alpha) - 1.
 
     alpha[0] > 1 guarantees at least one positive root. Degree 0 and degree
     1 with a positive linear coefficient have closed forms (log and Lambert
     W), each with its single root; everything else goes to poly_exp_roots.
     """
     alpha = tuple(float(a) for a in alpha)
-    if q is None:
-        q = len(alpha) - 1
-    if q < 0 or len(alpha) != q + 1:
-        raise DomainError(
-            f"need {q + 1} coefficients for degree {q}; got {len(alpha)}")
+    if not alpha:
+        raise DomainError("need at least the coefficient alpha[0]; got none")
     if not alpha[0] > 1.0:
         raise PreconditionError(
             f"alpha[0] must exceed 1 for a positive root to exist; "
             f"got {alpha[0]}")
 
     # trailing zero coefficients do not change the equation
-    while q >= 1 and alpha[q] == 0.0:
-        alpha = alpha[:q]
-        q -= 1
+    while len(alpha) > 1 and alpha[-1] == 0.0:
+        alpha = alpha[:-1]
 
-    if q == 0:
+    if len(alpha) == 1:
         return RootSet((math.log(alpha[0]),), True)
-    if q == 1 and alpha[1] > 0.0:
+    if len(alpha) == 2 and alpha[1] > 0.0:
         z = alpha[0] / alpha[1]
         return RootSet((z - lambert_w0_exp(z - math.log(alpha[1])),), True)
     return poly_exp_roots(alpha)

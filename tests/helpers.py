@@ -78,7 +78,7 @@ def bennett_bound_generic(spec, t, p):
     reference for the closed forms that bennett_bound takes at p = 2, 3."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr("tailbound.bennett.solve_poly_exp",
-                  lambda alpha, q: poly_exp_roots(alpha))
+                  poly_exp_roots)
         return bennett_bound(spec, t, p)
 
 

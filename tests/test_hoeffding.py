@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from helpers import random_interval_mv
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tailbound import (
     Bernoulli,
@@ -14,8 +16,10 @@ from tailbound import (
     PointMass,
     PreconditionError,
     Support,
+    MomentVector,
     TailboundError,
     Uniform,
+    c_factor_from_moments,
     ci_c_bar,
     classical_sample_size,
     hoeffding_bound,
@@ -25,9 +29,13 @@ from tailbound import (
     hoeffding_small_t,
     hoeffding_two_sided,
     i_measure,
+    mc_tail,
     mills_theta,
     moments_from_samples,
+    reflect_moments,
+    restrict_order,
     sample_size_for_ci,
+    shift_to_origin,
 )
 
 E = math.e
@@ -95,6 +103,31 @@ class TestOneSided:
         result = hoeffding_bound(uniform_spec(2, 10), 2.0, 2)
         denom = sum(result.c_values)  # b_i = 1
         assert result.s_star == pytest.approx(4 * 2.0 / denom, rel=1e-14)
+
+
+class TestCounts:
+    """One count check for every bound that takes n, and the oracle."""
+
+    def _calls(self):
+        mv = Uniform(0, 1).moment_vector(3)
+        return [lambda n: hoeffding_iid(mv, n, 0.1, 2),
+                lambda n: hoeffding_small_t(mv, n, 0.001, 1.0, 2),
+                lambda n: EnsembleSpec.iid_replicate(mv, n),
+                lambda n: mc_tail(Uniform(0, 1), n, 0.1, trials=1000)]
+
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_non_integer_counts_rejected(self, n):
+        # hoeffding_iid and hoeffding_small_t returned bounds for 2.5
+        # variables, iid_replicate and mc_tail raised a bare TypeError
+        for call in self._calls():
+            with pytest.raises(DomainError, match="must be an integer"):
+                call(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_counts_below_one_rejected_with_one_message(self, n):
+        for call in self._calls():
+            with pytest.raises(DomainError, match=r"need n >= 1 variables"):
+                call(n)
 
 
 class TestIid:
@@ -350,6 +383,12 @@ class TestMissingFactor:
         with pytest.raises(PreconditionError):
             hoeffding_missing_factor([z] * n, 100.0, 2, K=1.0)
 
+    @pytest.mark.parametrize("sigma2", [None, 1.0])
+    def test_rejects_empty_input(self, sigma2):
+        # with sigma2 given, max() of no ranges raised a bare ValueError
+        with pytest.raises(DomainError, match="at least one variable"):
+            hoeffding_missing_factor([], 0.1, 2, sigma2=sigma2)
+
     def test_rejects_uncentered_input(self):
         skew = Beta(2.0, 5.0).moment_vector(2)  # E Z = 2/7 != upper/2
         with pytest.raises(DomainError):
@@ -427,3 +466,197 @@ class TestSerialization:
         record = hoeffding_bound(uniform_spec(2, 2), 0.5, 2).to_json_dict()
         assert set(record) == {"t", "p", "bound", "c_values", "d_n", "s_star",
                                "mode"}
+
+
+# the records written out: one c per group, weighted sums taken in group
+# order from 0, and the arithmetic of each formula in its printed order
+
+
+def _sum(values, counts):
+    total = 0
+    for value, count in zip(values, counts):
+        total += value * count
+    return total
+
+
+def _record_by_formula(mode, t, p, cs, counts, d_n, denom, factor=1.0):
+    c_values = tuple(c for c, count in zip(cs, counts) for _ in range(count))
+    return HoeffdingBound(
+        t=t, p=p, bound=min(factor * math.exp(-2.0 * t * t / denom), 1.0),
+        c_values=c_values, d_n=d_n, s_star=4.0 * t / denom, mode=mode)
+
+
+def _moved(groups, p, move):
+    moved = [move(mv) for mv, _ in groups]
+    return ([restrict_order(m, p) for m in moved],
+            [(m.mu[1] / m.mu[0]) ** 2 if m.p >= 2 else None for m in moved])
+
+
+def _factor(t, w, d_n, v):
+    return c_factor_from_moments(4.0 * t * w / d_n, w, v.mu)
+
+
+def one_sided_by_formula(groups, t, p):
+    counts = [count for _, count in groups]
+    vs, ds = _moved(groups, p, shift_to_origin)
+    d_n = None if None in ds else _sum(ds, counts)
+    ws = [v.support.upper for v in vs]
+    cs = ([1.0] * len(vs) if p == 1 else
+          [_factor(t, w, d_n, v) for v, w in zip(vs, ws)])
+    denom = _sum([w ** 2 * c for w, c in zip(ws, cs)], counts)
+    return cs, d_n, denom
+
+
+def two_sided_by_formula(groups, t, p):
+    counts = [count for _, count in groups]
+    vs, ds = _moved(groups, p, shift_to_origin)
+    rs, dls = _moved(groups, p, reflect_moments)
+    ws = [v.support.upper for v in vs]
+    if p == 1:
+        cs, d_n = [1.0] * len(vs), None
+    else:
+        d_n, d_l = _sum(ds, counts), _sum(dls, counts)
+        cs = [max(_factor(t, w, d_n, v), _factor(t, w, d_l, r))
+              for v, r, w in zip(vs, rs, ws)]
+    denom = _sum([w ** 2 * c for w, c in zip(ws, cs)], counts)
+    return _record_by_formula("two_sided", t, p, cs, counts, d_n, denom,
+                              factor=2.0)
+
+
+def missing_factor_by_formula(groups, t, p, K, sigma2):
+    counts = [count for _, count in groups]
+    vs = [restrict_order(mv, p) for mv, _ in groups]
+    bs = [v.mu[0] for v in vs]
+    if sigma2 is None:
+        sigma2 = _sum([mv.mu[1] - b * b for (mv, _), b in zip(groups, bs)],
+                      counts)
+    sigma = math.sqrt(sigma2)
+    if p == 1:
+        cs = [1.0] * len(vs)
+        d_n = None
+        if all(mv.p >= 2 for mv, _ in groups):
+            d_n = _sum([mv.mu[1] / mv.mu[0] for mv, _ in groups], counts)
+    else:
+        d_n = _sum([v.mu[1] / v.mu[0] for v in vs], counts)
+        cs = [c_factor_from_moments(8.0 * t * b / d_n, 2.0 * b, v.mu)
+              for v, b in zip(vs, bs)]
+    denom = _sum([(2.0 * b) * (2.0 * b) * c for b, c in zip(bs, cs)], counts)
+    factor = mills_theta(t / sigma) + K * max(bs) / sigma
+    return _record_by_formula("missing_factor", t, p, cs, counts, d_n, denom,
+                              factor=factor)
+
+
+def hexed(record):
+    """The record's fields with every float as its exact bits."""
+    def one(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(map(one, value))
+        return value
+    return [one(getattr(record, name)) for name in HoeffdingBound._fields]
+
+
+@st.composite
+def atom_vectors(draw, p, lo=None, width=None, symmetric=False):
+    """Moment vectors of discrete laws on [lo, lo + width]; symmetric ones
+    pair each atom x with width - x at the same weight, on lo = 0."""
+    lo = draw(st.floats(-50.0, 50.0)) if lo is None else lo
+    width = draw(st.floats(1e-2, 1e2)) if width is None else width
+    atoms = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(atoms),
+                            max_size=len(atoms)))
+    ys = [lo + x * width for x in atoms]
+    if symmetric:
+        ys += [width - y for y in ys]
+        weights = weights * 2
+    total = math.fsum(weights)
+    mu = [math.fsum(w * y ** k for w, y in zip(weights, ys)) / total
+          for k in range(1, p + 1)]
+    pos = math.fsum(w * max(y ** p, 0.0) for w, y in zip(weights, ys)) / total
+    try:
+        return MomentVector(p, mu, Support.interval(lo, lo + width), pos)
+    except TailboundError:
+        assume(False)
+
+
+@st.composite
+def groups(draw, symmetric=False):
+    """(vector, count) runs of distinct vectors, their order p and a t."""
+    p = draw(st.integers(1, 5))
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        extra = draw(st.integers(0, 2))
+        if symmetric:
+            mv = draw(atom_vectors(p + extra, lo=0.0, symmetric=True))
+        else:
+            mv = draw(atom_vectors(p + extra))
+        out.append((mv, draw(st.integers(1, 5))))
+    return out, p, draw(st.floats(1e-3, 1e2))
+
+
+def variables_of(runs):
+    return [mv for mv, count in runs for _ in range(count)]
+
+
+class TestRecordsMatchTheirFormulas:
+    """Each Hoeffding record, bit for bit, against its formula above. The
+    formulas check nothing: inputs that a bound rejects are not drawn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=groups())
+    def test_one_sided(self, case):
+        runs, p, t = case
+        try:
+            got = hoeffding_bound(EnsembleSpec(variables_of(runs)), t, p)
+        except TailboundError:
+            assume(False)
+        cs, d_n, denom = one_sided_by_formula(runs, t, p)
+        want = _record_by_formula("one_sided", t, p, cs,
+                                  [count for _, count in runs], d_n, denom)
+        assert hexed(got) == hexed(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=groups())
+    def test_two_sided(self, case):
+        runs, p, t = case
+        try:
+            got = hoeffding_two_sided(variables_of(runs), t, p)
+        except TailboundError:
+            assume(False)
+        assert hexed(got) == hexed(two_sided_by_formula(runs, t, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=groups(), n=st.integers(1, 10_000))
+    def test_iid(self, case, n):
+        (mv, _), p, t = case[0][0], case[1], case[2]
+        try:
+            got = hoeffding_iid(mv, n, t, p)
+        except TailboundError:
+            assume(False)
+        cs, d_n, denom = one_sided_by_formula([(mv, n)], n * t, p)
+        want = _record_by_formula("iid", n * t, p, cs, [1], d_n, denom)
+        assert hexed(got) == hexed(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=groups(symmetric=True), share=st.floats(1e-3, 1.0),
+           K=st.floats(0.1, 10.0), derive=st.booleans())
+    def test_missing_factor(self, case, share, K, derive):
+        runs, p, _ = case
+        derive = derive and p >= 2
+        bs = [mv.mu[0] for mv, _ in runs]
+        sigma2 = None if derive else share * _sum([b * b for b in bs],
+                                                  [n for _, n in runs])
+        if derive:
+            sigma2_used = _sum([mv.mu[1] - b * b for (mv, _), b in
+                                zip(runs, bs)], [n for _, n in runs])
+        else:
+            sigma2_used = sigma2
+        t = share * sigma2_used / (K * max(bs))
+        try:
+            got = hoeffding_missing_factor(variables_of(runs), t, p, K,
+                                           sigma2=sigma2)
+        except TailboundError:
+            assume(False)
+        want = missing_factor_by_formula(runs, t, p, K, sigma2)
+        assert hexed(got) == hexed(want)

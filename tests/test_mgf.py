@@ -50,6 +50,11 @@ class TestMgfUpperBound:
         with pytest.raises(DomainError):
             mgf_upper_bound(Uniform(0, 1).moment_vector(2), s)
 
+    def test_huge_argument_is_infinite_not_nan(self):
+        # taylor_remainder(4, 1e200) was inf - inf = NaN, and so was this
+        mv = Uniform(0, 1).moment_vector(3)
+        assert mgf_upper_bound(mv, 1e200) == math.inf
+
     def test_rejects_nonpositive_upper_bound(self):
         mv = Uniform(-2.0, -1.0).moment_vector(2)
         with pytest.raises(DomainError):

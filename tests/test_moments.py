@@ -502,6 +502,18 @@ class TestEnsembleSpec:
         with pytest.raises(DomainError):
             EnsembleSpec(())
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, "4", None])
+    def test_replication_rejects_bad_counts(self, n):
+        # a non-integer count was a bare TypeError from operator.index
+        mv = Uniform(0, 1).moment_vector(2)
+        with pytest.raises(DomainError, match="n >= 1 variables|integer"):
+            EnsembleSpec.iid_replicate(mv, n)
+
+    def test_replication_takes_integer_likes(self):
+        mv = Uniform(0, 1).moment_vector(2)
+        spec = EnsembleSpec.iid_replicate(mv, np.int64(7))
+        assert spec.n == 7 and type(spec.n) is int
+
 
 class TestSampleFile:
     def test_plain_values(self, tmp_path):

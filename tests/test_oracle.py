@@ -122,7 +122,7 @@ class TestBruteRootScan:
             inputs.append(alpha)
         for alpha in inputs:
             q = len(alpha) - 1
-            ours = solve_poly_exp(alpha, q)
+            ours = solve_poly_exp(alpha)
             brute = brute_root_scan(alpha, q, resolution=100_000)
             assert len(ours.roots) == len(brute.roots)
             for a, b in zip(ours.roots, brute.roots):

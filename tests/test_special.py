@@ -89,6 +89,40 @@ class TestTaylorRemainder:
         with pytest.raises(DomainError):
             taylor_remainder(0, 1.0)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 50, 1500])
+    @pytest.mark.parametrize("x", [1e200, -1e200, 1e308, -1e308])
+    def test_overflowing_terms_give_the_signed_limit(self, p, x):
+        # at x = 1e200 the polynomial's terms overflow: exp(x) - poly was
+        # inf - inf = NaN, and alternating infinite terms summed to NaN too.
+        # The remainder is then +-inf, with the sign of -x^(p-2) for x < 0
+        got = taylor_remainder(p, x)
+        if x > 0.0:
+            assert got == math.inf
+        elif p <= 3:
+            assert got == taylor_remainder_mp(p, x)
+        else:
+            assert got == (math.inf if p % 2 else -math.inf)
+
+    @pytest.mark.parametrize("p,x", [(1500, 800.0), (1500, -800.0),
+                                     (2000, 1000.0), (2000, -750.0),
+                                     (5000, -1000.0)])
+    def test_finite_values_past_overflowing_terms(self, p, x):
+        # the terms near j = |x| overflow though the remainder, near its
+        # first term x^(p-1)/(p-1)!, does not: these were NaN or inf. The
+        # reference sums the tail series, with digits to spare for its
+        # cancellation when x < 0
+        with mpmath.workdps(int(abs(x)) + 60):
+            xm = mpmath.mpf(x)
+            term = xm ** (p - 1) / mpmath.factorial(p - 1)
+            total, j = term, p - 1
+            while j < abs(x) or abs(term) > abs(total) * mpmath.mpf(10) ** -40:
+                j += 1
+                term *= xm / j
+                total += term
+            want = float(total)
+        assert taylor_remainder(p, x) == pytest.approx(want, rel=1e-11,
+                                                       abs=1e-300)
+
 
 class TestLambertW:
     def test_trivial_points(self):
@@ -130,13 +164,13 @@ class TestLambertW:
 
 class TestSolvePolyExp:
     def test_degree_zero(self):
-        rs = solve_poly_exp([math.e], 0)
+        rs = solve_poly_exp([math.e])
         assert rs.roots == (1.0,)
         assert rs.unique
 
     def test_degree_one_against_bisection(self):
         # exp(x) = 2 - x; unique positive root
-        rs = solve_poly_exp([2.0, 1.0], 1)
+        rs = solve_poly_exp([2.0, 1.0])
         expected = bisect(lambda x: 2.0 - x - math.exp(x), 0.0, 1.0)
         (root,) = rs.roots
         assert root == pytest.approx(expected, rel=1e-12)
@@ -148,20 +182,20 @@ class TestSolvePolyExp:
         for _ in range(100):
             a0 = float(rng.uniform(1.0 + 1e-3, 100.0))
             a1 = float(rng.uniform(0.01, 10.0))
-            closed = solve_poly_exp([a0, a1], 1)
+            closed = solve_poly_exp([a0, a1])
             scanned = poly_exp_roots([a0, a1])
             assert len(scanned.roots) == 1
             assert closed.roots[0] == pytest.approx(scanned.roots[0], rel=1e-10)
 
     def test_negative_linear_coefficient_uses_scan(self):
-        rs = solve_poly_exp([2.0, -3.0], 1)
+        rs = solve_poly_exp([2.0, -3.0])
         (root,) = rs.roots
         assert abs(poly_exp_residual([2.0, -3.0], root)) <= 1e-10 * (
             1 + math.exp(root))
 
     def test_three_roots_found(self):
         alpha = [1.5, 5.0, -4.0]
-        rs = solve_poly_exp(alpha, 2)
+        rs = solve_poly_exp(alpha)
         assert len(rs.roots) == 3
         for r in rs.roots:
             assert abs(poly_exp_residual(alpha, r)) <= 1e-10 * (1 + math.exp(r))
@@ -219,7 +253,7 @@ class TestSolvePolyExp:
 
     def test_rejects_alpha0_at_most_one(self):
         with pytest.raises(PreconditionError):
-            solve_poly_exp([1.0], 0)
+            solve_poly_exp([1.0])
 
 
 class TestMillsTheta:
