@@ -52,7 +52,9 @@ class Distribution(Record):
     def mean(self) -> float:
         return self.moment(1)
 
-    def sample(self, rng: np.random.Generator, size):
+    def sample(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the contiguous float64 array out with independent draws
+        from rng, in place, and return it."""
         raise NotImplementedError
 
     def tilted_first_second(self, s: float) -> tuple[float, float]:
@@ -129,8 +131,16 @@ class Uniform(Distribution):
             # hi^(p+1) can overflow where the moment does not
             return self.hi ** p * (self.hi / (self.hi - self.lo)) / (p + 1)
 
-    def sample(self, rng, size):
-        return rng.uniform(self.lo, self.hi, size)
+    def sample(self, rng, out):
+        # rng.uniform's own arithmetic, lo + (hi - lo) U, in place
+        width = self.hi - self.lo
+        if width == math.inf:
+            raise DomainError(f"cannot sample uniform on [{self.lo}, "
+                              f"{self.hi}]: its width overflows")
+        rng.random(out=out)
+        out *= width
+        out += self.lo
+        return out
 
     def tilted_first_second(self, s):
         # X = lo + w U with U ~ Uniform(0, 1) = Beta(1, 1), and the scaled
@@ -158,8 +168,11 @@ class Bernoulli(Distribution):
     def moments(self, p):
         return (self.q,) * p
 
-    def sample(self, rng, size):
-        return (rng.random(size) < self.q).astype(float)
+    def sample(self, rng, out):
+        import numpy as np
+
+        rng.random(out=out)
+        return np.less(out, self.q, out=out)
 
     def tilted_first_second(self, s):
         # X e^{sX} and X^2 e^{sX} are e^s on X = 1 and 0 on X = 0
@@ -192,10 +205,9 @@ class PointMass(Distribution):
     def positive_part_moment(self, p):
         return max(self.c ** p, 0.0)
 
-    def sample(self, rng, size):
-        import numpy as np
-
-        return np.full(size, self.c)
+    def sample(self, rng, out):
+        out.fill(self.c)
+        return out
 
     def tilted_first_second(self, s):
         e = math.exp(s * (self.c - self.hi))
@@ -227,8 +239,10 @@ class Beta(Distribution):
             out.append(m)
         return tuple(out)
 
-    def sample(self, rng, size):
-        return rng.beta(self.a, self.b, size)
+    def sample(self, rng, out):
+        # numpy's beta sampler has no out argument
+        out[...] = rng.beta(self.a, self.b, out.shape)
+        return out
 
     def tilted_first_second(self, s):
         # E X^k e^{sX} = E(X^k) M(a+k, a+b+k, s): the moment series of the
@@ -292,8 +306,12 @@ class TruncatedExponential(Distribution):
         m = _from_log(*_kummer_scaled(p + 1.0, p + 2.0, a)) / (p + 1)
         return self.b ** p * (a * m)
 
-    def sample(self, rng, size):
-        return self.b - rng.exponential(1.0 / self.rate, size)
+    def sample(self, rng, out):
+        # b - (1/rate) E, with the same roundings, in place
+        rng.standard_exponential(out=out)
+        out *= -1.0 / self.rate
+        out += self.b
+        return out
 
     def tilted_first_second(self, s):
         if s <= -self.rate:

@@ -384,9 +384,18 @@ def ci_c_bar(mv: MomentVector, t: float, p: int) -> float:
 
 def _sample_size(width: float, c: float, t: float, alpha: float) -> int:
     # smallest n >= 1 with 2*exp(-2*n*t^2/(width^2*c)) <= alpha
+    log_term = math.log(2.0 / alpha)
     try:
-        return max(1, math.ceil(
-            math.log(2.0 / alpha) * width * width * c / (2.0 * t * t)))
+        n = log_term * width * width * c / (2.0 * t * t)
+    except ZeroDivisionError:
+        n = math.nan
+    if not n < math.inf:
+        # width^2 or t^2 left the float range (inf/inf is NaN, and t^2 can
+        # underflow to 0); only their ratio matters
+        ratio = width / t
+        n = log_term * ratio * ratio * c / 2.0
+    try:
+        return max(1, math.ceil(n))
     except FLOAT_RANGE_ERRORS as exc:
         raise DomainError(f"the sample size for half-width {t} leaves the "
                           f"float range ({exc})") from None

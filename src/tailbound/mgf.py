@@ -44,13 +44,21 @@ def mgf_upper_bound(mv: MomentVector, s: float) -> float:
     b = mv.support.upper
     if b <= 0.0:
         raise DomainError(f"upper support bound must be positive; got {b}")
-    tail = (mv.positive_part_pth / b ** mv.p) * taylor_remainder(mv.p + 1, s * b)
+    # a zero moment contributes 0 even where its series term overflowed,
+    # which inf * 0 would make NaN
+    pos = mv.positive_part_pth
+    tail = (pos / b ** mv.p) * taylor_remainder(mv.p + 1, s * b) if pos else 0.0
     poly = 0.0
     term = 1.0  # s^j / j!
     for j in range(mv.p):
-        poly += term * mv.moment(j)
+        mu_j = mv.moment(j)
+        if mu_j:
+            poly += term * mu_j
         term *= s / (j + 1)
-    return tail + poly
+    value = tail + poly
+    # parts that overflowed with opposite signs sum to NaN; the envelope
+    # bounds E e^{sX} > 0 from above, and +inf is its conservative value
+    return math.inf if math.isnan(value) else value
 
 
 class MgfBoundCurve(Record):

@@ -51,7 +51,9 @@ def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
 
     Deterministic for a given (seed, trials, distribution); sampling is
     blocked to bound memory, with a fixed block size so the stream of
-    draws does not depend on available RAM.
+    draws does not depend on available RAM. A block of m trials fills
+    n * m consecutive draws, viewed as n rows of m: trial i sums column i,
+    so the reduction is n vector adds, not m short row sums.
     """
     n = checked_count(n)
     if trials < 1000:
@@ -61,12 +63,17 @@ def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
     rng = np.random.default_rng(seed)
     center = n * dist.mean
     block = max(1, _BLOCK // n)
+    # both buffers are reused by every block; the last may use a prefix
+    buffer = np.empty(n * block)
+    sums = np.empty(block)
     hits = 0
     done = 0
     while done < trials:
         m = min(block, trials - done)
-        draws = dist.sample(rng, (m, n))
-        hits += int(np.count_nonzero(draws.sum(axis=1) - center >= t))
+        draws = dist.sample(rng, buffer[:n * m].reshape(n, m))
+        block_sums = np.add.reduce(draws, axis=0, out=sums[:m])
+        block_sums -= center
+        hits += int(np.count_nonzero(block_sums >= t))
         done += m
     prob = hits / trials
     stderr = math.sqrt(prob * (1.0 - prob) / trials)

@@ -56,17 +56,17 @@ def taylor_remainder(p: int, x: float) -> float:
     """Tail of the exponential series: exp(x) - sum_{j=0}^{p-2} x^j/j!.
 
     taylor_remainder(1, x) is exp(x) itself (empty polynomial). For
-    |x| <= p/2 the tail series sum_{j>=p-1} x^j/j! is summed directly,
-    which avoids the cancellation of exp(x) against the polynomial; the
-    terms then shrink by at least a factor 2 per step so the alternating
-    case is stable too. Where a term of either sum overflows, the value is
-    taken again from _overflowed_remainder: it is inf or -inf only where
-    the remainder itself leaves the float range.
+    |x| < p the tail series sum_{j>=p-1} x^j/j! is summed directly,
+    which avoids the cancellation of exp(x) against the polynomial; its
+    terms shrink by the ratio r = |x|/j < 1 from the first on, so the
+    alternating case is stable too. Where a term of either sum overflows,
+    the value is taken again from _overflowed_remainder: it is inf or -inf
+    only where the remainder itself leaves the float range.
     """
     if not isinstance(p, int) or p < 1:
         raise DomainError(f"order must be a positive integer; got {p!r}")
     x = float(x)
-    if abs(x) <= 0.5 * p:
+    if abs(x) < p:
         # first tail term x^(p-1)/(p-1)!, built incrementally to dodge
         # overflow of x**(p-1) and factorial separately
         term = 1.0
@@ -74,11 +74,18 @@ def taylor_remainder(p: int, x: float) -> float:
             term *= x / j
         total = term
         j = p - 1
+        # the terms left after term sum to at most |term| r/(1 - r) for
+        # r = |x|/(j + 1) < 1, and the loop stops once that (or |term|
+        # itself, for r <= 1/2) is below eps |total|. That takes O(sqrt(p))
+        # steps at any |x| < p (245 at most, near p = 711): the cap, which
+        # grows with p, is a guard
         while True:
             j += 1
             term *= x / j
             total += term
-            if abs(term) <= _EPS * abs(total) or j > p + 400:
+            r = abs(x) / (j + 1)
+            if (abs(term) * max(r / (1.0 - r), 1.0) <= _EPS * abs(total)
+                    or j > 2 * p + 400):
                 break
     else:
         poly = 0.0

@@ -1,5 +1,6 @@
 """Generators of always-feasible moment vectors for randomized tests, a
-call counter, and mpmath references for the MGF envelope.
+call counter, mpmath references for the MGF envelope, and exact tails of
+sums for the Monte-Carlo oracle.
 
 Finite mixtures of point masses are genuine distributions, so their exact
 moments satisfy every feasibility inequality by construction. The
@@ -123,3 +124,28 @@ def envelope_derivative(mv, y, k):
         value = mu[p] / b ** p * tail + sum(
             mu[j] / b ** j * poly(j) for j in range(k, p))
         return float(value)
+
+
+def irwin_hall_sf(n, x):
+    """P(U_1 + ... + U_n >= x) for independent Uniform(0, 1) variables,
+    as F(n - x) by symmetry, with the Irwin-Hall distribution function
+    F(z) = sum_{k <= z} (-1)^k C(n, k) (z - k)^n / n! summed at n + 40
+    digits, which its cancellation needs."""
+    if x <= 0:
+        return 1.0
+    if x >= n:
+        return 0.0
+    with mpmath.workdps(n + 40):
+        z = mpmath.mpf(n) - x
+        total = mpmath.fsum((-1) ** k * mpmath.binomial(n, k) * (z - k) ** n
+                            for k in range(int(mpmath.floor(z)) + 1))
+        return float(total / mpmath.factorial(n))
+
+
+def binomial_sf(n, q, k):
+    """P(K >= k) for K ~ Binomial(n, q), at 40 digits."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        return float(mpmath.fsum(
+            mpmath.binomial(n, j) * q ** j * (1 - q) ** (n - j)
+            for j in range(max(k, 0), n + 1)))

@@ -206,6 +206,17 @@ class TestSampleSizeCommand:
         assert record["n"] == record["classical_n"]
 
 
+    def test_huge_width(self, capsys):
+        # width^2 and t^2 both overflow: this printed a traceback and
+        # exited 1
+        code, out, _ = run(capsys, "sample-size", "--dist", "uniform",
+                           "--params", "lo=0,hi=1e160", "--t", "1e160",
+                           "--alpha", "0.05", "--p", "1", "--format", "json")
+        assert code == 0
+        (record,) = json.loads(out)
+        assert record["n"] == record["classical_n"] == 2
+
+
 class TestMomentsCommand:
     def test_from_data_file(self, capsys, tmp_path):
         data = tmp_path / "values.txt"

@@ -417,6 +417,21 @@ class TestSampleSize:
         with pytest.raises(DomainError):
             classical_sample_size(width, 0.1, 0.05)
 
+    @pytest.mark.parametrize("width,t", [(1e160, 1e160), (1e-170, 1e-170),
+                                         (1e200, 1e190)])
+    def test_squares_that_leave_the_float_range(self, width, t):
+        # width^2 and t^2 both overflowed (inf/inf) or underflowed (0/0): a
+        # bare ValueError from ceil(NaN), or a DomainError. Only the ratio
+        # width/t enters the sample size
+        want = math.ceil(math.log(2 / 0.05) * (width / t) ** 2 / 2)
+        assert classical_sample_size(width, t, 0.05) == want
+        assert sample_size_for_ci(Uniform(0, width).moment_vector(1), t,
+                                  0.05, 1) == want
+
+    def test_sample_size_beyond_the_float_range(self):
+        with pytest.raises(DomainError):
+            classical_sample_size(1e300, 1e-100, 0.05)
+
     def test_never_exceeds_classical(self):
         mv = Uniform(0, 1).moment_vector(3)
         for alpha in (0.01, 0.05):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from helpers import envelope_derivative, exact_mgf, random_interval_mv
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailbound import (
     Bernoulli,
@@ -54,6 +56,27 @@ class TestMgfUpperBound:
         # taylor_remainder(4, 1e200) was inf - inf = NaN, and so was this
         mv = Uniform(0, 1).moment_vector(3)
         assert mgf_upper_bound(mv, 1e200) == math.inf
+
+    @given(law=st.one_of(
+        st.builds(Uniform, st.floats(-4.0, 0.5), st.floats(0.75, 4.0)),
+        st.builds(PointMass, st.floats(-1.0, 1.0), st.just(-1.0),
+                  st.just(1.0)),
+        st.builds(Bernoulli, st.floats(0.0, 1.0))),
+        p=st.integers(1, 8), log_s=st.floats(0.0, 300.0))
+    @example(law=Uniform(-1.0, 1.0), p=4, log_s=200.0)
+    @example(law=PointMass(-0.5, -1.0, 1.0), p=3, log_s=200.0)
+    @settings(max_examples=300, deadline=None)
+    def test_overflowing_terms_never_give_nan(self, law, p, log_s):
+        # an overflowed s^j/j! times a zero moment (mu_3 of Uniform(-1, 1))
+        # was inf * 0 = NaN, and overflowed terms of opposite signs were
+        # inf - inf
+        value = mgf_upper_bound(law.moment_vector(p), 10.0 ** log_s)
+        assert value == math.inf or math.isfinite(value)
+
+    def test_zero_moments_stay_exact_past_overflowing_terms(self):
+        # every moment of the point mass at 0 is 0, so the envelope is 1
+        mv = PointMass(0.0, -1.0, 1.0).moment_vector(4)
+        assert mgf_upper_bound(mv, 1e200) == 1.0
 
     def test_rejects_nonpositive_upper_bound(self):
         mv = Uniform(-2.0, -1.0).moment_vector(2)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import exact_mgf
+from helpers import binomial_sf, exact_mgf, irwin_hall_sf
 
 from tailbound import (
     Bernoulli,
@@ -21,7 +21,7 @@ from tailbound import (
     mc_tail,
     solve_poly_exp,
 )
-from tailbound import distributions
+from tailbound import distributions, oracle
 
 E = math.e
 
@@ -42,9 +42,12 @@ class TestMcTail:
         est = mc_tail(Uniform(0, 1), n=2, t=0.5, trials=400_000, seed=3)
         assert abs(est.probability - 0.125) <= 3 * est.stderr
 
-    def test_deterministic_for_fixed_seed(self):
-        a = mc_tail(Beta(2, 5), n=6, t=0.4, trials=50_000, seed=99)
-        b = mc_tail(Beta(2, 5), n=6, t=0.4, trials=50_000, seed=99)
+    @pytest.mark.parametrize("dist", [
+        Beta(2, 5), Uniform(-1.0, 2.0), Bernoulli(0.3), PointMass(0.5),
+        TruncatedExponential(1.0, 2.5)])
+    def test_deterministic_for_fixed_seed(self, dist):
+        a = mc_tail(dist, n=6, t=0.4, trials=50_000, seed=99)
+        b = mc_tail(dist, n=6, t=0.4, trials=50_000, seed=99)
         assert a == b
 
     def test_seed_changes_estimate(self):
@@ -60,6 +63,52 @@ class TestMcTail:
     def test_rejects_tiny_trial_counts(self):
         with pytest.raises(DomainError):
             mc_tail(Uniform(0, 1), n=1, t=0.1, trials=10, seed=0)
+
+    # (n, trials, block): the 100_003 trials end in a partial block at each
+    # n, and a block of 64 draws holds 9 trials at n = 7 and one at n = 100
+    SIZES = [(1, 100_003, None), (7, 100_003, None), (100, 100_003, None),
+             (7, 3_001, 64), (100, 3_001, 64)]
+
+    @pytest.mark.parametrize("n,trials,block", SIZES)
+    def test_uniform_sums_match_irwin_hall(self, monkeypatch, n, trials,
+                                           block):
+        if block is not None:
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+        # one standard deviation of the sum above its mean: a tail near 0.16
+        t = math.sqrt(n / 12.0)
+        exact = irwin_hall_sf(n, n / 2.0 + t)
+        est = mc_tail(Uniform(0, 1), n, t, trials=trials, seed=n)
+        assert abs(est.probability - exact) \
+            <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+    @pytest.mark.parametrize("n,trials,block", SIZES)
+    def test_bernoulli_sums_match_the_binomial_tail(self, monkeypatch, n,
+                                                    trials, block):
+        if block is not None:
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+        q = 0.3
+        k = math.ceil(n * q)
+        # halfway between attainable sums, so rounding of the centred sum
+        # cannot move a draw across t
+        t = k + 0.5 - n * q
+        exact = binomial_sf(n, q, k + 1)
+        est = mc_tail(Bernoulli(q), n, t, trials=trials, seed=n)
+        assert abs(est.probability - exact) \
+            <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+    def test_blocks_reuse_one_buffer(self):
+        # twenty blocks of n * m = 65,530 draws: the draws of one block
+        # (512 KiB) and the sums of its trials are all that is held. A
+        # fresh array per block was held beside the previous one
+        n = 10
+        tracemalloc.start()
+        try:
+            mc_tail(Uniform(0, 1), n, 1.0, trials=20 * (oracle._BLOCK // n),
+                    seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * oracle._BLOCK
 
 
 class TestExactMgf:
@@ -197,6 +246,50 @@ class TestBruteRootScan:
         assert peak < 1 << 20
 
 
+class TestSample:
+    """sample(rng, out) fills out in place with the very doubles that
+    numpy's sized calls draw from the same stream: those calls are the
+    reference."""
+
+    SIZED = {
+        "uniform": lambda d, rng, shape: rng.uniform(d.lo, d.hi, shape),
+        "bernoulli": lambda d, rng, shape:
+            (rng.random(shape) < d.q).astype(float),
+        "point": lambda d, rng, shape: np.full(shape, d.c),
+        "beta": lambda d, rng, shape: rng.beta(d.a, d.b, shape),
+        "truncexp": lambda d, rng, shape:
+            d.b - rng.exponential(1.0 / d.rate, shape),
+    }
+
+    @staticmethod
+    def _laws(rng):
+        def scale():
+            return float(10.0 ** rng.uniform(-3.0, 3.0))
+
+        for _ in range(160):
+            lo = float(rng.choice([-1.0, 1.0])) * scale()
+            yield Uniform(lo, lo + scale())
+            yield Bernoulli(float(rng.uniform()))
+            yield PointMass(lo)
+            yield Beta(scale(), scale())
+            yield TruncatedExponential(lo, scale())
+
+    def test_same_doubles_as_the_sized_calls(self):
+        for i, law in enumerate(self._laws(np.random.default_rng(14))):
+            shape = (3, 50) if i % 2 else (150,)
+            want = self.SIZED[law.tag](law, np.random.default_rng(i), shape)
+            out = np.empty(shape)
+            got = law.sample(np.random.default_rng(i), out)
+            assert got is out
+            assert got.tobytes() == want.tobytes(), law
+
+    def test_uniform_width_that_overflows(self):
+        # rng.uniform raised OverflowError here: (hi - lo) U would be inf
+        with pytest.raises(DomainError):
+            Uniform(-1e308, 1e308).sample(np.random.default_rng(0),
+                                          np.empty(4))
+
+
 class TestDistributionFactory:
     def test_known_tags(self):
         assert make_distribution("uniform", lo=0, hi=2).tag == "uniform"
@@ -229,7 +322,7 @@ class TestDistributionFactory:
 
     def test_truncexp_moments_match_sampling(self, rng):
         d = TruncatedExponential(b=1.0, rate=1.5)
-        data = d.sample(rng, 400_000)
+        data = d.sample(rng, np.empty(400_000))
         for k in (1, 2, 3):
             sd = float(np.std(data ** k))
             assert abs(d.moment(k) - float(np.mean(data ** k))) \

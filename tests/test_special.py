@@ -29,6 +29,21 @@ def taylor_remainder_mp(p, x):
                                       for j in range(p - 1)))
 
 
+def taylor_tail_mp(p, x, dps=50):
+    """The same remainder as its tail series sum_{j>=p-1} x^j/j!, summed at
+    dps digits past the turn of its terms at j = |x|: no cancellation
+    against exp(x), and no overflow."""
+    with mpmath.workdps(dps):
+        xm = mpmath.mpf(x)
+        term = xm ** (p - 1) / mpmath.factorial(p - 1)
+        total, j = term, p - 1
+        while j < abs(x) or abs(term) > abs(total) * mpmath.mpf(10) ** -40:
+            j += 1
+            term *= xm / j
+            total += term
+        return float(total)
+
+
 def bisect(f, lo, hi, iters=200):
     flo = f(lo)
     for _ in range(iters):
@@ -111,17 +126,23 @@ class TestTaylorRemainder:
         # first term x^(p-1)/(p-1)!, does not: these were NaN or inf. The
         # reference sums the tail series, with digits to spare for its
         # cancellation when x < 0
-        with mpmath.workdps(int(abs(x)) + 60):
-            xm = mpmath.mpf(x)
-            term = xm ** (p - 1) / mpmath.factorial(p - 1)
-            total, j = term, p - 1
-            while j < abs(x) or abs(term) > abs(total) * mpmath.mpf(10) ** -40:
-                j += 1
-                term *= xm / j
-                total += term
-            want = float(total)
+        want = taylor_tail_mp(p, x, dps=int(abs(x)) + 60)
         assert taylor_remainder(p, x) == pytest.approx(want, rel=1e-11,
                                                        abs=1e-300)
+
+    @pytest.mark.parametrize("p", [5, 50, 1000])
+    def test_matches_the_tail_series_inside_the_order(self, p):
+        # for p/2 < |x| < p, exp(x) minus the polynomial cancelled to the
+        # wrong sign: taylor_remainder(1000, 709.0) was -1.70e293 against
+        # +5.30e283. The tolerance, 1e-12 relative, covers the p roundings
+        # of the first term x^(p-1)/(p-1)! and, where that term overflows,
+        # the rounding of its logarithm (about 700 at p = 1000)
+        for x in [*np.linspace(-p, p, 81)[1:-1], 0.75 * p - 0.5,
+                  p - 0.25, -p + 0.25, 709.0, -710.0]:
+            if abs(x) < p:
+                want = taylor_tail_mp(p, float(x))
+                assert taylor_remainder(p, float(x)) == pytest.approx(
+                    want, rel=1e-12, abs=1e-300), x
 
 
 class TestLambertW:
