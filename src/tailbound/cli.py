@@ -37,8 +37,6 @@ from .moments import (
     EnsembleSpec,
     MomentVector,
     Support,
-    expand_runs,
-    identity_runs,
     moments_from_samples,
     read_sample_file,
 )
@@ -342,12 +340,15 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, (list, tuple)):
-        # each run of one object (an iid factor's n copies) is formatted
-        # once. Runs go by identity: 0.0 == -0.0, yet they print apart
-        items, counts = identity_runs(value)
-        return ";".join(expand_runs([_fmt(v) for v in items], counts,
-                                    len(value)))
+        return ";".join(map(_fmt, value))
     return str(value)
+
+
+def _fmt_groups(values, counts) -> str:
+    """_fmt of values[g] repeated counts[g] times: each group's value (an
+    iid factor's n copies) is formatted once."""
+    return ";".join([";".join((_fmt(v),) * count)
+                     for v, count in zip(values, counts)])
 
 
 def _emit(records: list[dict], columns: list[str], args) -> None:
@@ -404,15 +405,25 @@ def _cmd_bound(args) -> int:
                 t_abs = t * args.n if args.per_var else t
                 if family == "hoeffding":
                     if args.two_sided:
-                        result = hoeffding_two_sided([mv] * args.n, t_abs, p)
+                        result = hoeffding_two_sided(spec, t_abs, p)
                     else:
                         result = hoeffding_bound(spec, t_abs, p)
                 else:
                     result = bennett_bound(spec_p, t_abs, p)
-                rec = {"family": family, **result.to_json_dict()}
-                records.append(rec)
+                records.append(_bound_row(family, result, args.format))
     _emit(records, _BOUND_COLUMNS, args)
     return 0
+
+
+def _bound_row(family: str, result, fmt: str) -> dict:
+    """One output row of `bound`. A Hoeffding record's factors go to CSV
+    as their groups, so c_values is never expanded for it."""
+    if fmt == "csv" and family == "hoeffding":
+        return {"family": family, "t": result.t, "p": result.p,
+                "bound": result.bound, "mode": result.mode,
+                "d_n": result.d_n, "s_star": result.s_star,
+                "c_values": _fmt_groups(result.c_groups, result.c_counts)}
+    return {"family": family, **result.to_json_dict()}
 
 
 def _cmd_compare(args) -> int:
@@ -431,7 +442,8 @@ def _cmd_compare(args) -> int:
         t_abs = t * args.n if args.per_var else t
         classical = hoeffding_bound(spec, t_abs, 1).bound
         if args.limit:
-            new = hoeffding_limit([dist] * args.n, t_abs).bound
+            new = hoeffding_limit(EnsembleSpec.iid_replicate(dist, args.n),
+                                  t_abs).bound
         else:
             new = hoeffding_bound(spec, t_abs, args.p).bound
         records.append({

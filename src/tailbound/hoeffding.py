@@ -61,23 +61,59 @@ class HoeffdingBound(Record):
     improvement factors actually used; s_star the optimizing exponent
     parameter; d_n the aggregate scale the factor arguments were based on
     (None when the inputs do not determine it).
+
+    The factors are stored per group, aligned with the ensemble's groups:
+    c_groups[g] is the factor of the c_counts[g] variables of group g.
+    c_values is a view that expands them, one entry per variable, each time
+    it is read, so a record on n iid copies costs O(1) until then.
+    Equality, hash, repr, pickling and JSON see c_values, as if it were
+    stored.
     """
 
-    __slots__ = _fields = ("t", "p", "bound", "c_values", "d_n", "s_star",
-                           "mode")
+    _fields = ("t", "p", "bound", "c_values", "d_n", "s_star", "mode")
+    __slots__ = ("t", "p", "bound", "c_groups", "c_counts", "d_n", "s_star",
+                 "mode")
 
     def __init__(self, t: float, p: Optional[int], bound: float,
                  c_values: tuple[float, ...], d_n: Optional[float],
                  s_star: float, mode: str):
+        self._set(t, p, bound, *identity_runs(tuple(c_values)), d_n, s_star,
+                  mode)
+
+    @classmethod
+    def _grouped(cls, t: float, p: Optional[int], bound: float,
+                 c_groups: tuple[float, ...], c_counts: tuple[int, ...],
+                 d_n: Optional[float], s_star: float,
+                 mode: str) -> "HoeffdingBound":
+        """The record whose c_values repeats c_groups[g] c_counts[g] times."""
+        record = cls.__new__(cls)
+        record._set(t, p, bound, tuple(c_groups), tuple(c_counts), d_n,
+                    s_star, mode)
+        return record
+
+    def _set(self, t, p, bound, c_groups, c_counts, d_n, s_star, mode):
         if mode not in MODES:
             raise DomainError(f"unknown mode {mode!r}")
         setfield(self, "t", t)
         setfield(self, "p", p)
         setfield(self, "bound", bound)
-        setfield(self, "c_values", c_values)
+        setfield(self, "c_groups", c_groups)
+        setfield(self, "c_counts", c_counts)
         setfield(self, "d_n", d_n)
         setfield(self, "s_star", s_star)
         setfield(self, "mode", mode)
+
+    @property
+    def c_values(self) -> tuple[float, ...]:
+        return expand_runs(self.c_groups, self.c_counts, sum(self.c_counts))
+
+    # pickle and copy carry the fields, c_values expanded, as a record that
+    # stored c_values did
+    def __getstate__(self):
+        return list(self._values())
+
+    def __setstate__(self, state):
+        self.__init__(*state)
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,21 +169,19 @@ def _cap(log_bound: float, factor: float = 1.0) -> float:
     return min(factor * math.exp(log_bound), 1.0)
 
 
-def _record(mode, t, p, cs, counts, n, d_n, denom,
+def _record(mode, t, p, cs, counts, d_n, denom,
             factor=1.0) -> HoeffdingBound:
     """The bound factor*exp(-2 t^2/denom) with its record, for
     denom = sum_i w_i^2 c_i over variables on [0, w_i].
 
-    cs holds one factor per group and counts the group sizes; n is the
-    number of c_values entries to report.
+    cs holds one factor per group and counts the group sizes.
     """
     if denom == 0.0:
         raise DegenerateDistributionError(
             "sum_i b_i^2 c_i underflows to 0: the ranges are too narrow")
-    return HoeffdingBound(
-        t=t, p=p, bound=_cap(-2.0 * t * t / denom, factor),
-        c_values=expand_runs(cs, counts, n), d_n=d_n, s_star=4.0 * t / denom,
-        mode=mode)
+    return HoeffdingBound._grouped(
+        t=t, p=p, bound=_cap(-2.0 * t * t / denom, factor), c_groups=cs,
+        c_counts=counts, d_n=d_n, s_star=4.0 * t / denom, mode=mode)
 
 
 def _range_error(exc: ArithmeticError) -> DomainError:
@@ -182,7 +216,7 @@ def hoeffding_bound(spec: EnsembleSpec, t: float, p: int) -> HoeffdingBound:
     t = checked_threshold(t)
     p = checked_order(p)
     cs, d_n, denom = _one_sided(spec.vectors, spec.counts, t, p)
-    return _record("one_sided", t, p, cs, spec.counts, spec.n, d_n, denom)
+    return _record("one_sided", t, p, cs, spec.counts, d_n, denom)
 
 
 def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
@@ -196,20 +230,21 @@ def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
     p = checked_order(p)
     t_abs = n * t
     cs, d_n, denom = _one_sided((mv,), (n,), t_abs, p)
-    return _record("iid", t_abs, p, cs, (1,), 1, d_n, denom)
+    return _record("iid", t_abs, p, cs, (1,), d_n, denom)
 
 
-def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
-                        p: int) -> HoeffdingBound:
+def hoeffding_two_sided(variables: EnsembleSpec | Sequence[MomentVector],
+                        t: float, p: int) -> HoeffdingBound:
     """Bound on P(|sum Y_i - E sum Y_i| >= t) for Y_i on [a_i, b_i].
 
     Union bound over the two one-sided deviations; each variable
     contributes the larger of the factors computed from its shifted
-    (Y - a) and reflected (b - Y) moments.
+    (Y - a) and reflected (b - Y) moments. variables is an ensemble, or a
+    sequence of vectors that is grouped into one.
     """
     t = checked_threshold(t)
     p = checked_order(p)
-    spec = EnsembleSpec(variables)
+    spec = EnsembleSpec.of(variables)
     try:
         shifted, ds = _origin_groups(spec.vectors, p, shift_to_origin)
         reflected, ds_lam = _origin_groups(spec.vectors, p, reflect_moments)
@@ -226,7 +261,7 @@ def hoeffding_two_sided(variables: Sequence[MomentVector], t: float,
                               for s, c in zip(shifted, cs)], spec.counts)
     except FLOAT_RANGE_ERRORS as exc:
         raise _range_error(exc) from None
-    return _record("two_sided", t, p, cs, spec.counts, spec.n, d_n, denom,
+    return _record("two_sided", t, p, cs, spec.counts, d_n, denom,
                    factor=2.0)
 
 
@@ -260,17 +295,21 @@ def hoeffding_small_t(mv: MomentVector, n: int, t: float, c: float,
         s_star=4.0 * t * ip * ip, mode="small_t")
 
 
-def hoeffding_limit(dists: Sequence[Distribution], t: float) -> HoeffdingBound:
+def hoeffding_limit(dists: EnsembleSpec | Sequence[Distribution],
+                    t: float) -> HoeffdingBound:
     """All-moments limit of the bound, driven by tilted expectations.
 
     Uses E X e^{lam X} and E X^2 e^{lam X} at lam = 4t/D_n; the per-variable
-    range drops out entirely. Variables must be nonnegative. Consecutive
-    references to one distribution object share one evaluation.
+    range drops out entirely. Variables must be nonnegative. dists is an
+    ensemble of laws (EnsembleSpec.iid_replicate(law, n) for n copies), or
+    a sequence of laws, in which consecutive references to one law object
+    share one evaluation.
     """
     t = checked_threshold(t)
     if not dists:
         raise DomainError("need at least one distribution")
-    laws, counts = identity_runs(tuple(dists))
+    spec = EnsembleSpec.of(dists)
+    laws, counts = spec.vectors, spec.counts
     for d in laws:
         if not d.support.is_nonnegative:
             raise DomainError(
@@ -297,21 +336,21 @@ def hoeffding_limit(dists: Sequence[Distribution], t: float) -> HoeffdingBound:
     except FLOAT_RANGE_ERRORS as exc:
         raise DomainError(f"the limit bound leaves the float range at t = {t} "
                           f"({exc})") from None
-    return _record("limit_p_infinity", t, None, cs, counts, len(dists), d_n,
-                   denom)
+    return _record("limit_p_infinity", t, None, cs, counts, d_n, denom)
 
 
-def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
-                             K: float = 1.0, *,
+def hoeffding_missing_factor(shifted: EnsembleSpec | Sequence[MomentVector],
+                             t: float, p: int, K: float = 1.0, *,
                              sigma2: Optional[float] = None) -> HoeffdingBound:
     """Optimal-order bound for centered X_i with |X_i| <= b_i.
 
     Inputs are the moment vectors of Z_i = X_i + b_i on [0, 2 b_i] (so
-    b_i = E Z_i). The exponential factor uses the improvement factors at
-    4*t*(2 b_i)/D_n with scale 2*b_i; multiplying by the Gaussian-tail term
-    theta(t/sigma) + K*b/sigma recovers the 1/x factor plain exponential
-    bounds are missing. K is a free universal constant; validity of the
-    admissible range t <= sigma^2/(K*b) depends on its true value.
+    b_i = E Z_i), as an ensemble or as a sequence. The exponential factor
+    uses the improvement factors at 4*t*(2 b_i)/D_n with scale 2*b_i;
+    multiplying by the Gaussian-tail term theta(t/sigma) + K*b/sigma
+    recovers the 1/x factor plain exponential bounds are missing. K is a
+    free universal constant; validity of the admissible range
+    t <= sigma^2/(K*b) depends on its true value.
 
     D_n here is sum_i mu2_i/mu1_i as printed in the source material.
     """
@@ -319,7 +358,7 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
     p = checked_order(p)
     if not K > 0.0:
         raise DomainError(f"K must be positive; got {K}")
-    spec = EnsembleSpec(shifted)
+    spec = EnsembleSpec.of(shifted)
     vectors, counts = spec.vectors, spec.counts
     vs = []
     bs = []
@@ -364,7 +403,7 @@ def hoeffding_missing_factor(shifted: Sequence[MomentVector], t: float, p: int,
     except FLOAT_RANGE_ERRORS as exc:
         raise _range_error(exc) from None
     tail_factor = mills_theta(t / sigma) + K * b_max / sigma
-    return _record("missing_factor", t, p, cs, counts, spec.n, d_n, denom,
+    return _record("missing_factor", t, p, cs, counts, d_n, denom,
                    factor=tail_factor)
 
 
@@ -379,7 +418,7 @@ def ci_c_bar(mv: MomentVector, t: float, p: int) -> float:
     p = checked_order(p)
     if p == 1:
         return 1.0
-    return hoeffding_two_sided([mv], t, p).c_values[0]
+    return hoeffding_two_sided([mv], t, p).c_groups[0]
 
 
 def _sample_size(width: float, c: float, t: float, alpha: float) -> int:

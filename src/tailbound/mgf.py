@@ -17,7 +17,12 @@ import math
 from typing import Sequence
 
 from ._record import Record, setfield
-from .errors import DegenerateDistributionError, DomainError, OrderError
+from .errors import (
+    FLOAT_RANGE_ERRORS,
+    DegenerateDistributionError,
+    DomainError,
+    OrderError,
+)
 from .moments import MomentVector, restrict_order
 from .special import taylor_remainder
 
@@ -29,13 +34,21 @@ __all__ = [
 # beyond this the exp(y) terms are factored out of the C ratio to avoid
 # overflow; the two branches agree to machine precision at the seam
 _FACTOR_OUT_Y = 30.0
+# relative shortfall below e^{s mu1} left to rounding, as the moment
+# feasibility checks leave 1e-9
+_JENSEN_TOL = 1e-9
+# log of the largest double
+_LOG_MAX = 709.782712893384
 
 
 def mgf_upper_bound(mv: MomentVector, s: float) -> float:
     """Envelope value at s >= 0 for a variable bounded above by b > 0.
 
     Exactly 1 at s = 0. A Bernoulli variable attains the envelope with
-    p = 1, so the inequality is tight in general.
+    p = 1, so the inequality is tight in general. A value below Jensen's
+    floor e^{s mu1} bounds no E e^{sX}; moments rounded past the float
+    range (a positive part stored as 0) can give one, and it is a
+    DomainError.
     """
     s = float(s)
     if not 0.0 <= s < math.inf:
@@ -47,7 +60,7 @@ def mgf_upper_bound(mv: MomentVector, s: float) -> float:
     # a zero moment contributes 0 even where its series term overflowed,
     # which inf * 0 would make NaN
     pos = mv.positive_part_pth
-    tail = (pos / b ** mv.p) * taylor_remainder(mv.p + 1, s * b) if pos else 0.0
+    tail = _tail(pos, b, mv.p, s) if pos else 0.0
     poly = 0.0
     term = 1.0  # s^j / j!
     for j in range(mv.p):
@@ -58,7 +71,49 @@ def mgf_upper_bound(mv: MomentVector, s: float) -> float:
     value = tail + poly
     # parts that overflowed with opposite signs sum to NaN; the envelope
     # bounds E e^{sX} > 0 from above, and +inf is its conservative value
-    return math.inf if math.isnan(value) else value
+    if math.isnan(value):
+        return math.inf
+    try:
+        floor = math.exp(s * mv.mu[0])
+    except OverflowError:
+        floor = math.inf
+    if value < floor * (1.0 - _JENSEN_TOL):
+        raise DomainError(
+            f"the envelope {value} at s = {s} is below Jensen's floor "
+            f"e^(s mu1) = {floor}: moments {mv.mu} with E max(X^p, 0) = "
+            f"{pos} are rounded too far to bound E e^(sX)")
+    return value
+
+
+def _tail(pos: float, b: float, p: int, s: float) -> float:
+    """pos / b^p * T_{p+1}(s b), for pos > 0 and b > 0, with T the tail of
+    the exponential series from x^p/p! on.
+
+    Where b^p or the product leaves the float range it is taken through
+    logarithms. T(x) itself is out of range only where it overflowed, and
+    then log T(x) <= x stands in, or where it underflowed, and then
+    log T(x) <= p log x - log p! + x: each gives an upper bound, close
+    where it is used.
+    """
+    if s == 0.0:
+        return 0.0
+    x = s * b
+    remainder = taylor_remainder(p + 1, x)
+    try:
+        tail = pos / b ** p * remainder
+    except FLOAT_RANGE_ERRORS:
+        tail = math.nan
+    if 0.0 < tail < math.inf:
+        return tail
+    if 0.0 < remainder < math.inf:
+        log_remainder = math.log(remainder)
+    elif remainder == 0.0:
+        log_remainder = (p * (math.log(s) + math.log(b)) - math.lgamma(p + 1)
+                         + x)
+    else:  # inf, or NaN at an overflowed x
+        log_remainder = x
+    log_tail = math.log(pos) - p * math.log(b) + log_remainder
+    return math.inf if log_tail > _LOG_MAX else math.exp(log_tail)
 
 
 class MgfBoundCurve(Record):

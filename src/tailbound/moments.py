@@ -79,6 +79,58 @@ class Support(Record):
         return self.lower is None or x >= self.lower - 1e-12
 
 
+def _strictly_feasible(mu: tuple, b: float) -> bool:
+    """Whether the moments mu of a variable on [0, b] pass every feasibility
+    check with no tolerance, in one pass: each entry finite with
+    0 <= mu[k] <= b mu[k-1], and mu[d-1] mu[d+1] >= mu[d]^2 for d >= 1.
+
+    mu[d]^2 must also stay below 1e308: the tolerant check squares with
+    ** and reports an overflow there, which mu[d] * mu[d] (inf, and then
+    no failure) would hide.
+    """
+    lo, mid = 1.0, mu[0]
+    if not 0.0 <= mid <= b:
+        return False
+    for hi in mu[1:]:
+        sq = mid * mid
+        if not (0.0 <= hi <= b * mid < math.inf and lo * hi >= sq
+                and sq < 1e308):
+            return False
+        lo, mid = mid, hi
+    return True
+
+
+def _check_chains(mu: tuple, support: Support):
+    """The feasibility checks of moments mu on a nonnegative support, with
+    their tolerances: raise for the first entry that fails past them."""
+    b = support.upper
+    prev = 1.0  # mu[0]
+    for k, m in enumerate(mu, start=1):
+        scale = max(abs(b * prev), abs(m), _TINY)
+        if m < -_REL_TOL * scale:
+            raise InfeasibleMomentsError(
+                f"mu[{k}] = {m} is negative for a variable on "
+                f"[{support.lower}, {b}]")
+        if m - b * prev > _REL_TOL * scale:
+            raise InfeasibleMomentsError(
+                f"support chain violated: mu[{k}] = {m} exceeds "
+                f"upper*mu[{k - 1}] = {b * prev}")
+        prev = m
+    # mu[d-1] mu[d+1] >= mu[d]^2, from the variance (d = 1) up
+    m = (1.0, *mu)
+    for d in range(1, len(mu)):
+        lhs = m[d - 1] * m[d + 1]
+        try:
+            rhs = m[d] ** 2
+        except OverflowError:
+            raise DomainError(
+                f"mu[{d}]^2 leaves the float range") from None
+        if lhs - rhs < -_REL_TOL * max(abs(lhs), rhs, _TINY):
+            raise InfeasibleMomentsError(
+                f"Cauchy-Schwarz chain violated: mu[{d - 1}]*"
+                f"mu[{d + 1}] = {lhs} < mu[{d}]^2 = {rhs}")
+
+
 class MomentVector(Record):
     """First p raw moments of one variable on a stated support.
 
@@ -96,76 +148,45 @@ class MomentVector(Record):
     def __init__(self, p: int, mu: Sequence[float], support: Support,
                  positive_part_pth: Optional[float] = None,
                  samples: Optional[np.ndarray] = None):
-        setfield(self, "p", checked_order(p))
+        p = checked_order(p)
         mu = tuple(map(float, mu))
+        setfield(self, "p", p)
         setfield(self, "mu", mu)
         setfield(self, "support", support)
-        setfield(self, "positive_part_pth", positive_part_pth)
         setfield(self, "samples", samples)
         if len(mu) != p:
             raise OrderError(f"expected {p} moments; got {len(mu)}")
-        if not all(map(math.isfinite, mu)):
-            raise DomainError(f"moments must be finite; got {mu}")
-        self._validate_chains()
-        self._resolve_positive_part()
-
-    def _validate_chains(self):
-        if not self.support.is_nonnegative:
-            # feasibility inequalities below presume X >= 0; variables that
-            # extend below zero are only used through the above-bounded
-            # formulas, which take the supplied values as upper bounds
-            return
-        b = self.support.upper
-        mu = self.mu
-        prev = 1.0  # mu[0]
-        # tolerances are positive: only a strict failure needs its scale
-        for k, m in enumerate(mu, start=1):
-            if not 0.0 <= m <= b * prev:
-                scale = max(abs(b * prev), abs(m), _TINY)
-                if m < -_REL_TOL * scale:
-                    raise InfeasibleMomentsError(
-                        f"mu[{k}] = {m} is negative for a variable on "
-                        f"[{self.support.lower}, {b}]")
-                if m - b * prev > _REL_TOL * scale:
-                    raise InfeasibleMomentsError(
-                        f"support chain violated: mu[{k}] = {m} exceeds "
-                        f"upper*mu[{k - 1}] = {b * prev}")
-            prev = m
-        # mu[d-1] mu[d+1] >= mu[d]^2, from the variance (d = 1) up
-        m = (1.0, *mu)
-        for d in range(1, self.p):
-            lhs = m[d - 1] * m[d + 1]
-            try:
-                rhs = m[d] ** 2
-            except OverflowError:
-                raise DomainError(
-                    f"mu[{d}]^2 leaves the float range") from None
-            if lhs < rhs:
-                if lhs - rhs < -_REL_TOL * max(abs(lhs), rhs, _TINY):
-                    raise InfeasibleMomentsError(
-                        f"Cauchy-Schwarz chain violated: mu[{d - 1}]*"
-                        f"mu[{d + 1}] = {lhs} < mu[{d}]^2 = {rhs}")
-
-    def _resolve_positive_part(self):
-        pos = self.positive_part_pth
+        lower = support.lower
+        nonnegative = lower is not None and lower >= 0.0
+        # the feasibility inequalities presume X >= 0; variables that extend
+        # below zero are only used through the above-bounded formulas, which
+        # take the supplied values as upper bounds. A vector that passes the
+        # strict checks passes the tolerant ones; only one that fails them
+        # pays for the tolerances and the wording
+        if not (nonnegative and _strictly_feasible(mu, support.upper)):
+            if not all(map(math.isfinite, mu)):
+                raise DomainError(f"moments must be finite; got {mu}")
+            if nonnegative:
+                _check_chains(mu, support)
+        pos = positive_part_pth
         if pos is None:
-            if not self.support.is_nonnegative:
+            if not nonnegative:
                 raise DomainError(
                     "positive_part_pth (a bound on E max(X^p, 0)) is required "
                     "for supports extending below zero")
-            setfield(self, "positive_part_pth", self.mu[-1])
-            return
-        pos = float(pos)
-        setfield(self, "positive_part_pth", pos)
-        if pos < 0.0:
-            raise InfeasibleMomentsError(
-                f"E max(X^p, 0) cannot be negative; got {pos}")
-        if self.support.is_nonnegative and pos < self.mu[-1]:
-            scale = max(abs(self.mu[-1]), _TINY)
-            if pos - self.mu[-1] < -_REL_TOL * scale:
+            pos = mu[-1]
+        else:
+            pos = float(pos)
+            if pos < 0.0:
                 raise InfeasibleMomentsError(
-                    f"on a nonnegative support E max(X^p, 0) = E X^p = "
-                    f"{self.mu[-1]}, but positive_part_pth = {pos}")
+                    f"E max(X^p, 0) cannot be negative; got {pos}")
+            if nonnegative and pos < mu[-1]:
+                scale = max(abs(mu[-1]), _TINY)
+                if pos - mu[-1] < -_REL_TOL * scale:
+                    raise InfeasibleMomentsError(
+                        f"on a nonnegative support E max(X^p, 0) = E X^p = "
+                        f"{mu[-1]}, but positive_part_pth = {pos}")
+        setfield(self, "positive_part_pth", pos)
 
     def moment(self, k: int) -> float:
         """E(X^k) for k = 0..p (k = 0 is 1 by convention)."""
@@ -376,6 +397,8 @@ class EnsembleSpec(Record):
     consecutive references to the same vector object, so the bounds prepare
     each group once and weight its terms by the multiplicity. The fields
     are vectors (one per group), counts (the group sizes) and n, their sum.
+    Grouping is by identity alone, so an ensemble may hold other objects:
+    hoeffding_limit takes one of laws.
     """
 
     __slots__ = _fields = ("vectors", "counts", "n")
@@ -397,6 +420,12 @@ class EnsembleSpec(Record):
         spec = cls.__new__(cls)
         spec._set((mv,), (n,), n)
         return spec
+
+    @classmethod
+    def of(cls, items) -> "EnsembleSpec":
+        """items if it is an ensemble already, else the ensemble of the
+        sequence items."""
+        return items if isinstance(items, cls) else cls(items)
 
     @property
     def variables(self) -> tuple[MomentVector, ...]:

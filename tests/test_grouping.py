@@ -4,6 +4,8 @@ Grouping is by object identity, so an ensemble built from fresh, equal but
 distinct copies runs the per-variable path and serves as the reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import CallCounter, random_interval_mv, random_upper_bounded_mv
@@ -16,6 +18,7 @@ from tailbound import (
     Beta,
     Bernoulli,
     EnsembleSpec,
+    HoeffdingBound,
     MomentVector,
     Support,
     Uniform,
@@ -224,3 +227,130 @@ class TestSampleBackedEnsemble:
         assert code == 0
         # shift_to_origin recomputes from the shifted samples exactly once
         assert counter.calls == 1
+
+
+class TestFactorsStayGrouped:
+    """A record keeps one factor per group; c_values expands them on read."""
+
+    # an expanded c_values would take 80 MB here; at 10^9 a regression
+    # would ask the machine for 8 GB instead of failing
+    N = 10**7
+
+    def _peak_bytes(self, call):
+        call()  # caches and interned constants are not the call's cost
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    @pytest.mark.parametrize("name", ["one_sided", "two_sided",
+                                      "missing_factor", "limit"])
+    def test_iid_bound_allocates_o1_while_c_values_is_unread(self, name):
+        mv = Uniform(0.0, 2.0).moment_vector(3)
+        spec = EnsembleSpec.iid_replicate(mv, self.N)
+        calls = {
+            "one_sided": lambda: hoeffding_bound(spec, 1e7, 3),
+            "two_sided": lambda: hoeffding_two_sided(spec, 1e7, 3),
+            "missing_factor": lambda: hoeffding_missing_factor(spec, 1e3, 3),
+            "limit": lambda: hoeffding_limit(
+                EnsembleSpec.iid_replicate(Uniform(0.0, 2.0), self.N), 1e7),
+        }
+        result, peak = self._peak_bytes(calls[name])
+        assert peak < 64 * 1024
+        assert result.c_counts == (self.N,)
+        assert len(result.c_groups) == 1
+
+    def test_c_values_expands_the_groups_in_order(self):
+        a, b = Uniform(0, 1).moment_vector(3), Uniform(0, 3).moment_vector(3)
+        result = hoeffding_bound(EnsembleSpec([a, a, b, a]), 2.0, 3)
+        assert result.c_counts == (2, 1, 1)
+        ca, cb, ca2 = result.c_groups
+        assert ca == ca2 and ca != cb
+        assert result.c_values == (ca, ca, cb, ca)
+
+    def test_constructor_takes_a_tuple(self):
+        record = HoeffdingBound(1.0, 2, 0.5, (0.25, 0.25, -0.0, 0.0), None,
+                                2.0, "iid")
+        assert record.c_values == (0.25, 0.25, -0.0, 0.0)
+        # runs go by identity, so -0.0 and 0.0 stay apart
+        assert [str(c) for c in record.c_values] == ["0.25", "0.25", "-0.0",
+                                                    "0.0"]
+
+
+def _hexed(record):
+    """A record's fields with every float as its exact bits."""
+    def one(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(map(one, value))
+        return value
+    return [one(getattr(record, name)) for name in HoeffdingBound._fields]
+
+
+def _expanded(record):
+    """c_values as the per-variable record stored it: each group's factor
+    repeated over its variables."""
+    return tuple(c for c, count in zip(record.c_groups, record.c_counts)
+                 for _ in range(count))
+
+
+class TestSpecAndListFormsAgree:
+    """The ensemble form and the list form of a bound give the same record,
+    bit for bit, with c_values the expansion of the groups."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(PATTERNS, st.integers(1, 4), st.floats(0.05, 0.8))
+    def test_two_sided(self, pattern, p, scale):
+        bases = _interval_bases(4)
+        variables = [bases[i] for i in pattern]
+        t = scale * len(pattern)
+        got = hoeffding_two_sided(EnsembleSpec(variables), t, p)
+        want = hoeffding_two_sided(variables, t, p)
+        assert _hexed(got) == _hexed(want)
+        assert got.c_values == _expanded(want)
+        assert len(got.c_values) == len(pattern)
+
+    @settings(max_examples=40, deadline=None)
+    @given(PATTERNS, st.integers(1, 4), st.floats(0.05, 1.0))
+    def test_missing_factor(self, pattern, p, scale):
+        bases = [Uniform(0.0, 2.0).moment_vector(4),
+                 Uniform(0.0, 3.0).moment_vector(4),
+                 MomentVector(4, tuple(2.0 ** k / 2.0 for k in range(1, 5)),
+                              Support.interval(0.0, 2.0))]
+        variables = [bases[i] for i in pattern]
+        sigma2 = sum(v.mu[1] - v.mu[0] ** 2 for v in variables)
+        t = scale * sigma2 / max(v.mu[0] for v in variables)
+        got = hoeffding_missing_factor(EnsembleSpec(variables), t, p)
+        want = hoeffding_missing_factor(variables, t, p)
+        assert _hexed(got) == _hexed(want)
+        assert got.c_values == _expanded(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(PATTERNS, st.floats(0.2, 2.0))
+    def test_limit(self, pattern, scale):
+        bases = [Uniform(0.0, 1.0), Bernoulli(0.3), Beta(2.0, 3.0)]
+        laws = [bases[i] for i in pattern]
+        t = scale * len(pattern) ** 0.5
+        got = hoeffding_limit(EnsembleSpec(laws), t)
+        want = hoeffding_limit(laws, t)
+        assert _hexed(got) == _hexed(want)
+        assert got.c_values == _expanded(want)
+
+    @pytest.mark.parametrize("n", [1, 7, 10_000])
+    def test_iid_replicate_matches_the_repeated_list(self, n):
+        mv = Uniform(-0.5, 1.5).moment_vector(4)
+        law = Beta(2.0, 3.0)
+        pairs = [
+            (hoeffding_two_sided(EnsembleSpec.iid_replicate(mv, n), 0.3 * n,
+                                 3),
+             hoeffding_two_sided([mv] * n, 0.3 * n, 3)),
+            (hoeffding_limit(EnsembleSpec.iid_replicate(law, n), 0.3 * n),
+             hoeffding_limit([law] * n, 0.3 * n)),
+        ]
+        for got, want in pairs:
+            assert _hexed(got) == _hexed(want)
+            assert got.c_counts == (n,)

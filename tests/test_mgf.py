@@ -27,6 +27,14 @@ from tailbound import (
 E = math.e
 
 
+def jensen_floor(mv, s):
+    """e^{s mu1}, which E e^{sX} is at least; inf past the float range."""
+    try:
+        return math.exp(s * mv.mu[0])
+    except OverflowError:
+        return math.inf
+
+
 class TestMgfUpperBound:
     def test_exactly_one_at_zero(self, rng):
         for _ in range(10):
@@ -65,13 +73,55 @@ class TestMgfUpperBound:
         p=st.integers(1, 8), log_s=st.floats(0.0, 300.0))
     @example(law=Uniform(-1.0, 1.0), p=4, log_s=200.0)
     @example(law=PointMass(-0.5, -1.0, 1.0), p=3, log_s=200.0)
+    # mu2 = 7e-396 underflows to 0, and with it the envelope's tail: the
+    # rest, 1 + s mu1, was -1.66
+    @example(law=PointMass(-2.66e-198, -1.0, 1.0), p=2, log_s=198.0)
     @settings(max_examples=300, deadline=None)
     def test_overflowing_terms_never_give_nan(self, law, p, log_s):
         # an overflowed s^j/j! times a zero moment (mu_3 of Uniform(-1, 1))
         # was inf * 0 = NaN, and overflowed terms of opposite signs were
-        # inf - inf
-        value = mgf_upper_bound(law.moment_vector(p), 10.0 ** log_s)
-        assert value == math.inf or math.isfinite(value)
+        # inf - inf. What is returned must also bound E e^{sX}, so it is
+        # at least Jensen's floor e^{s mu1}; below it, a DomainError says so
+        mv = law.moment_vector(p)
+        s = 10.0 ** log_s
+        try:
+            value = mgf_upper_bound(mv, s)
+        except DomainError as exc:
+            assert "Jensen" in str(exc)
+            return
+        assert value >= jensen_floor(mv, s) * (1.0 - 1e-9)
+
+    def test_support_bound_whose_power_overflows(self):
+        # pos / b ** p raised a raw OverflowError from b ** p = 1e400
+        mv = PointMass(1.0, 0.0, 1e200).moment_vector(2)
+        assert mgf_upper_bound(mv, 1.0) == math.inf  # e^(1e200) / 1e400
+        assert mgf_upper_bound(mv, 1e-198) == 1.0 + 1e-198
+        # pos / b^2 = 1e-20 with b^2 = 1e320 out of range, at s b = 100
+        mv = PointMass(1e150, 0.0, 1e160).moment_vector(2)
+        want = 1e-20 * taylor_remainder(3, 100.0) + 1.0 + 1e-8
+        assert mgf_upper_bound(mv, 1e-158) == pytest.approx(want, rel=1e-12)
+
+    def test_support_bound_whose_power_underflows(self):
+        # b ** 2 = 1e-400 underflows to 0: a raw ZeroDivisionError. The
+        # tail is mu2 (s b)^2/2 / b^2 = 0.125 to first order in s b
+        mv = PointMass(-0.5, -1.0, 1e-200).moment_vector(2)
+        assert mgf_upper_bound(mv, 1.0) == pytest.approx(0.625, rel=1e-12)
+
+    def test_below_jensens_floor_is_a_domain_error(self):
+        # mu2 = 7e-396 is stored as 0, which drops the tail: the rest,
+        # 1 + s mu1 = -1.66, bounds no E e^{sX}
+        mv = PointMass(-2.66e-198, -1.0, 1.0).moment_vector(2)
+        with pytest.raises(DomainError, match="Jensen"):
+            mgf_upper_bound(mv, 1e198)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 6])
+    def test_tight_at_jensens_floor(self, p):
+        # a point mass at its upper end attains E e^{sX} = e^{s mu1}
+        for c in (1.0, 0.0):
+            mv = PointMass(c, -1.0, 1.0).moment_vector(p)
+            for s in (0.0, 1e-3, 0.5, 3.0, 40.0):
+                assert mgf_upper_bound(mv, s) == pytest.approx(
+                    math.exp(s * c), rel=1e-13)
 
     def test_zero_moments_stay_exact_past_overflowing_terms(self):
         # every moment of the point mass at 0 is 0, so the envelope is 1

@@ -27,7 +27,14 @@ from tailbound import (
     TruncatedExponential,
     Uniform,
     bennett_bound,
+    hoeffding_bound,
+    hoeffding_iid,
+    hoeffding_limit,
+    hoeffding_missing_factor,
+    hoeffding_small_t,
+    hoeffding_two_sided,
 )
+from tailbound.hoeffding import MODES
 
 UNIT = "Support(lower=0.0, upper=1.0)"
 MV2 = ("MomentVector(p=2, mu=(0.5, 0.3333333333333333), support=" + UNIT
@@ -223,3 +230,40 @@ def test_bound_records_round_trip_through_json():
     for rec in (h, b):
         back = type(rec).from_json_dict(rec.to_json_dict())
         assert back == rec and repr(back) == repr(rec)
+
+
+def _hoeffding_records():
+    """One record of each Hoeffding mode, made by its bound."""
+    unit = Uniform(0, 1).moment_vector(3)
+    wide = Uniform(0, 2).moment_vector(3)
+    mixed = EnsembleSpec([unit, unit, Uniform(-1, 2).moment_vector(3), unit])
+    return {
+        "one_sided": hoeffding_bound(EnsembleSpec.iid_replicate(unit, 5),
+                                     1.0, 3),
+        "two_sided": hoeffding_two_sided(mixed, 1.0, 3),
+        "iid": hoeffding_iid(unit, 5, 0.2, 3),
+        "small_t": hoeffding_small_t(unit, 5, 0.05, 1.0, 3),
+        "limit_p_infinity": hoeffding_limit(
+            EnsembleSpec.iid_replicate(Beta(2.0, 3.0), 4), 1.0),
+        "missing_factor": hoeffding_missing_factor(
+            EnsembleSpec([wide, wide, wide]), 0.5, 3),
+    }
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_hoeffding_records_round_trip_in_every_mode(mode):
+    rec = _hoeffding_records()[mode]
+    assert rec.mode == mode
+    fields = [getattr(rec, name) for name in FIELDS[HoeffdingBound]]
+    # the grouped record is the record of its expanded fields, down to
+    # the bytes of its pickle
+    stored = HoeffdingBound(*fields)
+    assert stored == rec and hash(stored) == hash(rec)
+    assert repr(stored) == repr(rec)
+    assert pickle.dumps(stored) == pickle.dumps(rec)
+    assert rec.__reduce_ex__(2)[2] == fields
+    back = HoeffdingBound.from_json_dict(rec.to_json_dict())
+    assert back == rec and repr(back) == repr(rec)
+    for clone in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+        assert clone == rec and repr(clone) == repr(rec)
+        assert clone.to_json_dict() == rec.to_json_dict()
