@@ -116,7 +116,8 @@ class TestMgfUpperBound:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 6])
     def test_tight_at_jensens_floor(self, p):
-        # a point mass at its upper end attains E e^{sX} = e^{s mu1}
+        # a point mass at its upper end, or at 0, has an envelope equal
+        # to E e^{sX} = e^{s mu1}: no room below it for the Jensen check
         for c in (1.0, 0.0):
             mv = PointMass(c, -1.0, 1.0).moment_vector(p)
             for s in (0.0, 1e-3, 0.5, 3.0, 40.0):
