@@ -17,6 +17,7 @@ closed form through the Lambert W function and is never worse than p = 2.
 from __future__ import annotations
 
 import math
+from operator import is_
 from typing import Sequence
 
 from ._record import Record, setfield
@@ -157,10 +158,45 @@ def _alpha_coefficients(t: float, b: float, p: int,
     except FLOAT_RANGE_ERRORS:
         finite = False
     if not finite:
-        raise DomainError(
-            f"root-equation coefficients leave the float range for t = {t}, "
-            f"b = {b} and summed moments {tuple(agg)}")
+        raise _out_of_range(t, b, agg)
     return tuple(alpha)
+
+
+def _out_of_range(t, b, agg) -> DomainError:
+    return DomainError(
+        f"root-equation coefficients leave the float range for t = {t}, "
+        f"b = {b} and summed moments {tuple(agg)}")
+
+
+# The last bennett_bound call that returned, as (vectors, counts, p, b,
+# agg, alpha): a call on the same vector objects, counts and order reuses
+# its b, aggregated moments and alpha_1..alpha_{p-2}, which do not depend
+# on t. It keeps those vectors alive, with any sample arrays they hold,
+# until another call replaces it. A call that raises keeps nothing.
+_last = None
+
+
+def _kept(spec: EnsembleSpec, p: int):
+    """The kept call if it was on spec's vectors and order p, else None.
+    Vectors are matched by identity, as EnsembleSpec groups them; the first
+    one alone turns most other ensembles away. p must be an int, so that
+    p = 3.0 still fails its check."""
+    last = _last
+    if (type(p) is int and last is not None and last[2] == p
+            and last[0][0] is spec.vectors[0]
+            and all(map(is_, last[0], spec.vectors)) and last[1] == spec.counts):
+        return last
+    return None
+
+
+def _alpha_again(last, t: float) -> tuple[float, ...]:
+    """alpha at t for the ensemble and order of the kept call last."""
+    _, _, p, b, agg, alpha = last
+    # the expression _alpha_coefficients evaluates, so the same bits
+    alpha_0 = 1.0 + t * b ** (p - 1) / agg[-1]
+    if not math.isfinite(alpha_0):
+        raise _out_of_range(t, b, agg)
+    return (alpha_0, *alpha[1:])
 
 
 def _inner_expression(y: float, t: float, b: float, p: int,
@@ -192,12 +228,24 @@ def _build(t, b, p, agg, alpha, roots) -> BennettBound:
 
 
 def bennett_bound(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
-    """Deviation bound from the first p moments, p >= 2."""
+    """Deviation bound from the first p moments, p >= 2.
+
+    Only alpha_0 depends on t. A call on the same vector objects, counts
+    and order as the last call that returned reuses its b, aggregated
+    moments and alpha_1..alpha_{p-2}, and the root solver its derivative
+    levels; every record is the one a fresh call gives.
+    """
+    global _last
     t = checked_threshold(t)
-    b, agg = aggregate_moments(spec, p)
-    alpha = _alpha_coefficients(t, b, p, agg)
-    roots = solve_poly_exp(alpha)
-    return _build(t, b, p, agg, alpha, roots)
+    last = _kept(spec, p)
+    if last is None:
+        b, agg = aggregate_moments(spec, p)
+        alpha = _alpha_coefficients(t, b, p, agg)
+    else:
+        b, agg, alpha = last[3], last[4], _alpha_again(last, t)
+    result = _build(t, b, p, agg, alpha, solve_poly_exp(alpha))
+    _last = (spec.vectors, spec.counts, p, b, agg, alpha)
+    return result
 
 
 def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:

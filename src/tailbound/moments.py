@@ -177,9 +177,10 @@ class MomentVector(Record):
             pos = mu[-1]
         else:
             pos = float(pos)
-            if pos < 0.0:
+            if not 0.0 <= pos < math.inf:
                 raise InfeasibleMomentsError(
-                    f"E max(X^p, 0) cannot be negative; got {pos}")
+                    f"positive_part_pth (a bound on E max(X^p, 0)) must be "
+                    f"finite and nonnegative; got {pos}")
             if nonnegative and pos < mu[-1]:
                 scale = max(abs(mu[-1]), _TINY)
                 if pos - mu[-1] < -_REL_TOL * scale:

@@ -23,6 +23,9 @@ _EXP_MAX = 709.782712893384
 _INV_E = 0.36787944117144233
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
+# the derivative levels of the last solve_poly_exp that reached the Rolle
+# isolation, keyed by their alpha[1:] (see _derivative_levels)
+_last_levels = None
 
 
 class RootSet(Record):
@@ -230,7 +233,10 @@ def solve_poly_exp(alpha) -> RootSet:
 
     alpha[0] > 1 guarantees at least one positive root. Degree 0 and degree
     1 with a positive linear coefficient have closed forms (log and Lambert
-    W), each with its single root; everything else goes to poly_exp_roots.
+    W), each with its single root; everything else goes to the Rolle
+    isolation of poly_exp_roots. Its derivative levels do not involve
+    alpha[0], so the last solve's are kept, and a solve with the same
+    alpha[1:] (one Bennett ensemble at another threshold) reuses them.
     """
     alpha = tuple(float(a) for a in alpha)
     if not alpha:
@@ -249,7 +255,13 @@ def solve_poly_exp(alpha) -> RootSet:
     if len(alpha) == 2 and alpha[1] > 0.0:
         z = alpha[0] / alpha[1]
         return RootSet((z - lambert_w0_exp(z - math.log(alpha[1])),), True)
-    return poly_exp_roots(alpha)
+    global _last_levels
+    levels = _last_levels
+    if levels is None or levels[0] != alpha[1:]:
+        levels = _derivative_levels(alpha)
+    roots = _last_level(alpha, levels)
+    _last_levels = levels
+    return roots
 
 
 def poly_exp_residual(alpha, x: float) -> float:
@@ -327,23 +339,54 @@ def poly_exp_roots(alpha) -> RootSet:
     monotone, and each piece holds at most one sign change of f^(k).
     Raises SolverFailureError if no right end is certified below x = 1024.
     """
-    # fns[k] evaluates f^(k); past f itself, each is a polynomial (constant
-    # term first) minus exp(x), and f^(q+1) = -exp(x) has an empty one
-    fns = [partial(poly_exp_residual, alpha)]
+    return _last_level(alpha, _derivative_levels(alpha))
+
+
+def _derivative_levels(alpha):
+    """The part of poly_exp_roots that alpha[0] does not enter, as
+    (alpha[1:], derivs, turning). derivs[k - 1] evaluates f^(k) for
+    k = 1..q+1: a polynomial (constant term first) minus exp(x), an empty
+    one for f^(q+1) = -exp(x). turning maps each right end X tried to the
+    roots of f' in (0, X), levels q..1 of the isolation, or to False where
+    f', ..., f^(q) are not all negative at X; it fills as solves need it.
+    """
+    derivs = []
     coeffs = [-i * alpha[i] for i in range(1, len(alpha))]
     for _ in alpha:
-        fns.append(partial(_poly_minus_exp, coeffs))
+        derivs.append(partial(_poly_minus_exp, coeffs))
         coeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
+    return alpha[1:], derivs, {}
+
+
+def _last_level(alpha, levels):
+    # the roots of f itself, below the right end poly_exp_roots describes;
+    # the derivative half of its test comes from the levels, so once they
+    # have seen a right end only f is evaluated there
+    _, derivs, known = levels
+    f = partial(poly_exp_residual, alpha)
     x_end = 1.0
-    while not all(fn(x_end) < 0.0 for fn in fns[:-1]):
+    while True:
+        if f(x_end) < 0.0:
+            turning = known.get(x_end)
+            if turning is None:
+                turning = known[x_end] = _turning_points(derivs, x_end)
+            if turning is not False:
+                break
         x_end *= 2.0
         if x_end > 1024.0:
             raise SolverFailureError(
                 f"no right end certifies the roots of alpha={alpha} below x=1024")
+    return RootSet(tuple(_sign_change_roots(f, derivs[0], [0.0, *turning, x_end])),
+                   False)
+
+
+def _turning_points(derivs, x_end):
+    if not all(fn(x_end) < 0.0 for fn in derivs[:-1]):
+        return False
     turning = []
-    for k in range(len(alpha) - 1, -1, -1):
-        turning = _sign_change_roots(fns[k], fns[k + 1], [0.0, *turning, x_end])
-    return RootSet(tuple(turning), False)
+    for k in range(len(derivs) - 2, -1, -1):
+        turning = _sign_change_roots(derivs[k], derivs[k + 1], [0.0, *turning, x_end])
+    return turning
 
 
 # perfbench/tracing.py finds poly_exp_residual at this module path in

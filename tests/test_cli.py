@@ -109,6 +109,14 @@ class TestBoundCommand:
         code, _, err = run(capsys, "bound", "--t", "1", *argv)
         assert code == want, err
 
+    @pytest.mark.parametrize("pos", ["nan", "inf"])
+    def test_positive_part_that_is_not_finite_is_infeasible(self, capsys, pos):
+        code, _, err = run(capsys, "bound", "--family", "bennett", "--mu",
+                           "0.5,0.3", "--upper", "1", "--pos-pth", pos,
+                           "--n", "10", "--t", "1", "--p", "2")
+        assert code == 3, err
+        assert "positive_part_pth" in err
+
     def test_huge_factor_argument(self, capsys):
         # 4 t b / d_n = 2e4 here, far past where e^y overflows
         code, out, _ = run(capsys, "bound", "--dist", "beta",

@@ -52,6 +52,13 @@ class TestMomentVector:
         with pytest.raises(DomainError):
             MomentVector(3, (0.0, 0.5, 0.1), Support.interval(-1.0, 1.0))
 
+    @pytest.mark.parametrize("pos", [math.nan, math.inf])
+    @pytest.mark.parametrize("support", [Support.upper_only(1.0),
+                                         Support.interval(0.0, 1.0)])
+    def test_rejects_a_positive_part_that_is_not_finite(self, pos, support):
+        with pytest.raises(InfeasibleMomentsError, match="positive_part_pth"):
+            MomentVector(2, (0.5, 0.3), support, positive_part_pth=pos)
+
     def test_rejects_support_chain_violation(self):
         # mu2 > upper * mu1 is impossible on [0, 1]
         with pytest.raises(InfeasibleMomentsError):
@@ -311,9 +318,10 @@ def tolerant_check(mu, support, pos):
                 f"{lhs} < mu[{d}]^2 = {rhs}")
     if pos is None:
         return
-    if pos < 0.0:
+    if not 0.0 <= pos < math.inf:
         raise InfeasibleMomentsError(
-            f"E max(X^p, 0) cannot be negative; got {pos}")
+            f"positive_part_pth (a bound on E max(X^p, 0)) must be "
+            f"finite and nonnegative; got {pos}")
     if pos - mu[-1] < -1e-9 * max(abs(mu[-1]), 1e-300):
         raise InfeasibleMomentsError(
             f"on a nonnegative support E max(X^p, 0) = E X^p = "
