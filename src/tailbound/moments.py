@@ -10,9 +10,10 @@ infeasible moments are meaningless.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import chain, compress, repeat
 from operator import index, is_not, mul, sub
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._record import Record, setfield
 from .errors import (
@@ -23,9 +24,6 @@ from .errors import (
     OrderError,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "EnsembleSpec", "MomentVector", "Support", "moments_from_samples",
     "read_sample_file", "reflect_moments", "restrict_order", "shift_to_origin",
@@ -34,6 +32,7 @@ __all__ = [
 _REL_TOL = 1e-9
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
+_MAX = 1.7976931348623157e308  # the largest finite float
 
 
 class Support(Record):
@@ -137,9 +136,10 @@ class MomentVector(Record):
     mu[k-1] = E(X^k) for k = 1..p. positive_part_pth stores E(max(X^p, 0)),
     which the above-bounded ("Bennett-style") formulas need; on nonnegative
     supports it defaults to mu[p] since max(X^p, 0) = X^p there. samples,
-    when present, are the raw data the vector was computed from and let
-    shift/reflect recompute moments directly instead of re-expanding; they
-    take no part in ==, hash or repr.
+    when present, are the raw data the vector was computed from (an
+    array('d') from moments_from_samples) and let shift/reflect recompute
+    moments directly instead of re-expanding; they take no part in ==, hash
+    or repr.
     """
 
     _fields = ("p", "mu", "support", "positive_part_pth")
@@ -147,7 +147,7 @@ class MomentVector(Record):
 
     def __init__(self, p: int, mu: Sequence[float], support: Support,
                  positive_part_pth: Optional[float] = None,
-                 samples: Optional[np.ndarray] = None):
+                 samples: Optional[array] = None):
         p = checked_order(p)
         mu = tuple(map(float, mu))
         setfield(self, "p", p)
@@ -209,13 +209,13 @@ def restrict_order(mv: MomentVector, q: int) -> MomentVector:
         raise OrderError(f"cannot raise order from {mv.p} to {q}")
     if q == mv.p:
         return mv
-    if mv.samples is not None:
-        import numpy as np
-
-        pos = float(np.mean(np.maximum(mv.samples ** q, 0.0)))
-    elif q % 2 == 0 or mv.support.is_nonnegative:
+    if q % 2 == 0 or mv.support.is_nonnegative:
         # max(x^q, 0) = x^q for even q, and for any q once x >= 0
         pos = mv.mu[q - 1]
+    elif mv.samples is not None:
+        for power in _powers(mv.samples, q):
+            pass
+        pos = _positive_mean(power)
     else:
         raise OrderError(
             f"E max(X^{q}, 0) is not determined by the stored moments when the "
@@ -224,27 +224,69 @@ def restrict_order(mv: MomentVector, q: int) -> MomentVector:
 
 
 def moments_from_samples(data, p: int, support: Support) -> MomentVector:
-    """Empirical raw moments of data constrained to the given support."""
-    import numpy as np
+    """Empirical raw moments of data constrained to the given support.
 
-    arr = np.asarray(data, dtype=float).ravel()
-    if arr.size == 0:
-        raise DomainError("cannot compute moments of an empty sample")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise DomainError(f"datum at index {bad} is not finite")
-    tol = 1e-12
-    outside = arr > support.upper + tol
-    if support.lower is not None:
-        outside |= arr < support.lower - tol
-    if np.any(outside):
-        bad = int(np.flatnonzero(outside)[0])
+    data is a flat iterable of real numbers, or an object with a ravel()
+    method (an ndarray of any shape), whose own ravel() flattens it. The
+    vector keeps the samples as an array('d'). mu[k-1] is the exactly
+    rounded sum (math.fsum) of the x^k over n, each x^k a running product.
+    """
+    p = checked_order(p)
+    if hasattr(data, "ravel"):
+        data = data.ravel()
+    values = array("d")
+    try:
+        # an iterator, as extend refuses an array of another typecode;
+        # extend keeps the data before the first that fails
+        values.extend(iter(data))
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(
-            f"datum at index {bad} ({arr[bad]}) lies outside the support "
-            f"[{support.lower}, {support.upper}]")
-    mu = tuple(float(np.mean(arr ** k)) for k in range(1, p + 1))
-    pos = float(np.mean(np.maximum(arr ** p, 0.0)))
-    return MomentVector(p, mu, support, pos, samples=arr)
+            f"datum at index {len(values)} is not a real number") from None
+    if not values:
+        raise DomainError("cannot compute moments of an empty sample")
+    # one pass serves the common case, as nan and the infinities fail it too;
+    # the indexed loops below run only to name the datum that failed
+    lo = -_MAX if support.lower is None else support.lower - 1e-12
+    hi = support.upper + 1e-12
+    if not all(lo <= x <= hi for x in values):
+        for i, x in enumerate(values):
+            if not math.isfinite(x):
+                raise DomainError(f"datum at index {i} is not finite")
+        for i, x in enumerate(values):
+            if not support.contains(x):
+                raise DomainError(
+                    f"datum at index {i} ({x}) lies outside the support "
+                    f"[{support.lower}, {support.upper}]")
+    mu = []
+    for power in _powers(values, p):
+        mu.append(_mean(power, len(values)))
+    pos = mu[-1] if p % 2 == 0 else _positive_mean(power)
+    return MomentVector(p, mu, support, pos, samples=values)
+
+
+def _powers(values: array, p: int):
+    """The arrays of x^1, ..., x^p over the samples x, each the running
+    product of the one before: an order's powers are the same bits whichever
+    order of vector asks for them."""
+    power = values
+    yield power
+    for _ in range(p - 1):
+        power = array("d", map(mul, power, values))
+        yield power
+
+
+def _mean(xs, n: int) -> float:
+    """sum(xs) / n, from the exactly rounded sum."""
+    try:
+        return math.fsum(xs) / n
+    except (OverflowError, ValueError):
+        # a partial sum past the float range, or inf + -inf
+        raise DomainError("sample moments leave the float range") from None
+
+
+def _positive_mean(xs: array) -> float:
+    """The mean of max(x, 0) over xs."""
+    return _mean(compress(xs, map((0.0).__lt__, xs)), len(xs))
 
 
 def shift_to_origin(mv: MomentVector) -> MomentVector:
@@ -261,8 +303,7 @@ def shift_to_origin(mv: MomentVector) -> MomentVector:
         return mv
     width = mv.support.width
     if mv.samples is not None:
-        return moments_from_samples(mv.samples - a, mv.p,
-                                    Support.interval(0.0, width))
+        return _moved_samples("shift", mv, mv.samples, repeat(a))
     try:
         m = (1.0,) + mv.mu
         shift_pow = [(-a) ** e for e in range(mv.p + 1)]
@@ -289,8 +330,7 @@ def reflect_moments(mv: MomentVector) -> MomentVector:
     b = mv.support.upper
     width = mv.support.width
     if mv.samples is not None:
-        return moments_from_samples(b - mv.samples, mv.p,
-                                    Support.interval(0.0, width))
+        return _moved_samples("reflect", mv, repeat(b), mv.samples)
     try:
         # (-1)^j E(Y^j): a sign moves through a product exactly
         m = [(-1.0) ** j * mj for j, mj in enumerate((1.0,) + mv.mu)]
@@ -311,6 +351,31 @@ def reflect_moments(mv: MomentVector) -> MomentVector:
         return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
     except InfeasibleMomentsError as exc:
         raise _precision_lost(exc, mv, mu, b) from None
+
+
+# The last sample-backed vector each transform ("shift", "reflect") moved,
+# with its result. The bounds move an ensemble's vectors at every threshold,
+# and a move of a sample-backed vector is O(n) passes over its samples, so
+# another call on the same vector object returns the kept result. Vectors
+# are matched by identity, as EnsembleSpec groups them: equal moments may
+# come from other samples. Each entry is one (vector, result) tuple, stored
+# and read whole, so threads never pair a vector with another's result. An
+# entry keeps that vector and its samples, and the moved ones, alive until
+# the transform moves another sample-backed vector. Analytic vectors never
+# reach it.
+_moved = {}
+
+
+def _moved_samples(transform: str, mv: MomentVector, left, right):
+    """The vector of the samples left - right on [0, width], for the
+    sample-backed mv; kept per transform, for the next call on mv."""
+    last = _moved.get(transform)
+    if last is not None and last[0] is mv:
+        return last[1]
+    moved = moments_from_samples(array("d", map(sub, left, right)), mv.p,
+                                 Support.interval(0.0, mv.support.width))
+    _moved[transform] = (mv, moved)
+    return moved
 
 
 def _precision_lost(exc, mv: MomentVector, mu, c: float):
@@ -434,35 +499,33 @@ class EnsembleSpec(Record):
         return expand_runs(self.vectors, self.counts, self.n)
 
 
-def read_sample_file(path) -> np.ndarray:
-    """Load sample values: one number per line, or two-column CSV (id,value).
+def read_sample_file(path) -> array:
+    """Load sample values, as an array('d'): one number per line, or
+    two-column CSV (id,value).
 
     A single non-numeric header line is tolerated. Values are decimal
     floating point; locale-dependent formats are not.
     """
-    import numpy as np
-
-    values: list[float] = []
+    values = array("d")
+    append = values.append
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
-            if "," in line:
-                parts = [part.strip() for part in line.split(",")]
-                if len(parts) != 2:
-                    raise DomainError(
-                        f"{path}:{lineno}: expected two CSV columns (id,value)")
-                token = parts[1]
-            else:
-                token = line
+            # the value is the whole line, or what follows its one comma;
+            # float() ignores the whitespace around it
+            head, _, token = line.rpartition(",")
+            if "," in head:
+                raise DomainError(
+                    f"{path}:{lineno}: expected two CSV columns (id,value)")
             try:
-                values.append(float(token))
+                append(float(token))
             except ValueError:
                 if lineno == 1:
                     continue  # header row
-                raise DomainError(
-                    f"{path}:{lineno}: cannot parse {token!r} as a number")
+                raise DomainError(f"{path}:{lineno}: cannot parse "
+                                  f"{token.strip()!r} as a number") from None
     if not values:
         raise DomainError(f"{path}: no sample values found")
-    return np.asarray(values, dtype=float)
+    return values

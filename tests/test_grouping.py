@@ -4,6 +4,7 @@ Grouping is by object identity, so an ensemble built from fresh, equal but
 distinct copies runs the per-variable path and serves as the reference.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,8 @@ from tailbound import (
     hoeffding_missing_factor,
     hoeffding_two_sided,
     moments_from_samples,
+    reflect_moments,
+    shift_to_origin,
 )
 from tailbound.cli import main
 from tailbound.moments import expand_runs, identity_runs
@@ -227,6 +230,98 @@ class TestSampleBackedEnsemble:
         assert code == 0
         # shift_to_origin recomputes from the shifted samples exactly once
         assert counter.calls == 1
+
+
+class TestSamplesMoveOnce:
+    """A sample-backed vector is shifted or reflected once, not once per
+    threshold; the kept move gives the records a fresh move gives."""
+
+    SUPPORT = Support.interval(-0.5, 1.5)
+
+    @staticmethod
+    def _data(seed, n=300):
+        return np.random.default_rng(seed).uniform(-0.5, 1.5, n)
+
+    @pytest.mark.parametrize("k", [1, 20])
+    @pytest.mark.parametrize("extra, passes", [
+        (["--family", "both", "--p", "2,3,4"], 1),
+        (["--p", "1,2,3", "--two-sided"], 2),
+    ])
+    def test_cli_grid_moves_the_samples_once(self, monkeypatch, capsys,
+                                             tmp_path, k, extra, passes):
+        path = tmp_path / "values.txt"
+        path.write_text("\n".join(map(repr, self._data(5).tolist())) + "\n")
+        # the CLI reads the file through its own name for the function, so
+        # only the moves' passes over the samples are counted
+        counter = CallCounter(monkeypatch, moments_module, "moments_from_samples")
+        code = main(["bound", "--data", str(path), "--support=-0.5,1.5",
+                     "--n", "100", "--t", f"0.05:0.4:{k}", "--per-var",
+                     *extra])
+        capsys.readouterr()
+        assert code == 0
+        assert counter.calls == passes
+
+    def test_kept_moves_give_the_records_of_fresh_moves(self):
+        a = moments_from_samples(self._data(6), 4, self.SUPPORT)
+        b = moments_from_samples(self._data(7), 4, self.SUPPORT)
+        specs = [EnsembleSpec.iid_replicate(a, 50),
+                 EnsembleSpec.iid_replicate(b, 50),
+                 EnsembleSpec([a, b, b, a])]
+        calls = [hoeffding_bound, hoeffding_two_sided]
+        for t in (2.0, 5.0, 11.0):
+            for p in (1, 2, 3, 4):
+                # alternate between the vectors: every call turns the kept
+                # move of the call before away, or reuses it
+                for spec in specs:
+                    for call in calls:
+                        got = call(spec, t, p)
+                        moments_module._moved.clear()
+                        want = call(spec, t, p)
+                        assert got == want
+                        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("transform", [shift_to_origin, reflect_moments])
+    def test_equal_samples_in_another_vector_move_again(self, monkeypatch,
+                                                        transform):
+        data = self._data(8)
+        a = moments_from_samples(data, 3, self.SUPPORT)
+        twin = moments_from_samples(data, 3, self.SUPPORT)
+        counter = CallCounter(monkeypatch, moments_module, "moments_from_samples")
+        first = transform(a)
+        assert transform(a) is first
+        assert counter.calls == 1
+        second = transform(twin)
+        assert counter.calls == 2
+        assert second is not first and second == first
+        assert transform(twin) is second and counter.calls == 2
+
+    @pytest.mark.parametrize("transform", [shift_to_origin, reflect_moments])
+    def test_a_move_in_another_thread_between_lookup_and_store(
+            self, monkeypatch, transform):
+        a = moments_from_samples(self._data(9), 3, self.SUPPORT)
+        b = moments_from_samples(self._data(10), 3, self.SUPPORT)
+        want_a, want_b = transform(a), transform(b)
+        moments_module._moved.clear()
+        real = moments_module.moments_from_samples
+        theirs = []
+
+        def patched(*args):
+            # the first move runs another vector's move to its end first,
+            # as a thread switch after the lookup would
+            if not theirs:
+                theirs.append(None)
+                thread = threading.Thread(
+                    target=lambda: theirs.append(transform(b)))
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            return real(*args)
+
+        monkeypatch.setattr(moments_module, "moments_from_samples", patched)
+        assert transform(a) == want_a
+        assert theirs[1] == want_b
+        for mv, want in ((b, want_b), (a, want_a), (a, want_a), (b, want_b)):
+            assert transform(mv) == want
 
 
 class TestFactorsStayGrouped:

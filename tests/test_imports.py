@@ -55,36 +55,42 @@ def test_public_names_resolve_once():
         assert not hasattr(tailbound, name), name
 
 
-def test_numpy_loads_only_to_sample_or_read_data(tmp_path):
-    # numpy is two thirds of a CLI command's import time; bounds, grids and
-    # closed-form laws never need it, sampling and sample files do
+def test_numpy_loads_only_to_sample(tmp_path):
+    # numpy is two thirds of a CLI command's import time; bounds, grids,
+    # closed-form laws and sample files never need it, sampling does
     data = tmp_path / "values.txt"
     data.write_text("0.2\n0.5\n0.9\n", encoding="utf-8")
     code = (
         "import sys, tailbound as tb\n"
         "from tailbound import cli\n"
+        "data = sys.argv[1]\n"
         "assert 'numpy' not in sys.modules\n"
-        "assert cli.main(['bound', '--family', 'both', '--dist', 'uniform',\n"
-        "                 '--n', '10', '--t', '0.5:2:4', '--p', '2,3']) == 0\n"
-        "assert cli.main(['compare', '--dist', 'beta', '--params',\n"
-        "                 'a=2,b=3', '--n', '10', '--t', '1', '--limit']) == 0\n"
-        "assert cli.main(['moments', '--dist', 'uniform']) == 0\n"
+        "for argv in (\n"
+        "        ['bound', '--family', 'both', '--dist', 'uniform',\n"
+        "         '--n', '10', '--t', '0.5:2:4', '--p', '2,3'],\n"
+        "        ['compare', '--dist', 'beta', '--params', 'a=2,b=3',\n"
+        "         '--n', '10', '--t', '1', '--limit'],\n"
+        "        ['moments', '--dist', 'uniform'],\n"
+        "        ['bound', '--family', 'both', '--data', data,\n"
+        "         '--support=-0.5,1', '--n', '10', '--t', '0.5:2:4',\n"
+        "         '--p', '2,3'],\n"
+        "        ['bound', '--data', data, '--support=-0.5,1', '--n', '10',\n"
+        "         '--t', '0.5:2:4', '--p', '1,2', '--two-sided'],\n"
+        "        ['compare', '--data', data, '--support', '0,1', '--n', '10',\n"
+        "         '--t', '1', '--p', '3'],\n"
+        "        ['sample-size', '--data', data, '--support', '0,1',\n"
+        "         '--t', '0.1', '--alpha', '0.05', '--p', '3'],\n"
+        "        ['moments', '--data', data, '--support', '0,1', '--p', '3']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
         "assert 'numpy' not in sys.modules\n"
-        "mode = sys.argv[1]\n"
-        "if mode == 'verify':\n"
-        "    assert cli.main(['verify', '--dist', 'uniform', '--n', '2',\n"
-        "                     '--t', '0.5', '--trials', '1000']) == 0\n"
-        "else:\n"
-        "    assert cli.main(['moments', '--data', sys.argv[2],\n"
-        "                     '--support', '0,1']) == 0\n"
+        "assert cli.main(['verify', '--dist', 'uniform', '--n', '2',\n"
+        "                 '--t', '0.5', '--trials', '1000']) == 0\n"
         "assert 'numpy' in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
-    for mode in ("verify", "data"):
-        proc = subprocess.run([sys.executable, "-c", code, mode, str(data)],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, (mode, proc.stderr)
+    proc = subprocess.run([sys.executable, "-c", code, str(data)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_residual_alias_for_the_benchmark_tracer(monkeypatch):

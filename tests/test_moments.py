@@ -1,5 +1,7 @@
 import math
 import struct
+from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +138,93 @@ class TestMomentsFromSamples:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             moments_from_samples([], 2, Support.interval(0, 1))
+
+    @pytest.mark.parametrize("data, index", [
+        (["a", 0.5], 0),
+        ([0.5, "a"], 1),
+        ([0.1, 0.2, None], 2),
+        ([0.5, [0.1, 0.2]], 1),
+        ([[0.1, 0.2], [0.3, 0.4]], 0),
+        ([0.5, 1 + 2j], 1),
+        ("0.5", 0),
+    ])
+    def test_a_datum_that_is_not_a_number_is_a_domain_error(self, data, index):
+        # string and nested data were a bare ValueError, or flattened
+        with pytest.raises(DomainError, match=f"datum at index {index} "):
+            moments_from_samples(data, 2, Support.interval(0, 1))
+
+    @pytest.mark.parametrize("p", [0, 2.5, True])
+    def test_order_that_is_not_a_positive_integer(self, p):
+        # p = 2.5 was a bare TypeError from range()
+        with pytest.raises(DomainError, match="positive integer"):
+            moments_from_samples([0.5], p, Support.interval(0, 1))
+
+    @pytest.mark.parametrize("data, p, support", [
+        # a sum past the float range, powers that overflow to inf, and
+        # powers of both signs that do
+        ([1.5e308, 1.5e308], 1, Support.interval(0.0, 1.7e308)),
+        ([1e200, 1e200], 2, Support.interval(0.0, 1e201)),
+        ([-1e200, 1e200], 3, Support.interval(-1e201, 1e201)),
+    ])
+    def test_moments_past_the_float_range(self, data, p, support):
+        with pytest.raises(DomainError):
+            moments_from_samples(data, p, support)
+
+    def test_names_the_first_datum_that_is_not_finite(self):
+        with pytest.raises(DomainError, match="index 2 is not finite"):
+            moments_from_samples([0.5, 0.2, math.nan, math.inf, 7.0], 2,
+                                 Support.interval(0, 1))
+        with pytest.raises(DomainError, match="index 1 is not finite"):
+            moments_from_samples([0.5, -math.inf], 2, Support.upper_only(1.0))
+
+    def test_names_the_first_datum_outside_the_support(self):
+        with pytest.raises(DomainError, match=r"index 3 \(-0\.5\) lies outside"):
+            moments_from_samples([0.5, 0.2, 1.0 + 1e-13, -0.5, 2.0], 2,
+                                 Support.interval(0, 1))
+        with pytest.raises(DomainError, match=r"index 1 \(1\.5\) lies outside"):
+            moments_from_samples([-7.0, 1.5], 2, Support.upper_only(1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(st.one_of(
+        st.just(0.0),
+        # +-m 2^e with m in [0.5, 1]: mixed signs and magnitudes, and every
+        # x^8 a normal float
+        st.builds(lambda m, e, neg: math.ldexp(-m if neg else m, e),
+                  st.floats(0.5, 1.0), st.integers(-30, 30), st.booleans())),
+        min_size=1, max_size=40), p=st.integers(1, 8))
+    # a left-to-right sum loses each small term below half an ulp of 2^30
+    @example(xs=[2.0 ** 30] + [0.75 * 2.0 ** -23] * 39, p=2)
+    def test_moments_are_exact_means(self, xs, p):
+        # mu[k-1] is within (k + 1) eps mean(|x|^k) of the exact mean of the
+        # exact powers: k - 1 roundings build x^k, one the sum and one the
+        # division, each at most eps/2
+        eps = Fraction(2) ** -52
+        top = max(map(abs, xs)) + 1.0
+        support = Support.interval(-top, top)
+        mv = moments_from_samples(xs, p, support)
+        exact = [Fraction(x) for x in xs]
+        n = len(xs)
+        for k in range(1, p + 1):
+            powers = [x ** k for x in exact]
+            err = abs(Fraction(mv.mu[k - 1]) - sum(powers) / n)
+            assert err <= (k + 1) * eps * sum(map(abs, powers)) / n
+        positive = [max(x ** p, 0) for x in exact]
+        err = abs(Fraction(mv.positive_part_pth) - sum(positive) / n)
+        assert err <= (p + 1) * eps * sum(positive) / n
+        assert moments_from_samples(np.array(xs), p, support) == mv
+
+    def test_takes_the_ravel_of_an_array(self):
+        data = np.array([[0.1, 0.7], [0.4, 0.9]])
+        assert (moments_from_samples(data, 3, Support.interval(0, 1))
+                == moments_from_samples([0.1, 0.7, 0.4, 0.9], 3,
+                                        Support.interval(0, 1)))
+
+    @pytest.mark.parametrize("typecode", ["d", "f", "i"])
+    def test_takes_a_stdlib_array_of_any_number_type(self, typecode):
+        data = array(typecode, [0, 1, 1])
+        mv = moments_from_samples(data, 2, Support.interval(0, 1))
+        assert mv.mu == (2 / 3, 2 / 3)
+        assert mv.samples.typecode == "d" and mv.samples is not data
 
 
 class TestAnalyticConstructors:
@@ -538,4 +627,22 @@ class TestSampleFile:
         path = tmp_path / "data.txt"
         path.write_text("0.25\nnot-a-number\n")
         with pytest.raises(DomainError):
+            read_sample_file(path)
+
+    def test_fields_keep_their_whitespace_out(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(" id , value \n  a , 0.25 \n#,9.0\n  # 0.1\n\tb,\t0.5\n")
+        assert read_sample_file(path).tolist() == [0.25, 0.5]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.25\na,b,0.5\n", r"data\.csv:2: expected two CSV columns"),
+        ("0.25\n0.5,\n", r"data\.csv:2: cannot parse '' as a number"),
+        ("0.25\nx,  1.2.3  \n", r"data\.csv:2: cannot parse '1\.2\.3' as a"),
+        ("value\nheader\n", r"data\.csv:2: cannot parse 'header' as a"),
+        ("value\n# nothing else\n\n", r"data\.csv: no sample values found"),
+    ])
+    def test_names_the_line_that_fails(self, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=message):
             read_sample_file(path)
