@@ -11,7 +11,8 @@ where the roots are the positive solutions of the degree-(p-2)
 exponential-polynomial equation with coefficients alpha_0 = 1 + t b^{p-1}/mu^p
 and alpha_j = b^{p-j-1} mu^{j+1}/(mu^p j!) - 1/j!. p = 2 collapses to the
 classical second-moment bound (single root log(alpha_0)); p = 3 has a
-closed form through the Lambert W function and is never worse than p = 2.
+closed form through the Lambert W function, evaluated by a monotone Newton
+iteration, and is never worse than p = 2.
 """
 
 from __future__ import annotations
@@ -255,8 +256,9 @@ def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
     bounds), which forces alpha_1 = b*mu2/mu3 - 1 >= 0. alpha_1 = 0 makes
     the quadratic term vanish and the bound reduces to the second-moment
     form; otherwise the unique root is alpha0/alpha1 - W(e^{alpha0/alpha1}
-    / alpha1), evaluated in log form when the exponential would overflow.
-    Both are the solver's closed forms for degree 1.
+    / alpha1). The solver evaluates that root by a Newton iteration on the
+    degree-1 equation itself, which needs no exponential of alpha0/alpha1
+    and keeps its digits when alpha1 is small beside alpha0.
     """
     t = checked_threshold(t)
     b, agg = aggregate_moments(spec, 3)
@@ -312,7 +314,7 @@ def bennett_tightness_check(spec: EnsembleSpec, t: float) -> TightnessComparison
             raise OrderError("the comparison needs third moments")
     p2 = bennett_bound(spec, t, 2)
     p3 = bennett_p3_lambert(spec, t)
-    if p3.bound > p2.bound + 1e-12:
+    if p3.bound > p2.bound * (1.0 + 1e-12):
         raise InternalConsistencyError(
             f"three-moment bound {p3.bound} exceeds two-moment bound "
             f"{p2.bound}")

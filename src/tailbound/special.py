@@ -1,8 +1,8 @@
 """Scalar special functions used by the bound formulas.
 
-Series tails of the exponential, Lambert W, the scaled Gaussian tail, and
-the solver for the positive roots of alpha_0 - sum_j alpha_j x^j = exp(x)
-with its RootSet result type.
+Series tails of the exponential, the scaled Gaussian tail, and the solver
+for the positive roots of alpha_0 - sum_j alpha_j x^j = exp(x) with its
+RootSet result type.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from ._record import Record, setfield
 from .errors import DomainError, PreconditionError, SolverFailureError
 
 __all__ = [
-    "RootSet", "lambert_w0", "mills_theta", "solve_poly_exp",
-    "taylor_remainder",
+    "RootSet", "mills_theta", "solve_poly_exp", "taylor_remainder",
 ]
 
 _EPS = 2.220446049250313e-16
 _EXP_MAX = 709.782712893384
-_INV_E = 0.36787944117144233
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 # the derivative levels of the last solve_poly_exp that reached the Rolle
@@ -136,66 +134,6 @@ def _overflowed_remainder(p: int, x: float) -> float:
     return sign * _exp(log_first + math.log(total))
 
 
-def lambert_w0(x: float) -> float:
-    """Principal branch of Lambert W: the w >= -1 with w*exp(w) = x.
-
-    Series guess near the branch point, log-based guesses elsewhere, then
-    Halley iterations until the defining residual w*exp(w)-x converges.
-    """
-    x = float(x)
-    if x < -_INV_E:
-        if x < -_INV_E - 1e-12:
-            raise DomainError(
-                f"lambert_w0 requires x >= -1/e; got {x}")
-        x = -_INV_E
-    if x == 0.0:
-        return 0.0
-    if x > 1e300:
-        # w*exp(w) would overflow during iteration; solve in log form
-        return _w_log_newton(math.log(x))
-    if x < -0.3178794411714423:
-        # branch-point expansion: w ~ -1 + sqrt(2(e*x+1))
-        w = math.sqrt(5.43656365691809 * x + 2.0) - 1.0
-    elif x < 3.0:
-        w = math.log1p(x)
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-    tol = 1e-14 * max(abs(x), 1e-290)
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= tol:
-            break
-        wp1 = w + 1.0
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= dw
-        if abs(dw) <= _EPS * (1.0 + abs(w)):
-            break
-    return w
-
-
-def _w_log_newton(u):
-    # unique w > 0 with w + log(w) = u; only called for large u
-    w = u - math.log(u)
-    for _ in range(50):
-        f = w + math.log(w) - u
-        dw = f * w / (w + 1.0)
-        w -= dw
-        if abs(dw) <= _EPS * w:
-            break
-    return w
-
-
-def lambert_w0_exp(u: float) -> float:
-    """W(exp(u)), stable for arguments where exp(u) would overflow."""
-    u = float(u)
-    if u <= 690.0:
-        return lambert_w0(_exp(u))
-    return _w_log_newton(u)
-
-
 def mills_theta(x: float) -> float:
     """Scaled Gaussian upper-tail mass exp(x^2/2) * P(Z >= x) for Z ~ N(0,1).
 
@@ -232,9 +170,9 @@ def solve_poly_exp(alpha) -> RootSet:
     equation of degree len(alpha) - 1.
 
     alpha[0] > 1 guarantees at least one positive root. Degree 0 and degree
-    1 with a positive linear coefficient have closed forms (log and Lambert
-    W), each with its single root; everything else goes to the Rolle
-    isolation of poly_exp_roots. Its derivative levels do not involve
+    1 with a positive linear coefficient have a single root, log(alpha[0])
+    and the Newton iteration of _linear_root; everything else goes to the
+    Rolle isolation of poly_exp_roots. Its derivative levels do not involve
     alpha[0], so the last solve's are kept, and a solve with the same
     alpha[1:] (one Bennett ensemble at another threshold) reuses them.
     """
@@ -253,8 +191,7 @@ def solve_poly_exp(alpha) -> RootSet:
     if len(alpha) == 1:
         return RootSet((math.log(alpha[0]),), True)
     if len(alpha) == 2 and alpha[1] > 0.0:
-        z = alpha[0] / alpha[1]
-        return RootSet((z - lambert_w0_exp(z - math.log(alpha[1])),), True)
+        return RootSet((_linear_root(*alpha),), True)
     global _last_levels
     levels = _last_levels
     if levels is None or levels[0] != alpha[1:]:
@@ -262,6 +199,33 @@ def solve_poly_exp(alpha) -> RootSet:
     roots = _last_level(alpha, levels)
     _last_levels = levels
     return roots
+
+
+def _linear_root(a0, a1):
+    """The root of a0 - a1*y = exp(y) for a0 > 1 and a1 > 0.
+
+    It is z - W(exp(z)/a1) with z = a0/a1 and Lambert's W, and lies below
+    both log(a0) and (a0 - 1)/a1. On (0, a0/a1), h(y) = y - log(a0 - a1*y)
+    is increasing and convex, so Newton's method on h from the smaller of
+    the two falls monotonically onto the root; it ends when a step no
+    longer lowers y, which floats being finite makes certain. Taking the
+    log as log1p(a0 - 1 - a1*y) keeps small roots to a few ulp. Where
+    a0 - a1*y rounds to <= 0 (a1*y can round past a huge a0), the step is
+    Newton's on the concave, decreasing a0 - a1*y - exp(y) instead, which
+    falls monotonically too. A coefficient that is not finite gives a root
+    of 0 or inf, which RootSet rejects.
+    """
+    y = min(math.log(a0), (a0 - 1.0) / a1)
+    while True:
+        u = a0 - 1.0 - a1 * y
+        if u > -1.0:
+            y_next = y - (y - math.log1p(u)) * (1.0 + u) / (1.0 + u + a1)
+        else:
+            e = _exp(y)
+            y_next = y - (e - 1.0 - u) / (e + a1)
+        if not y_next < y:
+            return y
+        y = y_next
 
 
 def poly_exp_residual(alpha, x: float) -> float:

@@ -1,5 +1,7 @@
 import math
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from helpers import (
@@ -11,6 +13,7 @@ from helpers import (
 from tailbound import (
     BennettBound,
     Bernoulli,
+    Beta,
     DegenerateDistributionError,
     DomainError,
     EnsembleSpec,
@@ -24,9 +27,9 @@ from tailbound import (
     bennett_p3_lambert,
     bennett_tightness_check,
     bennett_unique_root,
-    lambert_w0,
     mc_tail,
 )
+from tailbound import bennett
 
 
 def uniform_spec(p=3, n=1):
@@ -81,7 +84,7 @@ class TestOrderThreeLambert:
         # n=1 uniform on [0,1], t=0.1: alpha = (1.4, 1/3), y = 4.2 - W(3 e^4.2)
         result = bennett_p3_lambert(uniform_spec(3, 1), 0.1)
         assert result.alpha == pytest.approx((1.4, 1 / 3), rel=1e-13)
-        expected_y = 4.2 - lambert_w0(3.0 * math.exp(4.2))
+        expected_y = 4.2 - float(mpmath.lambertw(3 * mpmath.exp(4.2)))
         assert result.y_star == pytest.approx(expected_y, rel=1e-12)
         mu2, mu3 = 1 / 3, 1 / 4
         y = result.y_star
@@ -252,6 +255,25 @@ class TestTightness:
             spec = EnsembleSpec.iid_replicate(mv, int(rng.integers(1, 5)))
             cmp_ = bennett_tightness_check(spec, float(rng.uniform(0.02, 2.0)))
             assert cmp_.bound_p3 <= cmp_.bound_p2 + 1e-12
+
+    def test_ordering_is_checked_relative_to_the_bound(self, monkeypatch):
+        # at bounds near 1e-15 a p = 3 bound twice the p = 2 one is far
+        # inside any absolute margin of 1e-12
+        spec = EnsembleSpec.iid_replicate(Beta(1e-16, 1).moment_vector(3), 10)
+        p2 = bennett_bound(spec, 1.0, 2).bound
+        assert p2 < 1e-14
+        monkeypatch.setattr(bennett, "bennett_p3_lambert",
+                            lambda spec, t: SimpleNamespace(bound=2.0 * p2))
+        with pytest.raises(InternalConsistencyError):
+            bennett_tightness_check(spec, 1.0)
+
+    @pytest.mark.parametrize("a", [1e-8, 1e-12, 1e-16])
+    def test_beta_near_a_point_mass_at_zero(self, a):
+        # alpha1 is small beside alpha0 here (alpha0 = 3e15 at a = 1e-16),
+        # where a root that cancels puts p = 3 above p = 2
+        spec = EnsembleSpec.iid_replicate(Beta(a, 1).moment_vector(3), 10)
+        cmp_ = bennett_tightness_check(spec, 1.0)
+        assert cmp_.bound_p3 < cmp_.bound_p2
 
 
 class TestValidity:

@@ -4,11 +4,18 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import CallCounter
+from helpers import CallCounter, bennett_bound_generic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailbound import BennettBound, HoeffdingBound, Uniform, cli
+from tailbound import (
+    BennettBound,
+    Beta,
+    EnsembleSpec,
+    HoeffdingBound,
+    Uniform,
+    cli,
+)
 from tailbound.cli import _fmt, _linspace, main
 
 
@@ -138,6 +145,22 @@ class TestBoundCommand:
         for p, row in zip((3, 4), out.splitlines()[1:]):
             _, single, _ = run(capsys, *args, "--p", str(p))
             assert row == single.splitlines()[1]
+
+    @pytest.mark.parametrize("a", [1e-8, 1e-12, 1e-16, 1e-20])
+    def test_order_three_with_alpha1_small_beside_alpha0(self, capsys, a):
+        # Beta(a, 1) with a -> 0 gives alpha0 up to 3e20 against alpha1 =
+        # 0.5, where the root as z - W(exp(z)/alpha1), z = alpha0/alpha1,
+        # cancels
+        code, out, _ = run(capsys, "bound", "--family", "bennett",
+                           "--dist", "beta", "--params", f"a={a},b=1",
+                           "--n", "10", "--t", "1", "--p", "3")
+        assert code == 0
+        lines = out.strip().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        spec = EnsembleSpec.iid_replicate(Beta(a, 1).moment_vector(3), 10)
+        want = bennett_bound_generic(spec, 1.0, 3).bound
+        assert float(row["bound"]) == pytest.approx(want, rel=1e-12)
+        assert float(row["residual"]) < 1e-14
 
     def test_bennett_needs_order_two(self, capsys):
         code, _, _ = run(capsys, "bound", "--family", "bennett",

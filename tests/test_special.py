@@ -10,13 +10,12 @@ from tailbound import (
     DomainError,
     PreconditionError,
     SolverFailureError,
-    lambert_w0,
     mills_theta,
     solve_poly_exp,
     taylor_remainder,
 )
 from tailbound import special
-from tailbound.special import lambert_w0_exp, poly_exp_residual, poly_exp_roots
+from tailbound.special import poly_exp_residual, poly_exp_roots
 
 mpmath.mp.dps = 60
 _SQRT2 = math.sqrt(2.0)
@@ -145,42 +144,20 @@ class TestTaylorRemainder:
                     want, rel=1e-12, abs=1e-300), x
 
 
-class TestLambertW:
-    def test_trivial_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
-
-    def test_residual_at_ten(self):
-        w = lambert_w0(10.0)
-        assert abs(w * math.exp(w) - 10.0) <= 1e-12
-
-    def test_matches_bisection_oracle(self):
-        for x in (0.2, 1.0, 7.5, 123.0, 1e6):
-            expected = bisect(lambda w: w * math.exp(w) - x, 0.0, 720.0)
-            assert lambert_w0(x) == pytest.approx(expected, rel=1e-12)
-
-    def test_round_trip(self):
-        for y in np.linspace(-0.9, 20.0, 60):
-            x = y * math.exp(y)
-            assert lambert_w0(x) == pytest.approx(float(y), rel=1e-11, abs=1e-11)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(min_value=-0.9, max_value=20.0))
-    def test_round_trip_property(self, y):
-        x = y * math.exp(y)
-        assert lambert_w0(x) == pytest.approx(y, rel=1e-11, abs=1e-11)
-
-    def test_domain_error_below_branch_point(self):
-        with pytest.raises(DomainError):
-            lambert_w0(-1.0)
-
-    def test_exp_form_continuity_and_huge_arguments(self):
-        # W(e^u) must agree with the direct evaluation where both work
-        for u in (0.0, 5.0, 100.0, 689.0):
-            assert lambert_w0_exp(u) == pytest.approx(
-                lambert_w0(math.exp(u)), rel=1e-13)
-        w = lambert_w0_exp(5000.0)  # exp(5000) overflows; log form
-        assert w + math.log(w) == pytest.approx(5000.0, rel=1e-13)
+def degree_one_root_mp(a0, a1):
+    """The zero of a0 - a1*y - exp(y) by bisection at 60 digits, over
+    (0, min(log a0, (a0 - 1)/a1)), where it is decreasing from > 0 to <= 0."""
+    with mpmath.workdps(60):
+        a0, a1 = mpmath.mpf(a0), mpmath.mpf(a1)
+        lo, hi = mpmath.mpf(0), min(mpmath.log(a0), (a0 - 1) / a1)
+        # the root is at least hi/2 there, so 220 halvings reach 60 digits
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if a0 - a1 * mid - mpmath.exp(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 class TestSolvePolyExp:
@@ -197,7 +174,8 @@ class TestSolvePolyExp:
         assert root == pytest.approx(expected, rel=1e-12)
         assert abs(2.0 - root - math.exp(root)) <= 1e-12
         # closed form in terms of W
-        assert root == pytest.approx(2.0 - lambert_w0(math.exp(2.0)), rel=1e-13)
+        assert root == pytest.approx(2.0 - float(mpmath.lambertw(mpmath.e ** 2)),
+                                     rel=1e-13)
 
     def test_degree_one_closed_form_matches_scan(self, rng):
         for _ in range(100):
@@ -266,11 +244,31 @@ class TestSolvePolyExp:
         with pytest.raises(SolverFailureError):
             solve_poly_exp([math.inf, 1.0, -1.0])
 
-    def test_nan_root_fails_cleanly(self):
-        # alpha0/alpha1 overflows in the degree-1 Lambert form, which then
-        # gave the root set (nan,)
+    def test_subnormal_linear_coefficient_gives_log_two(self):
+        # alpha0/alpha1 overflows here; the root is log 2 to rounding
+        (root,) = solve_poly_exp((2.0, 1e-310)).roots
+        assert abs(root - math.log(2.0)) <= math.ulp(math.log(2.0))
+
+    @pytest.mark.parametrize("alpha", [(math.inf, 1.0), (2.0, math.inf)])
+    def test_non_finite_degree_one_coefficients_fail_cleanly(self, alpha):
         with pytest.raises(SolverFailureError):
-            solve_poly_exp((2.0, 1e-310))
+            solve_poly_exp(alpha)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=300.0).map(lambda e: 10.0 ** e)
+           .filter(lambda a0: a0 > 1.0),
+           st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e))
+    @example(8.349658788541326e+51, 8.661757863514029e+243)
+    @example(2.0, 1e-310)
+    @example(1e20, 0.3)
+    @example(1e300, 1e-300)
+    @example(1.0 + 2.0 ** -52, 1e-300)
+    def test_degree_one_root_within_four_ulp(self, a0, a1):
+        # alpha0 and alpha1 log-uniform over (1, 1e300] and [1e-300, 1e300];
+        # the first example is where a1*y at the start rounds past a0
+        (root,) = solve_poly_exp((a0, a1)).roots
+        want = degree_one_root_mp(a0, a1)
+        assert abs(root - want) <= 4 * math.ulp(float(want))
 
     def test_rejects_alpha0_at_most_one(self):
         with pytest.raises(PreconditionError):
