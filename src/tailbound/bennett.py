@@ -125,12 +125,15 @@ def aggregate_moments(spec: EnsembleSpec, p: int) -> tuple[float, tuple[float, .
     if not isinstance(p, int) or p < 2:
         raise DomainError(f"order p must be an integer >= 2; got {p!r}")
     variables = [restrict_order(v, p) for v in spec.vectors]
-    b = variables[0].support.upper
-    for v in variables[1:]:
-        if abs(v.support.upper - b) > 1e-12 * max(abs(b), 1.0):
-            raise DomainError(
-                f"all variables must share one upper bound; got {b} and "
-                f"{v.support.upper}")
+    uppers = [v.support.upper for v in variables]
+    b = uppers[0]
+    # equal uppers (the common case) need no tolerance
+    if uppers.count(b) != len(uppers):
+        for upper in uppers[1:]:
+            if abs(upper - b) > 1e-12 * max(abs(b), 1.0):
+                raise DomainError(
+                    f"all variables must share one upper bound; got {b} and "
+                    f"{upper}")
     if b <= 0.0:
         raise DomainError(f"the common upper bound must be positive; got {b}")
     # columns of mu^2..mu^{p-1} across the groups, then the positive parts

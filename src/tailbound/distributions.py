@@ -36,7 +36,8 @@ class Distribution(Record):
     support: Support
 
     def moments(self, p: int) -> tuple[float, ...]:
-        """(E X, ..., E X^p)."""
+        """(E X, ..., E X^p), a tuple of p floats whatever the types of the
+        law's parameters: moment_vector stores it as it is."""
         raise NotImplementedError
 
     def moment(self, k: int) -> float:
@@ -71,7 +72,8 @@ class Distribution(Record):
         """The law's first p moments, built once per order: later calls
         return the same vector. The order is checked before the lookup, as
         2.0 and numpy's 2 hash and compare equal to 2."""
-        checked_order(p)
+        if not (type(p) is int and p >= 1):
+            checked_order(p)
         mv = self._vectors.get(p)
         if mv is not None:
             return mv
@@ -88,7 +90,7 @@ class Distribution(Record):
             raise DomainError(f"{self}: a moment of order <= {p} leaves the "
                               f"float range ({exc})") from None
         # a racing thread may have stored one first: all callers get that one
-        mv = MomentVector(p, mu, self.support, pos)
+        mv = MomentVector._derived(p, mu, self.support, pos)
         return self._vectors.setdefault(p, mv)
 
 
@@ -111,7 +113,7 @@ class Uniform(Distribution):
         # the rule holds that sum for order k. For lo >= 0 every term is
         # positive, so a narrow support far from 0 cancels none, and no
         # partial sum overflows before the moment does
-        lo, hi = self.lo, self.hi
+        lo, hi = float(self.lo), float(self.hi)
         total = lo_j = 1.0
         out = []
         for k in range(1, p + 1):
@@ -166,7 +168,7 @@ class Bernoulli(Distribution):
         setfield(self, "_vectors", {})
 
     def moments(self, p):
-        return (self.q,) * p
+        return (float(self.q),) * p
 
     def sample(self, rng, out):
         import numpy as np
@@ -200,7 +202,8 @@ class PointMass(Distribution):
         setfield(self, "_vectors", {})
 
     def moments(self, p):
-        return tuple(self.c ** k for k in range(1, p + 1))
+        c = float(self.c)
+        return tuple([c ** k for k in range(1, p + 1)])
 
     def positive_part_moment(self, p):
         return max(self.c ** p, 0.0)
@@ -231,7 +234,8 @@ class Beta(Distribution):
 
     def moments(self, p):
         # E X^k = prod_{j<k} (a+j)/(a+b+j), so each moment extends the last
-        a, ab = self.a, self.a + self.b
+        a = float(self.a)
+        ab = a + float(self.b)
         m = 1.0
         out = []
         for j in range(p):
@@ -284,7 +288,7 @@ class TruncatedExponential(Distribution):
         # (rate + s) M(s) = rate e^{sb} for the MGF of X = b - E; at s = 0 its
         # k-th derivative is mu_k = b^k - (k/rate) mu_{k-1}, off by a few eps
         # times sum_j C(k, j) |b|^{k-j} j!/rate^j, as the binomial sum is
-        b, rate = self.b, self.rate
+        b, rate = float(self.b), float(self.rate)
         m = 1.0
         out = []
         for k in range(1, p + 1):

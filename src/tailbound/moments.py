@@ -1,10 +1,14 @@
 """Raw-moment records for bounded random variables.
 
 Raw moments E(X^k) are the canonical representation because every bound
-formula consumes them directly. Construction validates the feasibility
-inequalities that any genuine moment sequence satisfies; vectors that fail
-validation are rejected rather than clamped, since bounds computed from
-infeasible moments are meaningless.
+formula consumes them directly. Outside input (user code, the CLI's --mu)
+goes through the MomentVector constructor, which converts it and validates
+the feasibility inequalities that any genuine moment sequence satisfies;
+vectors that fail validation are rejected rather than clamped, since bounds
+computed from infeasible moments are meaningless. Vectors that tailbound
+derives itself (a law's moments, moved, restricted or sample moments) skip
+the conversion but pass the same strict predicate; any that fail it take
+the constructor's path, tolerances and messages.
 """
 
 from __future__ import annotations
@@ -140,6 +144,12 @@ class MomentVector(Record):
     array('d') from moments_from_samples) and let shift/reflect recompute
     moments directly instead of re-expanding; they take no part in ==, hash
     or repr.
+
+    The constructor takes outside input: it checks the order, converts the
+    entries to floats and validates them. Vectors that tailbound computes
+    itself come from _derived, which stores its floats as they are when they
+    pass the constructor's strict predicate and calls the constructor when
+    they do not, so both give the same vector or the same error.
     """
 
     _fields = ("p", "mu", "support", "positive_part_pth")
@@ -189,6 +199,29 @@ class MomentVector(Record):
                         f"{mu[-1]}, but positive_part_pth = {pos}")
         setfield(self, "positive_part_pth", pos)
 
+    @classmethod
+    def _derived(cls, p: int, mu: tuple, support: Support, pos: float,
+                 samples: Optional[array] = None) -> "MomentVector":
+        """The vector of moments that tailbound computed itself: mu a tuple
+        of p floats, p an order checked already. Where they pass the
+        predicate that lets the constructor skip its tolerant checks, the
+        fields are stored as they are; elsewhere the constructor decides."""
+        pos = float(pos)
+        lower = support.lower
+        if lower is not None and lower >= 0.0:
+            strict = _strictly_feasible(mu, support.upper) and pos == mu[-1]
+        else:
+            strict = all(map(math.isfinite, mu)) and 0.0 <= pos < math.inf
+        if not strict:
+            return cls(p, mu, support, pos, samples)
+        mv = cls.__new__(cls)
+        _set_p(mv, p)
+        _set_mu(mv, mu)
+        _set_support(mv, support)
+        _set_samples(mv, samples)
+        _set_pos(mv, pos)
+        return mv
+
     def moment(self, k: int) -> float:
         """E(X^k) for k = 0..p (k = 0 is 1 by convention)."""
         if k == 0:
@@ -203,8 +236,15 @@ class MomentVector(Record):
                 f"first moment must be positive; got {self.mu[0]}")
 
 
+# the slots' own setters, which the frozen __setattr__ does not reach: each
+# store is quicker than setfield's
+_set_p, _set_mu, _set_support, _set_pos, _set_samples = (
+    getattr(MomentVector, name).__set__ for name in MomentVector.__slots__)
+
+
 def restrict_order(mv: MomentVector, q: int) -> MomentVector:
     """The same variable described by only its first q moments."""
+    q = checked_order(q)
     if q > mv.p:
         raise OrderError(f"cannot raise order from {mv.p} to {q}")
     if q == mv.p:
@@ -220,7 +260,7 @@ def restrict_order(mv: MomentVector, q: int) -> MomentVector:
         raise OrderError(
             f"E max(X^{q}, 0) is not determined by the stored moments when the "
             "support extends below 0; construct the vector at that order")
-    return MomentVector(q, mv.mu[:q], mv.support, pos, samples=mv.samples)
+    return MomentVector._derived(q, mv.mu[:q], mv.support, pos, mv.samples)
 
 
 def moments_from_samples(data, p: int, support: Support) -> MomentVector:
@@ -244,6 +284,12 @@ def moments_from_samples(data, p: int, support: Support) -> MomentVector:
             f"datum at index {len(values)} is not a real number") from None
     if not values:
         raise DomainError("cannot compute moments of an empty sample")
+    return _sample_vector(values, p, support)
+
+
+def _sample_vector(values: array, p: int, support: Support) -> MomentVector:
+    """The vector of the nonempty samples values, for a checked order p. It
+    keeps values itself, so a caller hands over an array it owns."""
     # one pass serves the common case, as nan and the infinities fail it too;
     # the indexed loops below run only to name the datum that failed
     lo = -_MAX if support.lower is None else support.lower - 1e-12
@@ -261,7 +307,7 @@ def moments_from_samples(data, p: int, support: Support) -> MomentVector:
     for power in _powers(values, p):
         mu.append(_mean(power, len(values)))
     pos = mu[-1] if p % 2 == 0 else _positive_mean(power)
-    return MomentVector(p, mu, support, pos, samples=values)
+    return MomentVector._derived(p, tuple(mu), support, pos, values)
 
 
 def _powers(values: array, p: int):
@@ -317,7 +363,8 @@ def shift_to_origin(mv: MomentVector) -> MomentVector:
         raise DomainError(f"moments shifted by {-a} leave the float range "
                           f"({exc})") from None
     try:
-        return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
+        return MomentVector._derived(mv.p, tuple(mu),
+                                     Support.interval(0.0, width), mu[-1])
     except InfeasibleMomentsError as exc:
         raise _precision_lost(exc, mv, mu, a) from None
 
@@ -348,7 +395,8 @@ def reflect_moments(mv: MomentVector) -> MomentVector:
     # reflected values live in [0, width]; clip the float dust at zero
     mu = tuple(0.0 if -1e-15 < m < 0.0 else m for m in mu)
     try:
-        return MomentVector(mv.p, mu, Support.interval(0.0, width), mu[-1])
+        return MomentVector._derived(mv.p, mu, Support.interval(0.0, width),
+                                     mu[-1])
     except InfeasibleMomentsError as exc:
         raise _precision_lost(exc, mv, mu, b) from None
 
@@ -372,8 +420,8 @@ def _moved_samples(transform: str, mv: MomentVector, left, right):
     last = _moved.get(transform)
     if last is not None and last[0] is mv:
         return last[1]
-    moved = moments_from_samples(array("d", map(sub, left, right)), mv.p,
-                                 Support.interval(0.0, mv.support.width))
+    moved = _sample_vector(array("d", map(sub, left, right)), mv.p,
+                           Support.interval(0.0, mv.support.width))
     _moved[transform] = (mv, moved)
     return moved
 

@@ -3,14 +3,16 @@ moments, one vector per law and order, the truncated exponential's positive
 part, and parameter checks."""
 
 import math
+import operator
 import struct
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 from helpers import CallCounter
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailbound import (
@@ -18,11 +20,18 @@ from tailbound import (
     Beta,
     DomainError,
     EnsembleSpec,
+    MomentVector,
     PointMass,
+    Support,
+    TailboundError,
     TruncatedExponential,
     Uniform,
     bennett_bound,
     hoeffding_bound,
+    moments_from_samples,
+    reflect_moments,
+    restrict_order,
+    shift_to_origin,
 )
 from tailbound.cli import main
 from tailbound.distributions import _from_log, _kummer_scaled
@@ -317,3 +326,137 @@ def test_cli_reports_a_non_finite_beta_parameter(capsys, params):
                  "--params", params, "--p", "3", "--t", "1"])
     assert code == 2
     assert "positive and finite" in capsys.readouterr().err
+
+
+FLOAT_TYPED_LAWS = [
+    lambda: Uniform(-1, 2), lambda: Uniform(np.float64(0.25), 1),
+    lambda: Bernoulli(1), lambda: Bernoulli(np.float64(0.3)),
+    lambda: PointMass(2), lambda: PointMass(2, -1, 3),
+    lambda: PointMass(np.float64(-0.5), -1, np.float64(1.5)),
+    lambda: Beta(2, 3), lambda: Beta(np.float64(2.5), 3),
+    lambda: TruncatedExponential(1, 2),
+    lambda: TruncatedExponential(np.float64(1.5), np.float64(0.5)),
+]
+FLOAT_TYPED_IDS = [
+    "uniform-int", "uniform-float64", "bernoulli-int", "bernoulli-float64",
+    "point-int", "point-int-support", "point-float64", "beta-int",
+    "beta-float64", "truncexp-int", "truncexp-float64",
+]
+
+
+def assert_holds_floats(mv):
+    assert type(mv.p) is int
+    assert [type(m) for m in mv.mu] == [float] * mv.p
+    assert type(mv.positive_part_pth) is float
+
+
+@pytest.mark.parametrize("make", FLOAT_TYPED_LAWS, ids=FLOAT_TYPED_IDS)
+@pytest.mark.parametrize("p", range(1, 9))
+def test_vectors_hold_floats_whatever_the_parameter_types(make, p):
+    mv = make().moment_vector(p)
+    assert_holds_floats(mv)
+    moved = []
+    if mv.support.lower is not None:
+        moved = [shift_to_origin(mv), reflect_moments(mv)]
+    for v in (mv, *moved):
+        assert_holds_floats(v)
+        for q in range(1, p + 1):
+            # an odd positive part below 0 is not in the analytic moments
+            if q == p or q % 2 == 0 or v.support.is_nonnegative:
+                assert_holds_floats(restrict_order(v, q))
+
+
+def vector_bits(mv):
+    return (type(mv), mv.p, bits(mv.mu), bits([mv.positive_part_pth]),
+            mv.support, mv.samples)
+
+
+def derived_outcomes(build, p):
+    """The vector build() and the vectors moved and restricted from it, each
+    as its bits or as the type and message of the exception it raised."""
+    results = []
+
+    def record(call):
+        try:
+            mv = call()
+        except TailboundError as exc:
+            results.append((type(exc), str(exc)))
+            return None
+        results.append(vector_bits(mv))
+        return mv
+
+    mv = record(build)
+    vectors = [mv]
+    if mv is not None and mv.support.lower is not None:
+        vectors += [record(lambda: shift_to_origin(mv)),
+                    record(lambda: reflect_moments(mv))]
+    for v in filter(None, vectors):
+        for q in range(1, p + 1):
+            record(lambda: restrict_order(v, q))
+    return results
+
+
+def through_the_constructor(call):
+    """call() with each vector the program derives built by the public
+    MomentVector constructor from the same values."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MomentVector, "_derived", classmethod(
+            lambda cls, p, mu, support, pos, samples=None:
+                cls(p, mu, support, pos, samples)))
+        return call()
+
+
+# magnitudes from 1e-300 to 1e300, of either sign
+magnitudes = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+                       st.integers(-300, 299))
+signed = st.one_of(st.just(0.0), magnitudes, magnitudes.map(operator.neg))
+
+
+@st.composite
+def law_makers(draw):
+    kind = draw(st.sampled_from(["uniform", "bernoulli", "beta", "point",
+                                 "truncexp"]))
+    if kind == "uniform":
+        make = partial(Uniform, *sorted([draw(signed), draw(signed)]))
+    elif kind == "bernoulli":
+        make = partial(Bernoulli, draw(st.floats(0.0, 1.0)))
+    elif kind == "beta":
+        make = partial(Beta, draw(magnitudes), draw(magnitudes))
+    elif kind == "point":
+        lo, c, hi = sorted([draw(signed), draw(signed), draw(signed)])
+        make = partial(PointMass, c, lo, hi)
+    else:
+        make = partial(TruncatedExponential, draw(signed), draw(magnitudes))
+    try:
+        make()
+    except TailboundError:
+        assume(False)
+    return make
+
+
+@settings(max_examples=150, deadline=None)
+@given(make=law_makers(), p=st.integers(1, 8))
+# a shift far from the origin loses every digit
+@example(make=partial(Uniform, 1000.0, 1001.0), p=6)
+@example(make=partial(Uniform, 1000.0, 1001.0), p=4)
+def test_law_vectors_match_the_public_constructor(make, p):
+    def build():
+        return make().moment_vector(p)
+
+    assert (derived_outcomes(build, p)
+            == through_the_constructor(lambda: derived_outcomes(build, p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+       units=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+       p=st.integers(1, 8))
+def test_sample_vectors_match_the_public_constructor(lo, width, units, p):
+    support = Support.interval(lo, lo + width)
+    data = [min(lo + u * width, support.upper) for u in units]
+
+    def build():
+        return moments_from_samples(data, p, support)
+
+    assert (derived_outcomes(build, p)
+            == through_the_constructor(lambda: derived_outcomes(build, p)))

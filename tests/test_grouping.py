@@ -223,13 +223,14 @@ class TestSampleBackedEnsemble:
         data = np.random.default_rng(3).uniform(-0.5, 1.5, 200)
         path = tmp_path / "values.txt"
         path.write_text("\n".join(repr(float(x)) for x in data) + "\n")
-        counter = CallCounter(monkeypatch, moments_module, "moments_from_samples")
+        counter = CallCounter(monkeypatch, moments_module, "_sample_vector")
         code = main(["bound", "--data", str(path), "--support=-0.5,1.5",
                      "--n", "1000", "--t", "50", "--p", "2"])
         capsys.readouterr()
         assert code == 0
-        # shift_to_origin recomputes from the shifted samples exactly once
-        assert counter.calls == 1
+        # one pass over the samples read, then shift_to_origin recomputes
+        # from the shifted samples exactly once
+        assert counter.calls == 2
 
 
 class TestSamplesMoveOnce:
@@ -251,15 +252,15 @@ class TestSamplesMoveOnce:
                                              tmp_path, k, extra, passes):
         path = tmp_path / "values.txt"
         path.write_text("\n".join(map(repr, self._data(5).tolist())) + "\n")
-        # the CLI reads the file through its own name for the function, so
-        # only the moves' passes over the samples are counted
-        counter = CallCounter(monkeypatch, moments_module, "moments_from_samples")
+        # every pass over samples builds its vector in _sample_vector: one
+        # for the samples read, then one per move
+        counter = CallCounter(monkeypatch, moments_module, "_sample_vector")
         code = main(["bound", "--data", str(path), "--support=-0.5,1.5",
                      "--n", "100", "--t", f"0.05:0.4:{k}", "--per-var",
                      *extra])
         capsys.readouterr()
         assert code == 0
-        assert counter.calls == passes
+        assert counter.calls == 1 + passes
 
     def test_kept_moves_give_the_records_of_fresh_moves(self):
         a = moments_from_samples(self._data(6), 4, self.SUPPORT)
@@ -286,7 +287,7 @@ class TestSamplesMoveOnce:
         data = self._data(8)
         a = moments_from_samples(data, 3, self.SUPPORT)
         twin = moments_from_samples(data, 3, self.SUPPORT)
-        counter = CallCounter(monkeypatch, moments_module, "moments_from_samples")
+        counter = CallCounter(monkeypatch, moments_module, "_sample_vector")
         first = transform(a)
         assert transform(a) is first
         assert counter.calls == 1
@@ -302,7 +303,7 @@ class TestSamplesMoveOnce:
         b = moments_from_samples(self._data(10), 3, self.SUPPORT)
         want_a, want_b = transform(a), transform(b)
         moments_module._moved.clear()
-        real = moments_module.moments_from_samples
+        real = moments_module._sample_vector
         theirs = []
 
         def patched(*args):
@@ -317,7 +318,7 @@ class TestSamplesMoveOnce:
                 assert not thread.is_alive()
             return real(*args)
 
-        monkeypatch.setattr(moments_module, "moments_from_samples", patched)
+        monkeypatch.setattr(moments_module, "_sample_vector", patched)
         assert transform(a) == want_a
         assert theirs[1] == want_b
         for mv, want in ((b, want_b), (a, want_a), (a, want_a), (b, want_b)):

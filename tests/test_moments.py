@@ -106,6 +106,19 @@ class TestMomentVector:
         with pytest.raises(OrderError):
             restrict_order(mv, 3)
 
+    @pytest.mark.parametrize("make, p", [
+        (lambda: Beta(2, 3), 4), (lambda: Uniform(-1, 1), 4),
+        (lambda: Uniform(0.0, 1.0), 1), (lambda: Uniform(-1, 1), 3)],
+        ids=["beta-4", "uniform-signed-4", "uniform-1", "uniform-signed-3"])
+    @pytest.mark.parametrize("q", [2.0, 3.0, 0, -1, True, None, np.int64(2)])
+    def test_restrict_order_checks_its_order_first(self, make, p, q):
+        # a float order indexed the moments (a raw TypeError) or reached
+        # the positive-part message; True at p = 1 returned the vector
+        mv = make().moment_vector(p)
+        with pytest.raises(DomainError,
+                           match="order p must be a positive integer"):
+            restrict_order(mv, q)
+
 
 class TestMomentsFromSamples:
     def test_point_mass(self):
@@ -538,6 +551,37 @@ class TestValidationAndTransformsAgainstTheirFormulas:
         want = outcome(lambda: tolerant_check(mu, support, pos))
         got = outcome(lambda: MomentVector(len(mu), mu, support, pos))
         assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=nudged_moments(), signed=st.booleans())
+    @example(case=([0.5, 0.3], Support.interval(0.0, 1.0), 0.3 * (1 - 2e-9)),
+             signed=False)
+    @example(case=([0.5, 0.3], Support.interval(0.0, 1.0), 0.3 * (1 - 5e-10)),
+             signed=False)
+    @example(case=([0.5, math.inf], Support.interval(0.0, 1.0), 0.3),
+             signed=True)
+    @example(case=([0.5, 0.3], Support.interval(0.0, 1.0), math.nan),
+             signed=True)
+    @example(case=([0.5, 0.3], Support.interval(0.0, 1.0), math.inf),
+             signed=True)
+    def test_derived_vectors_match_the_constructor(self, case, signed):
+        # the same values, stored by _derived or checked by the constructor
+        mu, support, pos = case
+        mu, pos = tuple(mu), mu[-1] if pos is None else pos
+        if signed:
+            support = Support.interval(-support.upper, support.upper)
+
+        def fields(make):
+            try:
+                mv = make()
+            except TailboundError as exc:
+                return type(exc), str(exc)
+            return (mv.p, bits(mv.mu), bits([mv.positive_part_pth]),
+                    mv.support)
+
+        assert (fields(lambda: MomentVector._derived(len(mu), mu, support,
+                                                     pos))
+                == fields(lambda: MomentVector(len(mu), mu, support, pos)))
 
     @settings(max_examples=300, deadline=None)
     @given(mv=interval_vectors())
