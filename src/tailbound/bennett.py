@@ -27,7 +27,6 @@ from .errors import (
     DegenerateDistributionError,
     DomainError,
     InternalConsistencyError,
-    OrderError,
     PreconditionError,
 )
 from .moments import (
@@ -39,8 +38,8 @@ from .moments import (
 from .special import RootSet, poly_exp_residual, solve_poly_exp
 
 __all__ = [
-    "BennettBound", "TightnessComparison", "bennett_bound",
-    "bennett_p3_lambert", "bennett_tightness_check", "bennett_unique_root",
+    "BennettBound", "bennett_bound", "bennett_p3_lambert",
+    "bennett_unique_root",
 ]
 
 
@@ -98,21 +97,6 @@ class BennettBound(Record):
             aggregated_moments=tuple(float(m) for m in d["aggregated_moments"]),
             b=float(d["b"]),
         )
-
-
-class TightnessComparison(Record):
-    """Third-moment bound next to the classical second-moment bound."""
-
-    __slots__ = _fields = ("t", "bound_p2", "bound_p3")
-
-    def __init__(self, t: float, bound_p2: float, bound_p3: float):
-        setfield(self, "t", t)
-        setfield(self, "bound_p2", bound_p2)
-        setfield(self, "bound_p3", bound_p3)
-
-    @property
-    def improvement(self) -> float:
-        return self.bound_p2 - self.bound_p3
 
 
 def aggregate_moments(spec: EnsembleSpec, p: int) -> tuple[float, tuple[float, ...]]:
@@ -205,6 +189,12 @@ def _alpha_again(last, t: float) -> tuple[float, ...]:
 
 def _inner_expression(y: float, t: float, b: float, p: int,
                       agg: Sequence[float]) -> float:
+    if p == 2:
+        # at y = log1p(u), u = t b / mu2, the value is -(mu2/b^2) h(u); for
+        # a small u the terms t/b and (t/b + mu2/b^2) y below cancel
+        u = t * b / agg[0]
+        if u < 0.1:
+            return -agg[0] / b ** 2 * _small_h(u)
     total = t / b - (t / b + agg[0] / b ** 2) * y
     fact = 1.0
     for j in range(2, p):
@@ -212,6 +202,33 @@ def _inner_expression(y: float, t: float, b: float, p: int,
         coeff = agg[j - 2] / (b ** j * fact) - agg[j - 1] / (b ** (j + 1) * fact)
         total += coeff * y ** j
     return total
+
+
+def _small_h(u: float) -> float:
+    """h(u) = (1 + u) log(1 + u) - u for 0 < u < 0.1, where the difference
+    cancels. With z = u / (2 + u), log(1 + u) = 2 atanh(z) and
+    h = 2 z (z + (1 + z) sum_{k>=1} z^(2k) / (2k + 1)) / (1 - z), a sum of
+    positive terms. z < 0.048, so the terms after k = 6 are below 1e-18 of
+    the whole."""
+    z = u / (2.0 + u)
+    w = z * z
+    s = w * (1 / 3 + w * (1 / 5 + w * (1 / 7
+             + w * (1 / 9 + w * (1 / 11 + w / 13)))))
+    return 2.0 * z * (z + (1.0 + z) * s) / (1.0 - z)
+
+
+def _roots(t: float, b: float, p: int, agg: Sequence[float],
+           alpha: tuple[float, ...]) -> RootSet:
+    """The positive roots of the equation with coefficients alpha.
+
+    At p = 2 the one root is log(alpha_0), taken as log1p(t b / mu^2):
+    alpha_0 = 1 + t b / mu^2 rounds away the digits of a ratio that is small
+    beside 1. Where alpha_0 rounds to 1, solve_poly_exp reports the
+    violated precondition.
+    """
+    if p == 2 and alpha[0] > 1.0:
+        return RootSet((math.log1p(t * b / agg[0]),), True)
+    return solve_poly_exp(alpha)
 
 
 def _build(t, b, p, agg, alpha, roots) -> BennettBound:
@@ -247,7 +264,7 @@ def bennett_bound(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
         alpha = _alpha_coefficients(t, b, p, agg)
     else:
         b, agg, alpha = last[3], last[4], _alpha_again(last, t)
-    result = _build(t, b, p, agg, alpha, solve_poly_exp(alpha))
+    result = _build(t, b, p, agg, alpha, _roots(t, b, p, agg, alpha))
     _last = (spec.vectors, spec.counts, p, b, agg, alpha)
     return result
 
@@ -297,28 +314,9 @@ def bennett_unique_root(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
         for k, m in zip(range(2, p + 1), agg)
     )
     alpha = _alpha_coefficients(t, b, p, agg)
-    roots = solve_poly_exp(alpha).roots
+    roots = _roots(t, b, p, agg, alpha).roots
     if len(roots) != 1:
         raise InternalConsistencyError(
             f"expected a single root under the odd-moment sign condition; "
             f"solver found {list(roots)}")
     return _build(t, b, p, agg, alpha, RootSet(roots, True))
-
-
-def bennett_tightness_check(spec: EnsembleSpec, t: float) -> TightnessComparison:
-    """Both the second- and third-moment bounds, with the ordering checked.
-
-    Assumes the supplied second and positive-part third moments are exact;
-    then the three-moment bound can never exceed the classical one.
-    """
-    t = checked_threshold(t)
-    for v in spec.vectors:
-        if v.p < 3:
-            raise OrderError("the comparison needs third moments")
-    p2 = bennett_bound(spec, t, 2)
-    p3 = bennett_p3_lambert(spec, t)
-    if p3.bound > p2.bound * (1.0 + 1e-12):
-        raise InternalConsistencyError(
-            f"three-moment bound {p3.bound} exceeds two-moment bound "
-            f"{p2.bound}")
-    return TightnessComparison(t=t, bound_p2=p2.bound, bound_p3=p3.bound)

@@ -186,7 +186,7 @@ def _read_config(path) -> list[tuple[str, str]]:
     pairs = []
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -310,7 +310,12 @@ def _law_and_variable(args, p: int) -> tuple[Distribution | None, MomentVector]:
         return dist, dist.moment_vector(p)
     support = _support_from_args(args)
     if args.data:
-        mv = moments_from_samples(read_sample_file(args.data), p, support)
+        try:
+            samples = read_sample_file(args.data)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"cannot read data file {args.data}: {exc}") from None
+        mv = moments_from_samples(samples, p, support)
         return None, _inflate(mv, args.inflate)
     mu = _parse_floats("--mu", [v for v in args.mu.split(",") if v.strip()])
     if len(mu) < p:
@@ -366,7 +371,11 @@ def _emit(records: list[dict], columns: list[str], args) -> None:
 
 def _write(text: str, args) -> None:
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write output file {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -7,10 +7,10 @@ For independent X_i on [0, b_i] the one-sided bound is
 where c_i is the closed-form improvement factor of variable i evaluated at
 4*t*b_i/D_n, and D_n = sum_j (mu2_j/mu1_j)^2. Every c_i is in (0, 1], so the
 result can only tighten the classical exp(-2 t^2 / sum b_i^2). Variants:
-two-sided via shifted and reflected moments, identically-distributed form,
-a small-deviation simplification, the all-moments limit driven by tilted
-expectations, a missing-factor refinement of optimal order, and a sample
-size calculator for confidence intervals.
+two-sided via shifted and reflected moments, a small-deviation
+simplification, the all-moments limit driven by tilted expectations, a
+missing-factor refinement of optimal order, and a sample size calculator
+for confidence intervals.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ from .special import mills_theta
 
 __all__ = [
     "HoeffdingBound", "ci_c_bar", "classical_sample_size", "hoeffding_bound",
-    "hoeffding_iid", "hoeffding_limit", "hoeffding_missing_factor",
-    "hoeffding_small_t", "hoeffding_two_sided", "sample_size_for_ci",
+    "hoeffding_limit", "hoeffding_missing_factor", "hoeffding_small_t",
+    "hoeffding_two_sided", "sample_size_for_ci",
 ]
 
-MODES = ("one_sided", "two_sided", "iid", "small_t", "limit_p_infinity",
+MODES = ("one_sided", "two_sided", "small_t", "limit_p_infinity",
          "missing_factor")
 
 
@@ -219,20 +219,6 @@ def hoeffding_bound(spec: EnsembleSpec, t: float, p: int) -> HoeffdingBound:
     return _record("one_sided", t, p, cs, spec.counts, d_n, denom)
 
 
-def hoeffding_iid(mv: MomentVector, n: int, t: float, p: int) -> HoeffdingBound:
-    """Bound on P(S_n - E(S_n) >= n*t) for n copies of one variable.
-
-    The one-sided bound on a single group of n copies at threshold n*t;
-    the record keeps the one factor c that every copy shares.
-    """
-    n = checked_count(n)
-    t = checked_threshold(t)
-    p = checked_order(p)
-    t_abs = n * t
-    cs, d_n, denom = _one_sided((mv,), (n,), t_abs, p)
-    return _record("iid", t_abs, p, cs, (1,), d_n, denom)
-
-
 def hoeffding_two_sided(variables: EnsembleSpec | Sequence[MomentVector],
                         t: float, p: int) -> HoeffdingBound:
     """Bound on P(|sum Y_i - E sum Y_i| >= t) for Y_i on [a_i, b_i].
@@ -311,6 +297,10 @@ def hoeffding_limit(dists: EnsembleSpec | Sequence[Distribution],
     spec = EnsembleSpec.of(dists)
     laws, counts = spec.vectors, spec.counts
     for d in laws:
+        if not isinstance(d, Distribution):
+            raise DomainError(
+                f"the limit bound needs laws (Distribution objects); got "
+                f"{type(d).__name__}")
         if not d.support.is_nonnegative:
             raise DomainError(
                 f"{d.tag}: the limit bound needs nonnegative variables")

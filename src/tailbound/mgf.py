@@ -16,19 +16,16 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ._record import Record, setfield
 from .errors import (
     FLOAT_RANGE_ERRORS,
     DegenerateDistributionError,
     DomainError,
-    OrderError,
 )
-from .moments import MomentVector, restrict_order
+from .moments import MomentVector
 from .special import taylor_remainder
 
 __all__ = [
-    "MgfBoundCurve", "c_factor", "c_factor_from_moments", "i_measure",
-    "mgf_bound_sequence", "mgf_upper_bound",
+    "c_factor", "c_factor_from_moments", "i_measure", "mgf_upper_bound",
 ]
 
 # beyond this the exp(y) terms are factored out of the C ratio to avoid
@@ -45,7 +42,10 @@ def mgf_upper_bound(mv: MomentVector, s: float) -> float:
     """Envelope value at s >= 0 for a variable bounded above by b > 0.
 
     Exactly 1 at s = 0. A Bernoulli variable attains the envelope with
-    p = 1, so the inequality is tight in general. A value below Jensen's
+    p = 1, so the inequality is tight in general. Across the orders of one
+    variable (restrict_order(mv, p)), the value at an even p dominates
+    the value at p + 1, and on a nonnegative support the values are
+    nonincreasing in p: more moments never hurt. A value below Jensen's
     floor e^{s mu1} bounds no E e^{sX}; moments rounded past the float
     range (a positive part stored as 0) can give one, and it is a
     DomainError.
@@ -114,37 +114,6 @@ def _tail(pos: float, b: float, p: int, s: float) -> float:
         log_remainder = x
     log_tail = math.log(pos) - p * math.log(b) + log_remainder
     return math.inf if log_tail > _LOG_MAX else math.exp(log_tail)
-
-
-class MgfBoundCurve(Record):
-    """Callable record: s >= 0 mapsto the order-p envelope for one variable."""
-
-    __slots__ = _fields = ("p", "moments")
-
-    def __init__(self, p: int, moments: MomentVector):
-        setfield(self, "p", p)
-        if p != moments.p:
-            moments = restrict_order(moments, p)
-        setfield(self, "moments", moments)
-
-    def __call__(self, s: float) -> float:
-        return mgf_upper_bound(self.moments, s)
-
-
-def mgf_bound_sequence(mv: MomentVector, s: float,
-                       p_list: Sequence[int]) -> list[float]:
-    """Envelope values at one point s for several orders p.
-
-    For even p the value at p dominates the value at p+1; on nonnegative
-    supports the whole sequence is nonincreasing, so more moments never
-    hurt.
-    """
-    if not p_list:
-        raise DomainError("the sequence needs at least one order")
-    if max(p_list) > mv.p:
-        raise OrderError(
-            f"sequence needs moments to order {max(p_list)}; have {mv.p}")
-    return [mgf_upper_bound(restrict_order(mv, p), s) for p in p_list]
 
 
 def c_factor(mv: MomentVector, y: float) -> float:

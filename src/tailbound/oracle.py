@@ -9,6 +9,7 @@ functions that sample or scan, so importing this module does not load it.
 from __future__ import annotations
 
 import math
+from operator import index
 
 from ._record import Record, setfield
 from .distributions import Distribution
@@ -45,6 +46,14 @@ class TailEstimate(Record):
         return self.probability <= bound + 3.0 * self.stderr
 
 
+def _integer(value, message: str) -> int:
+    """value as an int, if it is an integer of any type (numpy's too)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{message}; got {value!r}") from None
+
+
 def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
             seed: int = 0) -> TailEstimate:
     """Monte-Carlo frequency of {sum of n i.i.d. draws - n*mean >= t}.
@@ -56,8 +65,16 @@ def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
     so the reduction is n vector adds, not m short row sums.
     """
     n = checked_count(n)
+    trials = _integer(trials, "trials must be an integer")
     if trials < 1000:
         raise DomainError(f"need at least 1000 trials; got {trials}")
+    seed = _integer(seed, "the seed must be a nonnegative integer")
+    if seed < 0:
+        raise DomainError(
+            f"the seed must be a nonnegative integer; got {seed}")
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"the threshold t must be finite; got {t}")
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -77,7 +94,7 @@ def mc_tail(dist: Distribution, n: int, t: float, trials: int = 1_000_000,
         done += m
     prob = hits / trials
     stderr = math.sqrt(prob * (1.0 - prob) / trials)
-    return TailEstimate(t=float(t), probability=prob, stderr=stderr,
+    return TailEstimate(t=t, probability=prob, stderr=stderr,
                         trials=trials, seed=seed)
 
 

@@ -76,7 +76,7 @@ def w_defining_residual(result):
 
 def bennett_bound_generic(spec, t, p):
     """bennett_bound with its roots from the generic solver, which is the
-    reference for the closed forms that bennett_bound takes at p = 2, 3."""
+    reference for the closed form that bennett_bound takes at p = 3."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr("tailbound.bennett.solve_poly_exp",
                   poly_exp_roots)

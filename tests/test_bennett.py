@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -9,6 +8,8 @@ from helpers import (
     random_upper_bounded_mv,
     w_defining_residual,
 )
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from tailbound import (
     BennettBound,
@@ -17,19 +18,18 @@ from tailbound import (
     DegenerateDistributionError,
     DomainError,
     EnsembleSpec,
-    InternalConsistencyError,
     MomentVector,
+    PointMass,
     PreconditionError,
     Support,
+    TailboundError,
     TruncatedExponential,
     Uniform,
     bennett_bound,
     bennett_p3_lambert,
-    bennett_tightness_check,
     bennett_unique_root,
     mc_tail,
 )
-from tailbound import bennett
 
 
 def uniform_spec(p=3, n=1):
@@ -62,6 +62,29 @@ class TestOrderTwo:
             assert result.bound == pytest.approx(
                 min(classical_second_moment_bound(t, result.b, mu2), 1.0),
                 rel=1e-12)
+
+    @pytest.mark.parametrize("laws, n, t", [
+        ([TruncatedExponential(1.0, 2.0 ** -9)], 1, 1.0),
+        ([Bernoulli(0.3912690528726641), Bernoulli(0.06296479004764532),
+          Uniform(-534.4765611197311, 1.0)], 59, 0.004657725185432733),
+        ([Uniform(-1e3, 1.0)], 100, 1e-3),
+        ([Uniform(-1.0, 1e-14)], 10, 0.5),
+    ])
+    def test_large_second_moment_against_50_digits(self, laws, n, t):
+        # where mu2 is large beside t b, alpha_0 = 1 + t b / mu2 rounds, and
+        # the terms of t/b - (t/b + mu2/b^2) log(alpha_0) cancel. Taken so,
+        # the first two bounds fell 3.6e-12 and 4.9e-10 relative below
+        # their exact values, the third read 1 (1.5e-14 above) and the
+        # fourth 0, where the exact value is 0.963
+        spec = EnsembleSpec([law.moment_vector(2) for law in laws
+                             for _ in range(n)])
+        result = bennett_bound(spec, t, 2)
+        with mpmath.workdps(50):
+            mu2, b = mpmath.mpf(result.aggregated_moments[0]), result.b
+            u = b * mpmath.mpf(t) / mu2
+            exact = mpmath.exp(-(mu2 / b ** 2)
+                               * ((1 + u) * mpmath.log1p(u) - u))
+            assert abs(result.bound - exact) <= 1e-14 * exact
 
     def test_root_is_log_form(self):
         spec = uniform_spec(2, 1)
@@ -235,45 +258,59 @@ class TestUniqueRoot:
         assert result.aggregated_moments[1] == 0.0  # floored mu3
 
 
+@st.composite
+def laws_ending_at_one(draw):
+    """A law of one of the five kinds whose support ends at 1."""
+    kind = draw(st.sampled_from(["beta", "truncexp", "uniform", "bernoulli",
+                                 "point"]))
+    if kind == "beta":
+        return Beta(draw(st.floats(1e-16, 1e4)), draw(st.floats(1e-16, 1e4)))
+    if kind == "truncexp":
+        return TruncatedExponential(1.0, draw(st.floats(1e-3, 1e3)))
+    if kind == "bernoulli":
+        return Bernoulli(draw(st.floats(0.0, 1.0)))
+    lo = draw(st.floats(-1e3, 1.0, exclude_max=True))
+    if kind == "uniform":
+        return Uniform(lo, 1.0)
+    return PointMass(draw(st.floats(lo, 1.0)), lo, 1.0)
+
+
 class TestTightness:
-    def test_uniform_ordering_on_grid(self):
-        spec = uniform_spec(3, 4)
-        mu2 = 4 / 3
-        for t in (0.01 * mu2, 0.1 * mu2, mu2, 10 * mu2):
-            cmp_ = bennett_tightness_check(spec, t)
-            assert cmp_.bound_p3 <= cmp_.bound_p2 + 1e-12
-            assert cmp_.improvement >= -1e-12
+    """The third-moment bound never exceeds the classical second-moment
+    bound, given exact second and positive-part third moments."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(laws=st.lists(laws_ending_at_one(), min_size=1, max_size=4),
+           n=st.integers(1, 100), t=st.floats(1e-3, 1e3))
+    # alpha1 is small beside alpha0 here (alpha0 = 3e15 at a = 1e-16),
+    # where a root that cancels put p = 3 above p = 2
+    @example(laws=[Beta(1e-16, 1)], n=10, t=1.0)
+    @example(laws=[Beta(1e-8, 1)], n=10, t=1.0)
+    # mu2 = 5.2e5 beside t b = 1: p = 2 fell 3.6e-12 below its exact value
+    @example(laws=[TruncatedExponential(1.0, 2.0 ** -9)], n=1, t=1.0)
+    # the third moment equals the second: both bounds are one value
+    @example(laws=[Bernoulli(0.35)], n=6, t=0.9)
+    def test_third_moment_never_loosens(self, laws, n, t):
+        try:
+            spec = EnsembleSpec([law.moment_vector(3) for law in laws
+                                 for _ in range(n)])
+            p2 = bennett_bound(spec, t, 2).bound
+            p3 = bennett_bound(spec, t, 3).bound
+        except TailboundError:
+            assume(False)
+        assert p3 <= p2 * (1.0 + 1e-12)
 
     def test_equality_when_third_equals_second(self):
         spec = EnsembleSpec.iid_replicate(Bernoulli(0.35).moment_vector(3), 6)
-        cmp_ = bennett_tightness_check(spec, 0.9)
-        assert abs(cmp_.bound_p3 - cmp_.bound_p2) <= 1e-10
-
-    def test_randomized_ordering(self, rng):
-        for _ in range(40):
-            mv = random_upper_bounded_mv(rng, 3)
-            spec = EnsembleSpec.iid_replicate(mv, int(rng.integers(1, 5)))
-            cmp_ = bennett_tightness_check(spec, float(rng.uniform(0.02, 2.0)))
-            assert cmp_.bound_p3 <= cmp_.bound_p2 + 1e-12
-
-    def test_ordering_is_checked_relative_to_the_bound(self, monkeypatch):
-        # at bounds near 1e-15 a p = 3 bound twice the p = 2 one is far
-        # inside any absolute margin of 1e-12
-        spec = EnsembleSpec.iid_replicate(Beta(1e-16, 1).moment_vector(3), 10)
-        p2 = bennett_bound(spec, 1.0, 2).bound
-        assert p2 < 1e-14
-        monkeypatch.setattr(bennett, "bennett_p3_lambert",
-                            lambda spec, t: SimpleNamespace(bound=2.0 * p2))
-        with pytest.raises(InternalConsistencyError):
-            bennett_tightness_check(spec, 1.0)
+        p2 = bennett_bound(spec, 0.9, 2).bound
+        p3 = bennett_bound(spec, 0.9, 3).bound
+        assert abs(p3 - p2) <= 1e-10
 
     @pytest.mark.parametrize("a", [1e-8, 1e-12, 1e-16])
     def test_beta_near_a_point_mass_at_zero(self, a):
-        # alpha1 is small beside alpha0 here (alpha0 = 3e15 at a = 1e-16),
-        # where a root that cancels puts p = 3 above p = 2
         spec = EnsembleSpec.iid_replicate(Beta(a, 1).moment_vector(3), 10)
-        cmp_ = bennett_tightness_check(spec, 1.0)
-        assert cmp_.bound_p3 < cmp_.bound_p2
+        assert bennett_bound(spec, 1.0, 3).bound < bennett_bound(spec, 1.0, 2).bound
 
 
 class TestValidity:

@@ -341,6 +341,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "seed=12345" in out
 
+    def test_negative_seed_is_bad_configuration(self, capsys, monkeypatch):
+        argv = ["verify", "--dist", "uniform", "--n", "4", "--t", "0.5",
+                "--p", "1", "--trials", "1000"]
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: the seed must be a nonnegative integer; got -1\n"
+        monkeypatch.setenv("TAILBOUND_SEED", "-1")
+        assert run(capsys, *argv, "--seed", "1") == (2, "", err)
+
     @pytest.mark.parametrize("orders", ["2,3", "3,4"])
     def test_bennett_family(self, capsys, orders):
         code, out, err = run(capsys, "verify", "--family", "bennett",
@@ -380,6 +389,59 @@ class TestConfigFile:
                            "--t", "1")
         assert code == 2
         assert "config" in err.lower()
+
+    def test_config_file_that_is_not_text(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"dist=uniform\n\xff\xfe=1\n")
+        code, out, err = run(capsys, "bound", "--config", str(cfg),
+                             "--t", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file ")
+
+
+class TestFileErrors:
+    """A file the command cannot read or write is bad configuration: exit
+    2 with one error line, as for --config, not a traceback."""
+
+    def test_data_file_that_does_not_exist(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-file.csv"
+        code, out, err = run(capsys, "bound", "--data", str(missing),
+                             "--support=0,1", "--n", "10", "--t", "1",
+                             "--p", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read data file ")
+        assert str(missing) in err and err.count("\n") == 1
+
+    def test_data_path_that_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "moments", "--data", str(tmp_path),
+                           "--support", "0,1", "--p", "2")
+        assert code == 2
+        assert err.startswith("error: cannot read data file ")
+
+    def test_data_file_that_is_not_text(self, capsys, tmp_path):
+        data = tmp_path / "values.bin"
+        data.write_bytes(b"0.5\n\xff\xfe\n")
+        code, _, err = run(capsys, "moments", "--data", str(data),
+                           "--support", "0,1", "--p", "2")
+        assert code == 2
+        assert err.startswith("error: cannot read data file ")
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "--dist", "uniform", "--n", "10", "--t", "1", "--p", "2"],
+        ["moments", "--dist", "uniform", "--format", "json"],
+        ["verify", "--dist", "uniform", "--n", "2", "--t", "0.5",
+         "--trials", "1000"],
+    ])
+    def test_output_path_that_cannot_be_written(self, capsys, tmp_path,
+                                                command):
+        target = tmp_path / "no-such-dir" / "x.csv"
+        code, out, err = run(capsys, *command, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output file ")
+        assert str(target) in err and err.count("\n") == 1
+        assert not target.parent.exists()
 
 
 class TestOutputFormats:

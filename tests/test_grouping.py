@@ -369,7 +369,7 @@ class TestFactorsStayGrouped:
 
     def test_constructor_takes_a_tuple(self):
         record = HoeffdingBound(1.0, 2, 0.5, (0.25, 0.25, -0.0, 0.0), None,
-                                2.0, "iid")
+                                2.0, "one_sided")
         assert record.c_values == (0.25, 0.25, -0.0, 0.0)
         # runs go by identity, so -0.0 and 0.0 stay apart
         assert [str(c) for c in record.c_values] == ["0.25", "0.25", "-0.0",

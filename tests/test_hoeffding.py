@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_interval_mv
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +22,6 @@ from tailbound import (
     ci_c_bar,
     classical_sample_size,
     hoeffding_bound,
-    hoeffding_iid,
     hoeffding_limit,
     hoeffding_missing_factor,
     hoeffding_small_t,
@@ -110,15 +108,14 @@ class TestCounts:
 
     def _calls(self):
         mv = Uniform(0, 1).moment_vector(3)
-        return [lambda n: hoeffding_iid(mv, n, 0.1, 2),
-                lambda n: hoeffding_small_t(mv, n, 0.001, 1.0, 2),
+        return [lambda n: hoeffding_small_t(mv, n, 0.001, 1.0, 2),
                 lambda n: EnsembleSpec.iid_replicate(mv, n),
                 lambda n: mc_tail(Uniform(0, 1), n, 0.1, trials=1000)]
 
     @pytest.mark.parametrize("n", [2.5, 3.0])
     def test_non_integer_counts_rejected(self, n):
-        # hoeffding_iid and hoeffding_small_t returned bounds for 2.5
-        # variables, iid_replicate and mc_tail raised a bare TypeError
+        # hoeffding_small_t returned bounds for 2.5 variables,
+        # iid_replicate and mc_tail raised a bare TypeError
         for call in self._calls():
             with pytest.raises(DomainError, match="must be an integer"):
                 call(n)
@@ -131,26 +128,15 @@ class TestCounts:
 
 
 class TestIid:
-    def test_matches_general_path(self, rng):
-        for _ in range(15):
-            p = int(rng.integers(1, 6))
-            mv = random_interval_mv(rng, p)
-            n = int(rng.integers(1, 30))
-            t = float(rng.uniform(0.01, 0.4)) * mv.support.upper
-            via_iid = hoeffding_iid(mv, n, t, p)
-            via_general = hoeffding_bound(
-                EnsembleSpec.iid_replicate(mv, n), n * t, p)
-            assert via_iid.bound == pytest.approx(via_general.bound, rel=1e-12)
-            assert via_iid.t == pytest.approx(n * t)
-
     def test_order_one_formula(self):
         mv = Uniform(0, 1).moment_vector(1)
-        result = hoeffding_iid(mv, 7, 0.2, 1)
+        result = hoeffding_bound(EnsembleSpec.iid_replicate(mv, 7), 7 * 0.2, 1)
         assert result.bound == pytest.approx(math.exp(-2 * 7 * 0.04), rel=1e-14)
 
     def test_uniform_strictly_better_than_classical(self):
         mv = Uniform(0, 1).moment_vector(2)
-        result = hoeffding_iid(mv, 40, 0.25, 2)
+        result = hoeffding_bound(EnsembleSpec.iid_replicate(mv, 40),
+                                 40 * 0.25, 2)
         assert result.bound < math.exp(-2 * 40 * 0.0625)
 
 
@@ -211,7 +197,8 @@ class TestSmallT:
         for t in (0.01, 0.05, 0.1):
             for p in (2, 3):
                 relaxed = hoeffding_small_t(mv, 30, t, c=1.0, p=p).bound
-                full = hoeffding_iid(mv, 30, t, p).bound
+                full = hoeffding_bound(EnsembleSpec.iid_replicate(mv, 30),
+                                       30 * t, p).bound
                 assert relaxed >= full - 1e-14
 
     def test_uniform_golden_informativeness(self):
@@ -271,6 +258,18 @@ class TestLimit:
         except TailboundError:
             return
         assert 0.0 <= bound <= 1.0
+
+    @pytest.mark.parametrize("spec", [
+        [Uniform(0, 1).moment_vector(4)] * 3,
+        [Beta(2, 3), Uniform(0, 1).moment_vector(2)],
+        EnsembleSpec.iid_replicate(0.5, 4),
+    ])
+    def test_needs_laws(self, spec):
+        # a moment vector in place of a law raised an AttributeError for
+        # its missing tilted_first_second
+        with pytest.raises(DomainError,
+                           match="the limit bound needs laws .Distribution"):
+            hoeffding_limit(spec, 1.0)
 
     @pytest.mark.parametrize("dist", [Beta(2.0, 3.0), Uniform(0.0, 1.0)])
     def test_non_finite_tilt_rejected(self, dist):
@@ -646,11 +645,11 @@ class TestRecordsMatchTheirFormulas:
     def test_iid(self, case, n):
         (mv, _), p, t = case[0][0], case[1], case[2]
         try:
-            got = hoeffding_iid(mv, n, t, p)
+            got = hoeffding_bound(EnsembleSpec.iid_replicate(mv, n), n * t, p)
         except TailboundError:
             assume(False)
         cs, d_n, denom = one_sided_by_formula([(mv, n)], n * t, p)
-        want = _record_by_formula("iid", n * t, p, cs, [1], d_n, denom)
+        want = _record_by_formula("one_sided", n * t, p, cs, [n], d_n, denom)
         assert hexed(got) == hexed(want)
 
     @settings(max_examples=300, deadline=None)

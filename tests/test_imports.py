@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,28 @@ def test_public_names_resolve_once():
                  "moments_point", "v_derivatives", "c_factor_via_derivatives",
                  "exact_mgf"):
         assert not hasattr(tailbound, name), name
+
+
+def _readme_api() -> dict[str, list[str]]:
+    """The names README's API section lists, by module: each bullet is
+    "- `module`: `name`, ..." with its continuation lines indented."""
+    readme = Path(SRC).parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.partition("\n## API\n")[2].partition("\n## ")[0]
+    bullets = re.findall(r"^- `([\w.]+)`: (.*\n?(?:  .*\n?)*)", section,
+                         re.MULTILINE)
+    return {module: re.findall(r"`(\w+)`", names)
+            for module, names in bullets}
+
+
+def test_readme_lists_each_public_name_once_by_module():
+    listed = _readme_api()
+    names = [name for module_names in listed.values() for name in module_names]
+    assert sorted(names) == sorted(tailbound.__all__)
+    for module, module_names in listed.items():
+        if module != "tailbound":
+            assert sorted(module_names) == sorted(sys.modules[module].__all__), \
+                module
 
 
 def test_numpy_loads_only_to_sample(tmp_path):

@@ -11,14 +11,12 @@ from tailbound import (
     Beta,
     DegenerateDistributionError,
     DomainError,
-    MgfBoundCurve,
     PointMass,
     TruncatedExponential,
     Uniform,
     c_factor,
     c_factor_from_moments,
     i_measure,
-    mgf_bound_sequence,
     mgf_upper_bound,
     restrict_order,
     taylor_remainder,
@@ -149,22 +147,22 @@ class TestMgfUpperBound:
             for s in np.linspace(0.0, 5.0, 11):
                 assert mgf_upper_bound(mv, float(s)) >= exact_mgf(dist, float(s)) - 1e-10
 
-    def test_curve_record(self):
-        mv = Uniform(0, 1).moment_vector(4)
-        curve = MgfBoundCurve(2, mv)
-        assert curve(0.0) == 1.0
-        assert curve(1.0) == pytest.approx(mgf_upper_bound(restrict_order(mv, 2), 1.0))
 
 
-class TestMgfBoundSequence:
+def envelopes(mv, s, ps):
+    """The order-p envelope of one variable at s, for each p in ps."""
+    return [mgf_upper_bound(restrict_order(mv, p), s) for p in ps]
+
+
+class TestEnvelopeAcrossOrders:
     def test_uniform_nonincreasing(self):
         mv = Uniform(0, 1).moment_vector(4)
-        values = mgf_bound_sequence(mv, 1.0, [2, 3, 4])
+        values = envelopes(mv, 1.0, [2, 3, 4])
         assert values[0] >= values[1] >= values[2]
 
     def test_bernoulli_all_orders_identical(self):
         mv = Bernoulli(0.42).moment_vector(5)
-        values = mgf_bound_sequence(mv, 1.7, [1, 2, 3, 4, 5])
+        values = envelopes(mv, 1.7, [1, 2, 3, 4, 5])
         expected = 0.42 * math.exp(1.7) + 0.58
         assert values == pytest.approx([expected] * 5, rel=1e-14)
 
@@ -172,24 +170,14 @@ class TestMgfBoundSequence:
         # value(2) - value(3) = (mu2 - mu3) * T_4(s) on [0, 1]
         mv = Uniform(0, 1).moment_vector(3)
         s = 2.0
-        v2, v3 = mgf_bound_sequence(mv, s, [2, 3])
+        v2, v3 = envelopes(mv, s, [2, 3])
         expected = (1 / 3 - 1 / 4) * taylor_remainder(4, s)
         assert v2 - v3 == pytest.approx(expected, rel=1e-12)
 
     def test_even_order_drop_on_upper_only_support(self):
         mv = TruncatedExponential(b=1.0, rate=1.5).moment_vector(3)
-        v2, v3 = mgf_bound_sequence(mv, 1.0, [2, 3])
+        v2, v3 = envelopes(mv, 1.0, [2, 3])
         assert v2 >= v3 - 1e-14
-
-    def test_requires_enough_moments(self):
-        from tailbound import OrderError
-        with pytest.raises(OrderError):
-            mgf_bound_sequence(Uniform(0, 1).moment_vector(2), 1.0, [2, 3])
-
-    def test_requires_an_order(self):
-        # an empty list used to reach max() and raise its bare ValueError
-        with pytest.raises(DomainError):
-            mgf_bound_sequence(Uniform(0, 1).moment_vector(2), 1.0, [])
 
 
 class TestVDerivatives:

@@ -64,6 +64,32 @@ class TestMcTail:
         with pytest.raises(DomainError):
             mc_tail(Uniform(0, 1), n=1, t=0.1, trials=10, seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(trials=5000.5), "trials must be an integer; got 5000.5"),
+        (dict(trials="5000"), "trials must be an integer; got '5000'"),
+        (dict(seed="x"), "the seed must be a nonnegative integer; got 'x'"),
+        (dict(seed=1.0), "the seed must be a nonnegative integer; got 1.0"),
+        (dict(seed=-1), "the seed must be a nonnegative integer; got -1"),
+        (dict(t=math.nan), "the threshold t must be finite; got nan"),
+        (dict(t=math.inf), "the threshold t must be finite; got inf"),
+        (dict(t=-math.inf), "the threshold t must be finite; got -inf"),
+    ])
+    def test_rejects_inputs_that_are_not_counts_seeds_or_thresholds(
+            self, kwargs, message):
+        # trials=5000.5 and seed="x" raised a bare TypeError, seed=-1
+        # numpy's ValueError, and t=nan returned probability 0
+        args = dict(dist=Uniform(0, 1), n=3, t=0.5, trials=5000, seed=1)
+        with pytest.raises(DomainError) as info:
+            mc_tail(**{**args, **kwargs})
+        assert str(info.value) == message
+
+    def test_numpy_integers_are_counts_and_seeds(self):
+        plain = mc_tail(Uniform(0, 1), 3, 0.5, trials=5000, seed=1)
+        numpy = mc_tail(Uniform(0, 1), np.int64(3), 0.5,
+                        trials=np.int32(5000), seed=np.uint64(1))
+        assert numpy == plain
+        assert type(numpy.trials) is int and type(numpy.seed) is int
+
     # (n, trials, block): the 100_003 trials end in a partial block at each
     # n, and a block of 64 draws holds 9 trials at n = 7 and one at n = 100
     SIZES = [(1, 100_003, None), (7, 100_003, None), (100, 100_003, None),

@@ -28,7 +28,6 @@ from tailbound import (
     bennett_unique_root,
     classical_sample_size,
     hoeffding_bound,
-    hoeffding_iid,
     hoeffding_limit,
     hoeffding_missing_factor,
     hoeffding_small_t,
@@ -92,7 +91,7 @@ def test_bounds_in_unit_interval_or_tailbound_error(dists, n, t, p, c):
     spec = EnsembleSpec(variables)
     calls = [
         lambda: hoeffding_bound(spec, t, p),
-        lambda: hoeffding_iid(mv, n, t, p),
+        lambda: hoeffding_bound(EnsembleSpec.iid_replicate(mv, n), n * t, p),
         lambda: hoeffding_two_sided(variables, t, p),
         lambda: hoeffding_small_t(mv, n, t, c, p),
         lambda: hoeffding_limit([d for d in dists for _ in range(n)], t),

@@ -16,19 +16,16 @@ from tailbound import (
     DomainError,
     EnsembleSpec,
     HoeffdingBound,
-    MgfBoundCurve,
     MomentVector,
     PointMass,
     RootSet,
     SolverFailureError,
     Support,
     TailEstimate,
-    TightnessComparison,
     TruncatedExponential,
     Uniform,
     bennett_bound,
     hoeffding_bound,
-    hoeffding_iid,
     hoeffding_limit,
     hoeffding_missing_factor,
     hoeffding_small_t,
@@ -43,7 +40,7 @@ MV2 = ("MomentVector(p=2, mu=(0.5, 0.3333333333333333), support=" + UNIT
 
 def _hoeffding(**kw):
     fields = dict(t=1.0, p=2, bound=0.5, c_values=(0.25, 0.25), d_n=None,
-                  s_star=2.0, mode="iid")
+                  s_star=2.0, mode="one_sided")
     return HoeffdingBound(**{**fields, **kw})
 
 
@@ -86,10 +83,11 @@ CASES = [
      lambda: RootSet((1.0, 2.5), False), lambda: RootSet((1.0, 2.5), True),
      "RootSet(roots=(1.0, 2.5), unique=False)"),
     (HoeffdingBound, _hoeffding,
-     lambda: HoeffdingBound(1.0, 2, 0.5, (0.25, 0.25), None, 2.0, "iid"),
+     lambda: HoeffdingBound(1.0, 2, 0.5, (0.25, 0.25), None, 2.0,
+                            "one_sided"),
      lambda: _hoeffding(d_n=0.5),
      "HoeffdingBound(t=1.0, p=2, bound=0.5, c_values=(0.25, 0.25), "
-     "d_n=None, s_star=2.0, mode='iid')"),
+     "d_n=None, s_star=2.0, mode='one_sided')"),
     (BennettBound, _bennett,
      lambda: BennettBound(1.0, 3, 0.5, (2.0, 0.25), RootSet((0.5,), True),
                           0.5, (1.0, 0.5), 1.0),
@@ -97,16 +95,6 @@ CASES = [
      "BennettBound(t=1.0, p=3, bound=0.5, alpha=(2.0, 0.25), "
      "roots=RootSet(roots=(0.5,), unique=True), y_star=0.5, "
      "aggregated_moments=(1.0, 0.5), b=1.0)"),
-    (TightnessComparison,
-     lambda: TightnessComparison(t=1.0, bound_p2=0.5, bound_p3=0.25),
-     lambda: TightnessComparison(1.0, 0.5, 0.25),
-     lambda: TightnessComparison(1.0, 0.5, 0.125),
-     "TightnessComparison(t=1.0, bound_p2=0.5, bound_p3=0.25)"),
-    (MgfBoundCurve,
-     lambda: MgfBoundCurve(p=2, moments=Uniform(0, 1).moment_vector(3)),
-     lambda: MgfBoundCurve(2, Uniform(0, 1).moment_vector(2)),
-     lambda: MgfBoundCurve(3, Uniform(0, 1).moment_vector(3)),
-     f"MgfBoundCurve(p=2, moments={MV2})"),
     (TailEstimate,
      lambda: TailEstimate(t=1.0, probability=0.01, stderr=0.001, trials=1000,
                           seed=7),
@@ -139,8 +127,6 @@ FIELDS = {
     HoeffdingBound: ("t", "p", "bound", "c_values", "d_n", "s_star", "mode"),
     BennettBound: ("t", "p", "bound", "alpha", "roots", "y_star",
                    "aggregated_moments", "b"),
-    TightnessComparison: ("t", "bound_p2", "bound_p3"),
-    MgfBoundCurve: ("p", "moments"),
     TailEstimate: ("t", "probability", "stderr", "trials", "seed"),
 }
 
@@ -209,8 +195,9 @@ def test_validation_still_runs():
         MomentVector(p=0, mu=(), support=Support(0.0, 1.0))
     with pytest.raises(SolverFailureError):
         RootSet((), True)
-    with pytest.raises(DomainError):
-        _hoeffding(mode="sideways")
+    for mode in ("sideways", "iid"):
+        with pytest.raises(DomainError, match="unknown mode"):
+            _hoeffding(mode=mode)
 
 
 def test_moment_vector_samples_stay_out_of_value_semantics():
@@ -241,7 +228,6 @@ def _hoeffding_records():
         "one_sided": hoeffding_bound(EnsembleSpec.iid_replicate(unit, 5),
                                      1.0, 3),
         "two_sided": hoeffding_two_sided(mixed, 1.0, 3),
-        "iid": hoeffding_iid(unit, 5, 0.2, 3),
         "small_t": hoeffding_small_t(unit, 5, 0.05, 1.0, 3),
         "limit_p_infinity": hoeffding_limit(
             EnsembleSpec.iid_replicate(Beta(2.0, 3.0), 4), 1.0),
