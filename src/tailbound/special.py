@@ -30,8 +30,9 @@ class RootSet(Record):
     """Positive solutions of alpha0 - sum_j alpha_j x^j = exp(x).
 
     roots are ascending; `unique` is True only when uniqueness is known
-    analytically (degree <= 1, or the caller asserted the sign condition
-    that forces a single crossing).
+    analytically: degree 0, degree 1 with a positive linear coefficient,
+    coefficients that pass solve_poly_exp's concavity test, or a caller
+    that asserted the sign condition that forces a single crossing.
     """
 
     __slots__ = _fields = ("roots", "unique")
@@ -171,10 +172,15 @@ def solve_poly_exp(alpha) -> RootSet:
 
     alpha[0] > 1 guarantees at least one positive root. Degree 0 and degree
     1 with a positive linear coefficient have a single root, log(alpha[0])
-    and the Newton iteration of _linear_root; everything else goes to the
-    Rolle isolation of poly_exp_roots. Its derivative levels do not involve
-    alpha[0], so the last solve's are kept, and a solve with the same
-    alpha[1:] (one Bennett ensemble at another threshold) reuses them.
+    and the Newton iteration of _linear_root. Where alpha[j] >= -1/j! for
+    every j >= 2 (tested exactly, see _is_concave), the residual is concave
+    on x >= 0 and positive at 0, so it has a single root too, which
+    _concave_root finds by a monotone Newton iteration; these RootSets are
+    `unique`. Everything else goes to the Rolle isolation of poly_exp_roots.
+    Its derivative levels do not involve alpha[0], so the last isolation's
+    are kept, and a solve with the same alpha[1:] (one Bennett ensemble at
+    another threshold) reuses them; a concave solve neither builds nor
+    replaces them.
     """
     alpha = tuple(float(a) for a in alpha)
     if not alpha:
@@ -192,6 +198,10 @@ def solve_poly_exp(alpha) -> RootSet:
         return RootSet((math.log(alpha[0]),), True)
     if len(alpha) == 2 and alpha[1] > 0.0:
         return RootSet((_linear_root(*alpha),), True)
+    if _is_concave(alpha):
+        root = _concave_root(alpha)
+        if root is not None:
+            return RootSet((root,), True)
     global _last_levels
     levels = _last_levels
     if levels is None or levels[0] != alpha[1:]:
@@ -226,6 +236,79 @@ def _linear_root(a0, a1):
         if not y_next < y:
             return y
         y = y_next
+
+
+def _inverse_factorial_floors() -> tuple[float, ...]:
+    """The largest float at most 1/j!, for j = 0, 1, ... up to the first
+    that is 0. A true division of ints rounds correctly, and each rounding
+    is checked exactly against 1/j! in integers."""
+    floors = []
+    fact = 1
+    while not floors or floors[-1] > 0.0:
+        f = 1 / fact
+        while True:
+            num, den = f.as_integer_ratio()
+            if num * fact <= den:
+                break
+            f = math.nextafter(f, 0.0)
+        floors.append(f)
+        fact *= len(floors)
+    return tuple(floors)
+
+
+_INV_FACT_FLOORS = _inverse_factorial_floors()
+
+
+def _is_concave(alpha) -> bool:
+    """Whether alpha[j] >= -1/j! for every j >= 2, tested exactly: -alpha[j]
+    against a float at most 1/j! (0 once 1/j! underflows).
+
+    Then c_j = alpha[j] + 1/j! >= 0, and the residual's second derivative
+    -sum_{j>=2} j (j-1) c_j x^(j-2) - sum_{j>q} x^(j-2)/(j-2)! (q the
+    degree) is negative on x >= 0: the residual is concave there. With
+    f(0) = alpha[0] - 1 > 0 and f -> -inf, it has exactly one positive root
+    (Descartes' rule of signs for the power series of -f).
+    """
+    floors = _INV_FACT_FLOORS
+    for j in range(2, len(alpha)):
+        if not -alpha[j] <= (floors[j] if j < len(floors) else 0.0):
+            return False
+    return True
+
+
+def _concave_root(alpha):
+    """The one positive root of a residual that _is_concave certifies, or
+    None where the iteration below cannot run on finite values and a
+    negative slope.
+
+    The right end y doubles from 1 until f(y) < 0. Past the root a concave
+    f is negative and decreasing, and its tangent lies above it, so each
+    Newton step falls onto the root from the right without passing it. The
+    iteration ends once f(y) rounds to >= 0 or a step no longer lowers y,
+    which floats being finite makes certain, and returns that last step,
+    taken in either direction: a step from within rounding of the root
+    leaves no error but that of f(y) itself. f is evaluated through this
+    module's global poly_exp_residual, as in the Rolle path.
+    """
+    y = 1.0
+    while True:
+        f = poly_exp_residual(alpha, y)
+        if f < 0.0:
+            break
+        y *= 2.0
+        if y > 1024.0:
+            return None
+    # f'(y), as the Rolle path's first derivative level evaluates it
+    df = partial(_poly_minus_exp, [-j * alpha[j] for j in range(1, len(alpha))])
+    while True:
+        slope = df(y)
+        if not (-math.inf < f < math.inf and -math.inf < slope < 0.0):
+            return None
+        y_next = y - f / slope
+        if not (f < 0.0 and 0.0 < y_next < y):
+            return y_next if 0.0 < y_next < math.inf else y
+        y = y_next
+        f = poly_exp_residual(alpha, y)
 
 
 def poly_exp_residual(alpha, x: float) -> float:

@@ -202,6 +202,19 @@ class TestCompareCommand:
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[3]) == 1.0
 
+    def test_limit_on_a_beta_whose_b_is_below_the_last_digit_of_a(self,
+                                                                   capsys):
+        # a + b + 1 rounds to a + 1 here, which once sent 0 to math.lgamma
+        # and ended the command in a ValueError traceback
+        code, out, err = run(
+            capsys, "compare", "--dist", "beta",
+            "--params", "a=3.1396913441781052e+50,b=1.3958170184060108e+26",
+            "--n", "18", "--t", "14915.27463432374", "--limit")
+        assert code == 0, err
+        assert err == ""
+        # both bounds underflow at this t, which leaves the ratio empty
+        assert out.strip().splitlines()[1] == "14915.27463432374,0,0,"
+
     def test_new_bound_underflowing_to_zero(self, capsys):
         # at t = 1e300 both bounds are 0 and the ratio is undefined: the
         # row leaves it empty instead of dividing by zero

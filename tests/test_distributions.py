@@ -34,6 +34,7 @@ from tailbound import (
     shift_to_origin,
 )
 from tailbound.cli import main
+from tailbound import distributions
 from tailbound.distributions import _from_log, _kummer_scaled
 
 
@@ -249,6 +250,54 @@ def test_truncexp_odd_positive_part_against_mpmath(a, b):
             == pytest.approx(want, rel=1e-13)
 
 
+def truncexp_positive_part_quad(b, rate, p):
+    """int_0^b rate (b - x)^p e^{-rate x} dx by mpmath's quadrature at 50
+    digits, split where e^{-rate x} has fallen to e^-1, e^-10 and e^-100."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        b, rate = mpmath.mpf(b), mpmath.mpf(rate)
+        cuts = sorted({mpmath.mpf(0), b}
+                      | {c / rate for c in (1, 10, 100) if c / rate < b})
+        return mpmath.quad(
+            lambda x: rate * (b - x) ** p * mpmath.exp(-rate * x), cuts)
+
+
+# a = rate b, log-spaced over [1e-3, 1e3]. For each odd p the larger a take
+# the recurrence a m_k = 1 - k m_{k-1} (every a >= p, and a little below,
+# where prod_{a<j<=p} j/a <= 2) and the smaller the series of positive
+# terms; sqrt(10) +- 0.05 straddles the switch at p = 5
+POSITIVE_PART_A = sorted([*np.geomspace(1e-3, 1e3, 19).tolist(), 3.11, 3.21])
+
+
+@pytest.mark.parametrize("p", range(1, 16, 2))
+def test_truncexp_odd_positive_part_against_quadrature(monkeypatch, p):
+    # the largest error over 1,500 log-spaced a in [1e-3, 1e3] and these p
+    # was 5.2 eps (1.16e-15, p = 9 and a = 6.58, the recurrence); Kummer's
+    # series reached 35 eps there (at a near 1e3)
+    kummer = CallCounter(monkeypatch, distributions, "_kummer_scaled")
+    b = 0.37
+    for a in POSITIVE_PART_A:
+        d = TruncatedExponential(b, a / b)
+        want = truncexp_positive_part_quad(d.b, d.rate, p)
+        assert abs(d.positive_part_moment(p) - want) <= 6 * EPS * want, a
+    assert kummer.calls == 0
+
+
+@pytest.mark.parametrize("p, a", [(1001, 750.0), (1001, 900.0)])
+def test_truncexp_positive_part_past_the_series_range(monkeypatch, p, a):
+    # prod_{a<j<=p} j/a is far above 2, and the series' terms would
+    # overflow past a = 700: Kummer's function, within 4.3e-15 here
+    import mpmath
+
+    kummer = CallCounter(monkeypatch, distributions, "_kummer_scaled")
+    got = TruncatedExponential(1.0, a).positive_part_moment(p)
+    with mpmath.workdps(50):
+        want = a * mpmath.exp(-a) * mpmath.hyp1f1(p + 1, p + 2, a) / (p + 1)
+    assert abs(got - want) <= 1e-14 * want
+    assert kummer.calls == 1
+
+
 @pytest.mark.parametrize("alpha,gamma,s", [
     (4.0, 5.0, 622.0), (4.0, 5.0, 798.3), (4.0, 5.0, 999.0),
     (1.0, 5.0, -622.0)])
@@ -261,6 +310,15 @@ def test_kummer_series_past_its_rescales(alpha, gamma, s):
         want = mpmath.exp(-s) * mpmath.hyp1f1(alpha, gamma, s)
     got = _from_log(*_kummer_scaled(alpha, gamma, s))
     assert abs(got - want) <= 5e-15 * want
+
+
+@pytest.mark.parametrize("s", [-3314.5, 0.5, 1000.5, 3314.5, 1e7])
+def test_kummer_at_equal_parameters(s):
+    # M(alpha, alpha, s) = e^s; past s = 1e3 the large-s expansion once
+    # passed gamma - alpha = 0 to math.lgamma, and below s = -1e3 Kummer's
+    # transformation passed it alpha = 0
+    assert _kummer_scaled(3.1396913441781052e+50, 3.1396913441781052e+50,
+                          s) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("b", [0.0, -0.5, -40.0])

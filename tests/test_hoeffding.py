@@ -327,6 +327,18 @@ class TestLimit:
         for c in result.c_values:
             assert c == pytest.approx(c_want, rel=1e-13)
 
+    def test_beta_whose_b_is_below_the_last_digit_of_a(self):
+        # a + b + 1 rounds to a + 1, so Kummer's function is asked for
+        # M(alpha, alpha, s) = e^s at the tilt s = 3314: its large-s
+        # expansion once passed gamma - alpha = 0 to math.lgamma. The law
+        # is a point mass at 1 to 24 digits, so every c is 1
+        dist = Beta(3.1396913441781052e+50, 1.3958170184060108e+26)
+        result = hoeffding_limit(EnsembleSpec.iid_replicate(dist, 18),
+                                 14915.27463432374)
+        assert 4.0 * result.t / result.d_n > 1e3
+        assert result.c_values == (1.0,) * 18
+        assert result.bound == 0.0
+
     def test_rejects_negative_support(self):
         with pytest.raises(DomainError):
             hoeffding_limit([Uniform(-1, 1)], 1.0)

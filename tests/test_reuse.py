@@ -118,7 +118,9 @@ class TestRecordsAreUnchanged:
                 assert_same(outcome(call), want)
 
     def test_thresholds_with_different_right_ends(self):
-        spec = EnsembleSpec.iid_replicate(Beta(2, 3).moment_vector(5), 10)
+        # a negative summed third moment keeps these equations from the
+        # concave path, so they reach the Rolle isolation and its levels
+        spec = EnsembleSpec.iid_replicate(Uniform(-1.5, 1).moment_vector(5), 3)
         for t in (0.5, 10.0, 0.1, 100.0, 3.0):
             want = fresh(lambda: bennett_bound(spec, t, 5))
             assert_same(bennett_bound(spec, t, 5), want)
@@ -139,8 +141,9 @@ class TestRecordsAreUnchanged:
         assert bennett._last[0] is second.vectors
 
     def test_a_repeat_reuses_the_threshold_free_work(self, monkeypatch):
+        # summed third moment 0.086 - 5 < 0: the Rolle path
         spec = EnsembleSpec((Beta(2, 3).moment_vector(5),
-                             Uniform(-1, 1).moment_vector(5)))
+                             Uniform(-3, 1).moment_vector(5)))
         aggregated = CallCounter(monkeypatch, bennett, "aggregate_moments")
         levels = CallCounter(monkeypatch, special, "_derivative_levels")
         for t in (0.5, 1.5, 0.2):
@@ -156,6 +159,33 @@ class TestRecordsAreUnchanged:
         bennett_bound(doubled, 0.2, 4)
         assert aggregated.calls == 3
         assert_same(got, fresh(lambda: bennett_bound(doubled, 0.2, 5)))
+
+
+class TestConcaveSolves:
+    def test_a_concave_solve_builds_no_levels_and_keeps_none(
+            self, monkeypatch):
+        # Beta(2, 3) alone has positive summed moments, so every alpha_j
+        # is >= -1/j!: the concave path, at every threshold
+        concave = EnsembleSpec.iid_replicate(Beta(2, 3).moment_vector(5), 10)
+        rolle = EnsembleSpec((Beta(2, 3).moment_vector(5),
+                              Uniform(-3, 1).moment_vector(5)))
+        levels = CallCounter(monkeypatch, special, "_derivative_levels")
+        for t in (0.5, 10.0, 0.1):
+            assert bennett_bound(concave, t, 5).roots.unique
+        assert levels.calls == 0
+        assert special._last_levels is None
+        bennett_bound(rolle, 0.5, 5)
+        kept = special._last_levels
+        assert levels.calls == 1 and kept is not None
+        for t in (100.0, 3.0):
+            got = bennett_bound(concave, t, 5)
+            assert got.roots.unique
+            assert_same(got, fresh(lambda: bennett_bound(concave, t, 5)))
+        # the Rolle levels stayed, and the next Rolle call reuses them
+        assert special._last_levels is kept
+        got = bennett_bound(rolle, 1.5, 5)
+        assert levels.calls == 1
+        assert_same(got, fresh(lambda: bennett_bound(rolle, 1.5, 5)))
 
 
 def far_spec():
@@ -269,9 +299,11 @@ class TestInterleavedCalls:
         (special, "_last_level"), (special, "_sign_change_roots")])
     def test_another_call_between_lookup_and_use(self, monkeypatch, module,
                                                  name):
+        # both summed third moments are negative, so both calls reach the
+        # Rolle isolation and keep their levels
         mine = EnsembleSpec((Beta(2, 3).moment_vector(5),
-                             Uniform(-1, 1).moment_vector(5)))
-        theirs = EnsembleSpec((TruncatedExponential(1.0, 2.0).moment_vector(5),
+                             Uniform(-3, 1).moment_vector(5)))
+        theirs = EnsembleSpec((TruncatedExponential(1.0, 0.5).moment_vector(5),
                                Beta(5, 1).moment_vector(5)))
         bennett_bound(mine, 0.5, 5)
         other = partial(bennett_bound, theirs, 2.0, 5)

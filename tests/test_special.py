@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from helpers import CallCounter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from tailbound import (
     DomainError,
     PreconditionError,
     SolverFailureError,
+    TailboundError,
     mills_theta,
     solve_poly_exp,
     taylor_remainder,
@@ -186,9 +189,11 @@ class TestSolvePolyExp:
             assert len(scanned.roots) == 1
             assert closed.roots[0] == pytest.approx(scanned.roots[0], rel=1e-10)
 
-    def test_negative_linear_coefficient_uses_scan(self):
+    def test_negative_linear_coefficient_has_one_certified_root(self):
+        # f'' = -exp(y) < 0 whatever alpha_1 is: the concave path
         rs = solve_poly_exp([2.0, -3.0])
         (root,) = rs.roots
+        assert rs.unique
         assert abs(poly_exp_residual([2.0, -3.0], root)) <= 1e-10 * (
             1 + math.exp(root))
 
@@ -221,7 +226,9 @@ class TestSolvePolyExp:
         # in the first case a Newton iterate lands within rounding of the
         # root, every later step lands on that bracket end, and bisecting
         # towards the far end took 39 residual evaluations; its last-digit
-        # twin takes 9
+        # twin takes 9. These coefficients are all positive, so
+        # solve_poly_exp takes the concave path: the Rolle refinement is
+        # reached through poly_exp_roots
         calls = []
 
         def counting(a, x):
@@ -229,7 +236,7 @@ class TestSolvePolyExp:
             return poly_exp_residual(a, x)
 
         monkeypatch.setattr(special, "poly_exp_residual", counting)
-        (root,) = solve_poly_exp(alpha).roots
+        (root,) = poly_exp_roots(alpha).roots
         assert len(calls) <= most
         with mpmath.workdps(50):
             a = [mpmath.mpf(v) for v in alpha]
@@ -273,6 +280,123 @@ class TestSolvePolyExp:
     def test_rejects_alpha0_at_most_one(self):
         with pytest.raises(PreconditionError):
             solve_poly_exp([1.0])
+
+
+def inverse_factorial(j):
+    return Fraction(1, math.factorial(j))
+
+
+@st.composite
+def concave_alphas(draw):
+    """(alpha_0, ..., alpha_q) with alpha_0 > 1 and alpha_j >= -1/j! for
+    j >= 2, exactly: alpha_j = c_j/j! - 1/j! for c_j = 0 or c_j
+    log-uniform in [1e-6, 10], moved up by ulps where it rounded below
+    -1/j!. Degree 1 to 6, alpha_0 - 1 log-uniform in [1e-3, 1e6], and
+    alpha_1, which the test leaves free, in [-5, 10]."""
+    q = draw(st.integers(1, 6))
+    alpha = [1.0 + 10.0 ** draw(st.floats(-3.0, 6.0)),
+             draw(st.floats(-5.0, 10.0))]
+    for j in range(2, q + 1):
+        c = draw(st.one_of(st.just(0.0), st.floats(-6.0, 1.0).map(
+            lambda e: 10.0 ** e)))
+        a = c / math.factorial(j) - 1 / math.factorial(j)
+        while Fraction(a) < -inverse_factorial(j):
+            a = math.nextafter(a, math.inf)
+        alpha.append(a)
+    return alpha
+
+
+def rounding_scale(alpha, y):
+    """eps (|alpha_0| + sum_j |alpha_j| y^j + e^y) / |f'(y)|: how far the
+    rounding of one residual evaluation moves a root."""
+    size = abs(alpha[0]) + math.exp(y)
+    slope = math.exp(y)
+    for j in range(1, len(alpha)):
+        size += abs(alpha[j]) * y ** j
+        slope += j * alpha[j] * y ** (j - 1)
+    return 2.0 ** -52 * size / abs(slope)
+
+
+def poly_exp_root_mp(alpha, near):
+    """The root of the float equation near `near`, at 60 digits."""
+    with mpmath.workdps(60):
+        a = [mpmath.mpf(v) for v in alpha]
+        return mpmath.findroot(
+            lambda y: a[0] - sum(a[j] * y ** j for j in range(1, len(a)))
+            - mpmath.exp(y), mpmath.mpf(near))
+
+
+class TestConcaveRoot:
+    """alpha_j >= -1/j! for every j >= 2 makes the residual concave on
+    y >= 0, so it has one positive root, found by a monotone Newton
+    iteration instead of the Rolle isolation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(concave_alphas())
+    @example([1.05677360821155, -0.6354915412268632, -0.46376868081866995])
+    @example([2.0, -3.0])
+    @example([1.001, 5.25, -0.5, -1 / 6, -1 / 24])
+    def test_one_root_that_the_rolle_isolation_finds(self, alpha):
+        # over 4,000 random draws like these the Newton root was within
+        # 2.3 rounding scales of the 60-digit root (4.1 for degree 1 with
+        # alpha_1 > 0, _linear_root's path), and within 4.0 of the Rolle
+        # root, which can be 1,200 ulp at a root near 1e-4; the median
+        # distance was 0 ulp
+        rs = solve_poly_exp(alpha)
+        assert rs.unique
+        (root,) = rs.roots
+        (rolle,) = poly_exp_roots(alpha).roots
+        scale = rounding_scale(alpha, rolle)
+        assert abs(root - rolle) <= 6 * scale
+        assert abs(root - poly_exp_root_mp(alpha, rolle)) <= 6 * scale
+
+    def test_floors_of_the_inverse_factorials_are_exact(self):
+        floors = special._INV_FACT_FLOORS
+        assert floors[-1] == 0.0 and floors[-2] > 0.0
+        for j, f in enumerate(floors):
+            assert Fraction(f) <= inverse_factorial(j)
+            assert Fraction(math.nextafter(f, math.inf)) > inverse_factorial(j)
+
+    @pytest.mark.parametrize("j", [2, 3, 5, 9, 200])
+    def test_a_coefficient_one_ulp_past_the_floor_goes_to_rolle(self, j):
+        floor = (special._INV_FACT_FLOORS[j]
+                 if j < len(special._INV_FACT_FLOORS) else 0.0)
+        alpha = [3.0, 0.5] + [0.0] * (j - 2) + [-floor]
+        assert special._is_concave(alpha)
+        assert solve_poly_exp(alpha).unique
+        alpha[-1] = math.nextafter(-floor, -math.inf)
+        assert not special._is_concave(alpha)
+        assert not solve_poly_exp(alpha).unique
+
+    def test_newton_evaluates_the_residual_through_the_module(
+            self, monkeypatch):
+        residual = CallCounter(monkeypatch, special, "poly_exp_residual")
+        levels = CallCounter(monkeypatch, special, "_derivative_levels")
+        rs = solve_poly_exp((4.81, 0.84, 0.2, 0.034))
+        assert rs.unique
+        assert 2 <= residual.calls <= 12
+        assert levels.calls == 0
+
+    @pytest.mark.parametrize("alpha", [
+        # the root lies past 512, where the next right end, 1024, has
+        # f = -inf
+        (math.exp(600.0), 1.0, 0.5),
+        # alpha_0 = inf: f is never negative
+        (math.inf, 1.0, 0.5),
+    ])
+    def test_non_finite_residuals_fall_back_to_rolle(self, monkeypatch,
+                                                     alpha):
+        monkeypatch.setattr(special, "_last_levels", None)
+        assert special._concave_root(alpha) is None
+        assert outcome(lambda: solve_poly_exp(alpha)) \
+            == outcome(lambda: poly_exp_roots(alpha))
+
+
+def outcome(call):
+    try:
+        return call()
+    except TailboundError as exc:
+        return type(exc), str(exc)
 
 
 class TestMillsTheta:
