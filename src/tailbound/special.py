@@ -306,7 +306,7 @@ def _concave_root(alpha):
             return None
         y_next = y - f / slope
         if not (f < 0.0 and 0.0 < y_next < y):
-            return y_next if 0.0 < y_next < math.inf else y
+            return y_next if y_next > 0.0 else y
         y = y_next
         f = poly_exp_residual(alpha, y)
 
