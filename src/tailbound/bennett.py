@@ -7,12 +7,14 @@ P(S_n - E S_n >= t) is
     exp( max_{y in roots} [ t/b - (t/b + mu2/b^2) y
          + sum_{j=2}^{p-1} (mu^j/(b^j j!) - mu^{j+1}/(b^{j+1} j!)) y^j ] )
 
-where the roots are the positive solutions of the degree-(p-2)
-exponential-polynomial equation with coefficients alpha_0 = 1 + t b^{p-1}/mu^p
-and alpha_j = b^{p-j-1} mu^{j+1}/(mu^p j!) - 1/j!. p = 2 collapses to the
-classical second-moment bound (single root log(alpha_0)); p = 3 has a
-closed form through the Lambert W function, evaluated by a monotone Newton
-iteration, and is never worse than p = 2.
+where the roots are the positive solutions of the degree-(p-2) equation
+a - sum_{j=1}^{p-2} c_j y^j = sum_{j>p-2} y^j/j!, with a = t b^{p-1}/mu^p
+and c_j = b^{p-j-1} mu^{j+1}/(mu^p j!). The record shows it in the paper's
+form alpha_0 - sum_j alpha_j y^j = e^y, alpha_0 = 1 + a and
+alpha_j = c_j - 1/j!. p = 2 collapses to the classical second-moment bound
+(single root log1p(a)); p = 3 has a closed form through the Lambert W
+function, evaluated by a monotone Newton iteration, and is never worse
+than p = 2.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from .moments import (
     restrict_order,
     weighted_sum,
 )
-from .special import RootSet, poly_exp_residual, solve_poly_exp
+from .special import (RootSet, _exp, alpha_form, poly_exp_residual,
+                      solve_poly_exp)
 
-__all__ = [
-    "BennettBound", "bennett_bound", "bennett_p3_lambert",
-    "bennett_unique_root",
-]
+__all__ = ["BennettBound", "bennett_bound", "bennett_p3_lambert"]
 
 
 class BennettBound(Record):
@@ -68,9 +68,14 @@ class BennettBound(Record):
 
     @property
     def residual(self) -> float:
-        """Equation residual at y_star, scaled by 1 + exp(y_star)."""
-        raw = poly_exp_residual(self.alpha, self.y_star)
-        return abs(raw) / (1.0 + math.exp(min(self.y_star, 700.0)))
+        """Residual of alpha_0 - sum_j alpha_j y^j = e^y at y_star, scaled
+        by 1 + exp(y_star)."""
+        y = self.y_star
+        poly = 0.0
+        for alpha_j in reversed(self.alpha[1:]):
+            poly = (poly + alpha_j) * y
+        raw = self.alpha[0] - poly - _exp(y)
+        return abs(raw) / (1.0 + math.exp(min(y, 700.0)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,23 +136,47 @@ def aggregate_moments(spec: EnsembleSpec, p: int) -> tuple[float, tuple[float, .
     return b, tuple(agg)
 
 
-def _alpha_coefficients(t: float, b: float, p: int,
-                        agg: Sequence[float]) -> tuple[float, ...]:
+def _threshold_free(t: float, b: float, p: int, agg: Sequence[float]):
+    """The part of a bound that t does not enter: the root equation's
+    c_1..c_{p-2}, their alpha form for the record, and the rate's
+    coefficients mu^2/b^2 and mu^j/(b^j j!) - mu^{j+1}/(b^{j+1} j!) for
+    j = 2..p-1. A rate coefficient out of the float range is NaN, which
+    _build reports once the roots are known."""
     # agg[k-2] = mu^k for k = 2..p
     mu_p = agg[-1]
     try:
-        alpha = [1.0 + t * b ** (p - 1) / mu_p]
+        c = []
         fact = 1.0
         for j in range(1, p - 1):
             fact *= j
-            alpha.append(
-                b ** (p - j - 1) * agg[j - 1] / (mu_p * fact) - 1.0 / fact)
-        finite = all(map(math.isfinite, alpha))
+            c.append(b ** (p - j - 1) * agg[j - 1] / (mu_p * fact))
+        finite = all(map(math.isfinite, c))
     except FLOAT_RANGE_ERRORS:
         finite = False
     if not finite:
         raise _out_of_range(t, b, agg)
-    return tuple(alpha)
+    try:
+        rate = [agg[0] / b ** 2]
+        fact = 1.0
+        for j in range(2, p):
+            fact *= j
+            rate.append(agg[j - 2] / (b ** j * fact)
+                        - agg[j - 1] / (b ** (j + 1) * fact))
+    except FLOAT_RANGE_ERRORS:
+        rate = [math.nan] * (p - 1)
+    return tuple(c), alpha_form(c), rate
+
+
+def _leading(t: float, b: float, p: int, agg: Sequence[float]) -> float:
+    """a = t b^{p-1}/mu^p, the one coefficient of the equation that t
+    enters."""
+    try:
+        a = t * b ** (p - 1) / agg[-1]
+    except FLOAT_RANGE_ERRORS:
+        a = math.inf
+    if not math.isfinite(a):
+        raise _out_of_range(t, b, agg)
+    return a
 
 
 def _out_of_range(t, b, agg) -> DomainError:
@@ -157,10 +186,11 @@ def _out_of_range(t, b, agg) -> DomainError:
 
 
 # The last bennett_bound call that returned, as (vectors, counts, p, b,
-# agg, alpha): a call on the same vector objects, counts and order reuses
-# its b, aggregated moments and alpha_1..alpha_{p-2}, which do not depend
-# on t. It keeps those vectors alive, with any sample arrays they hold,
-# until another call replaces it. A call that raises keeps nothing.
+# agg, c, alpha, rate) with alpha = alpha_1..alpha_{p-2} and the rest as
+# _threshold_free gives them: a call on the same vector objects, counts and
+# order reuses all but the first three, which do not depend on t. It keeps
+# those vectors alive, with any sample arrays they hold, until another call
+# replaces it. A call that raises keeps nothing.
 _last = None
 
 
@@ -177,30 +207,17 @@ def _kept(spec: EnsembleSpec, p: int):
     return None
 
 
-def _alpha_again(last, t: float) -> tuple[float, ...]:
-    """alpha at t for the ensemble and order of the kept call last."""
-    _, _, p, b, agg, alpha = last
-    # the expression _alpha_coefficients evaluates, so the same bits
-    alpha_0 = 1.0 + t * b ** (p - 1) / agg[-1]
-    if not math.isfinite(alpha_0):
-        raise _out_of_range(t, b, agg)
-    return (alpha_0, *alpha[1:])
-
-
 def _inner_expression(y: float, t: float, b: float, p: int,
-                      agg: Sequence[float]) -> float:
+                      agg: Sequence[float], rate: Sequence[float]) -> float:
     if p == 2:
         # at y = log1p(u), u = t b / mu2, the value is -(mu2/b^2) h(u); for
         # a small u the terms t/b and (t/b + mu2/b^2) y below cancel
         u = t * b / agg[0]
         if u < 0.1:
-            return -agg[0] / b ** 2 * _small_h(u)
-    total = t / b - (t / b + agg[0] / b ** 2) * y
-    fact = 1.0
+            return -rate[0] * _small_h(u)
+    total = t / b - (t / b + rate[0]) * y
     for j in range(2, p):
-        fact *= j
-        coeff = agg[j - 2] / (b ** j * fact) - agg[j - 1] / (b ** (j + 1) * fact)
-        total += coeff * y ** j
+        total += rate[j - 1] * y ** j
     return total
 
 
@@ -217,23 +234,10 @@ def _small_h(u: float) -> float:
     return 2.0 * z * (z + (1.0 + z) * s) / (1.0 - z)
 
 
-def _roots(t: float, b: float, p: int, agg: Sequence[float],
-           alpha: tuple[float, ...]) -> RootSet:
-    """The positive roots of the equation with coefficients alpha.
-
-    At p = 2 the one root is log(alpha_0), taken as log1p(t b / mu^2):
-    alpha_0 = 1 + t b / mu^2 rounds away the digits of a ratio that is small
-    beside 1. Where alpha_0 rounds to 1, solve_poly_exp reports the
-    violated precondition.
-    """
-    if p == 2 and alpha[0] > 1.0:
-        return RootSet((math.log1p(t * b / agg[0]),), True)
-    return solve_poly_exp(alpha)
-
-
-def _build(t, b, p, agg, alpha, roots) -> BennettBound:
+def _build(t, b, p, agg, alpha, rate, roots) -> BennettBound:
     try:
-        values = [_inner_expression(y, t, b, p, agg) for y in roots.roots]
+        values = [_inner_expression(y, t, b, p, agg, rate)
+                  for y in roots.roots]
         finite = all(map(math.isfinite, values))
     except FLOAT_RANGE_ERRORS:
         finite = False
@@ -251,9 +255,9 @@ def _build(t, b, p, agg, alpha, roots) -> BennettBound:
 def bennett_bound(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
     """Deviation bound from the first p moments, p >= 2.
 
-    Only alpha_0 depends on t. A call on the same vector objects, counts
-    and order as the last call that returned reuses its b, aggregated
-    moments and alpha_1..alpha_{p-2}, and the root solver its derivative
+    Only a depends on t. A call on the same vector objects, counts and
+    order as the last call that returned reuses its b, aggregated moments,
+    c_1..c_{p-2} and rate coefficients, and the root solver its derivative
     levels; every record is the one a fresh call gives.
     """
     global _last
@@ -261,11 +265,14 @@ def bennett_bound(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
     last = _kept(spec, p)
     if last is None:
         b, agg = aggregate_moments(spec, p)
-        alpha = _alpha_coefficients(t, b, p, agg)
+        kept = (b, agg, *_threshold_free(t, b, p, agg))
     else:
-        b, agg, alpha = last[3], last[4], _alpha_again(last, t)
-    result = _build(t, b, p, agg, alpha, _roots(t, b, p, agg, alpha))
-    _last = (spec.vectors, spec.counts, p, b, agg, alpha)
+        kept = last[3:]
+    b, agg, c, alpha, rate = kept
+    a = _leading(t, b, p, agg)
+    result = _build(t, b, p, agg, (1.0 + a, *alpha), rate,
+                    solve_poly_exp((a, *c)))
+    _last = (spec.vectors, spec.counts, p, *kept)
     return result
 
 
@@ -277,46 +284,26 @@ def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
     the quadratic term vanish and the bound reduces to the second-moment
     form; otherwise the unique root is alpha0/alpha1 - W(e^{alpha0/alpha1}
     / alpha1). The solver evaluates that root by a Newton iteration on the
-    degree-1 equation itself, which needs no exponential of alpha0/alpha1
-    and keeps its digits when alpha1 is small beside alpha0.
+    degree-1 equation a - c_1 y = e^y - 1 - y itself, which needs no
+    exponential of alpha0/alpha1 and keeps its digits when alpha1 is small
+    beside alpha0, or a beside 1.
     """
     t = checked_threshold(t)
     b, agg = aggregate_moments(spec, 3)
     mu2, mu3 = agg
-    alpha = _alpha_coefficients(t, b, 3, agg)
-    a0, a1 = alpha
-    if a1 < 0.0:
+    c, alpha, rate = _threshold_free(t, b, 3, agg)
+    a = _leading(t, b, 3, agg)
+    if alpha[0] < 0.0:
         raise PreconditionError(
             f"b*mu2 >= mu3 must hold for exact positive-part third moments; "
             f"got b*mu2 = {b * mu2}, mu3 = {mu3}")
-    roots = solve_poly_exp(alpha)
+    coeffs = (a, *c)
+    roots = solve_poly_exp(coeffs)
     y = roots.roots[0]
-    # backward-error scale: the subtraction alpha0 - alpha1*y is itself only
+    # backward-error scale: the subtraction a - c_1*y is itself only
     # accurate to eps times the magnitude of its operands
-    scale = 1.0 + a0 + a1 * abs(y) + math.exp(min(y, 700.0))
-    if abs(poly_exp_residual(alpha, y)) > 1e-10 * scale:
+    scale = a + c[0] * y + math.exp(min(y, 700.0))
+    if abs(poly_exp_residual(coeffs, y)) > 1e-10 * scale:
         raise InternalConsistencyError(
             f"closed-form root failed its residual check at y={y}")
-    return _build(t, b, 3, agg, alpha, roots)
-
-
-def bennett_unique_root(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
-    """Bound under the sign condition that forces a single root.
-
-    Odd aggregated moments of order 3..p-1 are floored at zero (a floored
-    value is still a valid upper bound), after which the root solver must
-    find exactly one solution; anything else indicates a numerical fault.
-    """
-    t = checked_threshold(t)
-    b, agg = aggregate_moments(spec, p)
-    agg = tuple(
-        max(m, 0.0) if (k % 2 == 1 and 3 <= k <= p - 1) else m
-        for k, m in zip(range(2, p + 1), agg)
-    )
-    alpha = _alpha_coefficients(t, b, p, agg)
-    roots = _roots(t, b, p, agg, alpha).roots
-    if len(roots) != 1:
-        raise InternalConsistencyError(
-            f"expected a single root under the odd-moment sign condition; "
-            f"solver found {list(roots)}")
-    return _build(t, b, p, agg, alpha, RootSet(roots, True))
+    return _build(t, b, 3, agg, (1.0 + a, *alpha), rate, roots)

@@ -273,12 +273,10 @@ def hoeffding_small_t(mv: MomentVector, n: int, t: float, c: float,
             f"small-deviation form needs t <= c*(mu2/(2*mu1))^2 = {limit}; "
             f"got t = {t}")
     ip = i_measure(v, c)
-    t_abs = n * t
-    c_eff = 1.0 / (ip * ip)
-    return HoeffdingBound(
-        t=t_abs, p=p, bound=_cap(-2.0 * n * t * t * ip * ip),
-        c_values=(c_eff,), d_n=n * _d_value(restrict_order(mv, 2)),
-        s_star=4.0 * t * ip * ip, mode="small_t")
+    # one factor for each of the n variables, as in every other mode
+    return HoeffdingBound._grouped(
+        n * t, p, _cap(-2.0 * n * t * t * ip * ip), (1.0 / (ip * ip),), (n,),
+        n * _d_value(restrict_order(mv, 2)), 4.0 * t * ip * ip, "small_t")
 
 
 def hoeffding_limit(dists: EnsembleSpec | Sequence[Distribution],

@@ -1,8 +1,8 @@
 """Scalar special functions used by the bound formulas.
 
 Series tails of the exponential, the scaled Gaussian tail, and the solver
-for the positive roots of alpha_0 - sum_j alpha_j x^j = exp(x) with its
-RootSet result type.
+for the positive roots of Bennett's equation a - sum_j c_j x^j = T(x), T
+the exponential series from degree q + 1 on, with its RootSet result type.
 """
 
 from __future__ import annotations
@@ -22,17 +22,16 @@ _EXP_MAX = 709.782712893384
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
 # the derivative levels of the last solve_poly_exp that reached the Rolle
-# isolation, keyed by their alpha[1:] (see _derivative_levels)
+# isolation, keyed by their c_1..c_q (see _derivative_levels)
 _last_levels = None
 
 
 class RootSet(Record):
-    """Positive solutions of alpha0 - sum_j alpha_j x^j = exp(x).
+    """Positive solutions of solve_poly_exp's equation.
 
     roots are ascending; `unique` is True only when uniqueness is known
-    analytically: degree 0, degree 1 with a positive linear coefficient,
-    coefficients that pass solve_poly_exp's concavity test, or a caller
-    that asserted the sign condition that forces a single crossing.
+    analytically: degree 0, or c_j >= 0 for every j >= 2, where the
+    coefficients of the equation's power series change sign once.
     """
 
     __slots__ = _fields = ("roots", "unique")
@@ -166,162 +165,166 @@ def _erfcx(x: float) -> float:
     return 1.0 / (_SQRT_PI * f)
 
 
-def solve_poly_exp(alpha) -> RootSet:
-    """Positive roots of alpha[0] - sum_{j>=1} alpha[j]*x^j = exp(x), an
-    equation of degree len(alpha) - 1.
+def solve_poly_exp(coeffs) -> RootSet:
+    """Positive roots of g(y) = a - sum_{j=1..q} c_j y^j - T(y) for coeffs =
+    (a, c_1, ..., c_q), where T(y) = sum_{j>q} y^j/j! is the exponential
+    series from degree q + 1 on. g = 0 is alpha_0 - sum_j alpha_j y^j = e^y
+    with alpha_0 = 1 + a and alpha_j = c_j - 1/j! (see alpha_form), written
+    so that a small a or c_j is not rounded away against 1/j!.
 
-    alpha[0] > 1 guarantees at least one positive root. Degree 0 and degree
-    1 with a positive linear coefficient have a single root, log(alpha[0])
-    and the Newton iteration of _linear_root. Where alpha[j] >= -1/j! for
-    every j >= 2 (tested exactly, see _is_concave), the residual is concave
-    on x >= 0 and positive at 0, so it has a single root too, which
-    _concave_root finds by a monotone Newton iteration; these RootSets are
-    `unique`. Everything else goes to the Rolle isolation of poly_exp_roots.
-    Its derivative levels do not involve alpha[0], so the last isolation's
-    are kept, and a solve with the same alpha[1:] (one Bennett ensemble at
-    another threshold) reuses them; a concave solve neither builds nor
-    replaces them.
+    a > 0 guarantees a positive root. g's power series has the coefficients
+    (a, -c_1, ..., -c_q, -1/(q+1)!, -1/(q+2)!, ...), so where c_j >= 0 for
+    every j >= 2 they change sign once, and g has a single positive root:
+    Descartes' rule of signs holds for power series (Jameson, Math. Gazette
+    90 (2006) 223-234). Degree 0 gives log1p(a), and the others of this
+    kind the Newton iteration of _newton_root; these RootSets are `unique`.
+    Every other equation goes to the Rolle isolation of poly_exp_roots. Its
+    derivative levels do not involve a, so the last isolation's are kept,
+    and a solve with the same c (one Bennett ensemble at another threshold)
+    reuses them; a single-root solve neither builds nor replaces them.
     """
-    alpha = tuple(float(a) for a in alpha)
-    if not alpha:
-        raise DomainError("need at least the coefficient alpha[0]; got none")
-    if not alpha[0] > 1.0:
+    coeffs = tuple(map(float, coeffs))
+    if not coeffs:
+        raise DomainError("need at least the coefficient a; got none")
+    a = coeffs[0]
+    if not a > 0.0:
         raise PreconditionError(
-            f"alpha[0] must exceed 1 for a positive root to exist; "
-            f"got {alpha[0]}")
-
-    # trailing zero coefficients do not change the equation
-    while len(alpha) > 1 and alpha[-1] == 0.0:
-        alpha = alpha[:-1]
-
-    if len(alpha) == 1:
-        return RootSet((math.log(alpha[0]),), True)
-    if len(alpha) == 2 and alpha[1] > 0.0:
-        return RootSet((_linear_root(*alpha),), True)
-    if _is_concave(alpha):
-        root = _concave_root(alpha)
+            f"a must be positive for a positive root to exist; got {a}")
+    if len(coeffs) == 1:
+        return RootSet((math.log1p(a),), True)
+    if 0.0 < coeffs[1] < math.inf and a / coeffs[1] == 0.0:
+        # g <= a - c_1 y + O(y^2): a root lies below the least positive float
+        raise PreconditionError(
+            f"a/c_1 must not round to 0 for the first root to be a positive "
+            f"float; got a = {a}, c_1 = {coeffs[1]}")
+    if len(coeffs) == 2 or all(c >= 0.0 for c in coeffs[2:]):
+        root = _newton_root(coeffs)
         if root is not None:
             return RootSet((root,), True)
     global _last_levels
     levels = _last_levels
-    if levels is None or levels[0] != alpha[1:]:
-        levels = _derivative_levels(alpha)
-    roots = _last_level(alpha, levels)
+    if levels is None or levels[0] != coeffs[1:]:
+        levels = _derivative_levels(coeffs)
+    roots = _last_level(coeffs, levels)
     _last_levels = levels
     return roots
 
 
-def _linear_root(a0, a1):
-    """The root of a0 - a1*y = exp(y) for a0 > 1 and a1 > 0.
-
-    It is z - W(exp(z)/a1) with z = a0/a1 and Lambert's W, and lies below
-    both log(a0) and (a0 - 1)/a1. On (0, a0/a1), h(y) = y - log(a0 - a1*y)
-    is increasing and convex, so Newton's method on h from the smaller of
-    the two falls monotonically onto the root; it ends when a step no
-    longer lowers y, which floats being finite makes certain. Taking the
-    log as log1p(a0 - 1 - a1*y) keeps small roots to a few ulp. Where
-    a0 - a1*y rounds to <= 0 (a1*y can round past a huge a0), the step is
-    Newton's on the concave, decreasing a0 - a1*y - exp(y) instead, which
-    falls monotonically too. A coefficient that is not finite gives a root
-    of 0 or inf, which RootSet rejects.
-    """
-    y = min(math.log(a0), (a0 - 1.0) / a1)
-    while True:
-        u = a0 - 1.0 - a1 * y
-        if u > -1.0:
-            y_next = y - (y - math.log1p(u)) * (1.0 + u) / (1.0 + u + a1)
-        else:
-            e = _exp(y)
-            y_next = y - (e - 1.0 - u) / (e + a1)
-        if not y_next < y:
-            return y
-        y = y_next
+def alpha_form(c) -> tuple[float, ...]:
+    """alpha_j = c_j - 1/j! for j = 1..len(c), the coefficients of
+    solve_poly_exp's equation written as alpha_0 - sum_j alpha_j y^j = e^y."""
+    alpha = []
+    fact = 1.0
+    for j, c_j in enumerate(c, start=1):
+        fact *= j
+        alpha.append(c_j - 1.0 / fact)
+    return tuple(alpha)
 
 
-def _inverse_factorial_floors() -> tuple[float, ...]:
-    """The largest float at most 1/j!, for j = 0, 1, ... up to the first
-    that is 0. A true division of ints rounds correctly, and each rounding
-    is checked exactly against 1/j! in integers."""
-    floors = []
-    fact = 1
-    while not floors or floors[-1] > 0.0:
-        f = 1 / fact
-        while True:
-            num, den = f.as_integer_ratio()
-            if num * fact <= den:
-                break
-            f = math.nextafter(f, 0.0)
-        floors.append(f)
-        fact *= len(floors)
-    return tuple(floors)
+def _newton_root(coeffs):
+    """The one positive root of g where c_j >= 0 for every j >= 2, or None
+    where the iteration below cannot run on finite values and a negative
+    slope.
 
-
-_INV_FACT_FLOORS = _inverse_factorial_floors()
-
-
-def _is_concave(alpha) -> bool:
-    """Whether alpha[j] >= -1/j! for every j >= 2, tested exactly: -alpha[j]
-    against a float at most 1/j! (0 once 1/j! underflows).
-
-    Then c_j = alpha[j] + 1/j! >= 0, and the residual's second derivative
-    -sum_{j>=2} j (j-1) c_j x^(j-2) - sum_{j>q} x^(j-2)/(j-2)! (q the
-    degree) is negative on x >= 0: the residual is concave there. With
-    f(0) = alpha[0] - 1 > 0 and f -> -inf, it has exactly one positive root
-    (Descartes' rule of signs for the power series of -f).
-    """
-    floors = _INV_FACT_FLOORS
-    for j in range(2, len(alpha)):
-        if not -alpha[j] <= (floors[j] if j < len(floors) else 0.0):
-            return False
-    return True
-
-
-def _concave_root(alpha):
-    """The one positive root of a residual that _is_concave certifies, or
-    None where the iteration below cannot run on finite values and a
-    negative slope.
-
-    The right end y doubles from 1 until f(y) < 0. Past the root a concave
-    f is negative and decreasing, and its tangent lies above it, so each
+    g is then concave on y >= 0, as -g'' is a power series with
+    nonnegative coefficients. Where c_1 > a, the right end comes from g's
+    first terms m(y) = a - c_1 y - d y^2 - e y^3 (d and e the coefficients
+    of y^2 and y^3 among the c_j and T's 1/j!): the others are <= 0 on
+    y >= 0, so g <= m. It is the positive root of m's quadratic part, at
+    most a/c_1, where g's tangent at 0 crosses zero, moved by one Newton
+    step on the concave m, which stays above m's root and so above g's.
+    Otherwise the right end doubles from 1 until g(y) < 0. Past the root g
+    is negative and decreasing, and its tangent lies above it, so each
     Newton step falls onto the root from the right without passing it. The
-    iteration ends once f(y) rounds to >= 0 or a step no longer lowers y,
-    which floats being finite makes certain, and returns that last step,
-    taken in either direction: a step from within rounding of the root
-    leaves no error but that of f(y) itself. f is evaluated through this
-    module's global poly_exp_residual, as in the Rolle path.
+    iteration ends once g(y) rounds to >= 0, a step no longer lowers y or
+    the step bounds the next one below eps y / 2, which floats being
+    finite makes certain, and returns that last step, taken in either
+    direction: a step from within rounding of the root leaves no error but
+    that of g(y) itself. g is evaluated through this module's global
+    poly_exp_residual, as in the Rolle path.
     """
+    a, c_1 = coeffs[0], coeffs[1]
     y = 1.0
-    while True:
-        f = poly_exp_residual(alpha, y)
-        if f < 0.0:
-            break
+    if a < c_1:
+        r = a / c_1
+        d = coeffs[2] if len(coeffs) > 2 else 0.5
+        e = coeffs[3] if len(coeffs) > 3 else 1.0 / 6.0
+        y = 2.0 * r / (1.0 + math.sqrt(1.0 + 4.0 * r * (d / c_1)))
+        y -= e * y ** 3 / (c_1 + y * (2.0 * d + 3.0 * e * y))
+    f = poly_exp_residual(coeffs, y)
+    while not f < 0.0 and y >= 1.0:
         y *= 2.0
         if y > 1024.0:
             return None
-    # f'(y), as the Rolle path's first derivative level evaluates it
-    df = partial(_poly_minus_exp, [-j * alpha[j] for j in range(1, len(alpha))])
+        f = poly_exp_residual(coeffs, y)
+    # with c_1 >= 0, |g''| <= (q + 1) |g'| / min(y, 1) for y > 0, term by
+    # term, so a step s leaves the next iterate within (q + 1) s^2 /
+    # (2 min(y, 1)) of the root
+    inf = math.inf
+    stiff = len(coeffs) if c_1 >= 0.0 else inf
     while True:
-        slope = df(y)
-        if not (-math.inf < f < math.inf and -math.inf < slope < 0.0):
+        slope = _slope(coeffs, y)
+        if not (-inf < f < inf and -inf < slope < 0.0):
             return None
         y_next = y - f / slope
-        if not (f < 0.0 and 0.0 < y_next < y):
-            return y_next if y_next > 0.0 else y
+        step = y - y_next
+        if (not (f < 0.0 and 0.0 < y_next < y)
+                or stiff * step * step <= _EPS * y_next * min(y_next, 1.0)):
+            return y_next if y_next > 0.0 else None
         y = y_next
-        f = poly_exp_residual(alpha, y)
+        f = poly_exp_residual(coeffs, y)
 
 
-def poly_exp_residual(alpha, x: float) -> float:
-    """alpha[0] - sum_j alpha[j]*x^j - exp(x) for j = 1..len(alpha)-1.
+def poly_exp_residual(coeffs, y: float) -> float:
+    """g(y) = a - sum_{j=1..q} c_j y^j - T(y) for coeffs = (a, c_1, ..., c_q),
+    with T(y) = sum_{j>q} y^j/j!. With P the polynomial's computed value,
+    T is summed as its series where |a| + |P| < y < 1 (see _tail_series),
+    and else taken as expm1(y) minus sum_{j=1..q} y^j/j!, whose rounding,
+    a few eps y e^y, is then within a few eps (|a| + |P|), the rounding of
+    a - P itself, below y = 1, and small beside e^y from there on.
 
-    The generic solver evaluates it through this module's global name, so
-    wrapping that name sees every evaluation.
+    The solvers evaluate g through this module's global name, so wrapping
+    that name sees every evaluation.
     """
-    q = len(alpha) - 1
-    poly = 0.0
-    for j in range(q, 0, -1):
-        poly = (poly + alpha[j]) * x
-    return alpha[0] - poly - _exp(x)
+    a = coeffs[0]
+    poly = taylor = 0.0
+    for j in range(len(coeffs) - 1, 0, -1):
+        poly = (poly + coeffs[j]) * y
+        taylor = (taylor + 1.0) * y / j
+    scale = abs(a) + abs(poly)
+    if scale < y < 1.0:
+        return a - poly - _tail_series(len(coeffs) - 1, y, scale)
+    return a - poly - ((math.expm1(y) if y < _EXP_MAX else math.inf) - taylor)
+
+
+def _slope(coeffs, y):
+    # g'(y) = -sum_{j=1..q} j c_j y^(j-1) - sum_{j>=q} y^j/j!, its tail
+    # taken as in poly_exp_residual
+    poly = taylor = 0.0
+    for j in range(len(coeffs) - 1, 1, -1):
+        poly = (poly + j * coeffs[j]) * y
+        taylor = (taylor + 1.0) * y / (j - 1)
+    poly += coeffs[1]
+    if abs(poly) < y < 1.0:
+        return -poly - _tail_series(len(coeffs) - 2, y, abs(poly))
+    return -poly - ((math.expm1(y) if y < _EXP_MAX else math.inf) - taylor)
+
+
+def _tail_series(k, y, scale):
+    """sum_{j>k} y^j/j! for 0 < y < 1, to within eps (scale + the sum). Its
+    terms shrink by y/j < 1/(k + 2) from the first on, so nothing cancels
+    against 1, and the terms left after one at most eps (scale + the sum)
+    add up to less than it."""
+    term = 1.0
+    for j in range(1, k + 2):
+        term *= y / j
+    total = term
+    j = k + 1
+    while term > _EPS * (scale + total):
+        j += 1
+        term *= y / j
+        total += term
+    return total
 
 
 def _poly_minus_exp(coeffs, x):
@@ -373,44 +376,48 @@ def _sign_change_roots(fn, dfn, points):
     return roots
 
 
-def poly_exp_roots(alpha) -> RootSet:
-    """Every positive root of poly_exp_residual(alpha, x), ascending: the
-    generic solver, and the reference the closed forms are tested against.
+def poly_exp_roots(coeffs) -> RootSet:
+    """Every positive root of poly_exp_residual(coeffs, x), ascending: the
+    generic solver, and the reference the single-root path is tested
+    against.
 
-    Rolle isolation: with q = len(alpha) - 1, the (q+1)-th derivative of
-    the residual f is -exp(x) < 0, so f^(q) is decreasing and each root of
-    f^(k+1) is a turning point of f^(k). The right end X doubles from 1
-    until f, f', ..., f^(q) are all negative there, which keeps all of
+    Rolle isolation: with q = len(coeffs) - 1, the (q+1)-th derivative of
+    the residual g is -exp(x) < 0, so g^(q) is decreasing and each root of
+    g^(k+1) is a turning point of g^(k). The right end X doubles from 1
+    until g, g', ..., g^(q) are all negative there, which keeps all of
     them negative past X. Going down from k = q to 0, the roots of
-    f^(k+1) in (0, X) split [0, X] into pieces on which f^(k) is
-    monotone, and each piece holds at most one sign change of f^(k).
+    g^(k+1) in (0, X) split [0, X] into pieces on which g^(k) is
+    monotone, and each piece holds at most one sign change of g^(k).
     Raises SolverFailureError if no right end is certified below x = 1024.
     """
-    return _last_level(alpha, _derivative_levels(alpha))
+    return _last_level(coeffs, _derivative_levels(coeffs))
 
 
-def _derivative_levels(alpha):
-    """The part of poly_exp_roots that alpha[0] does not enter, as
-    (alpha[1:], derivs, turning). derivs[k - 1] evaluates f^(k) for
-    k = 1..q+1: a polynomial (constant term first) minus exp(x), an empty
-    one for f^(q+1) = -exp(x). turning maps each right end X tried to the
-    roots of f' in (0, X), levels q..1 of the isolation, or to False where
-    f', ..., f^(q) are not all negative at X; it fills as solves need it.
+def _derivative_levels(coeffs):
+    """The part of poly_exp_roots that a does not enter, as (c, derivs,
+    turning, alpha) with c = coeffs[1:] and alpha = alpha_form(c).
+    derivs[k - 1] evaluates g^(k) for k = 1..q+1 as the derivative of
+    alpha_0 - sum_j alpha_j x^j - exp(x): a polynomial (constant term
+    first) minus exp(x), an empty one for g^(q+1) = -exp(x). turning maps
+    each right end X tried to the roots of g' in (0, X), levels q..1 of the
+    isolation, or to False where g', ..., g^(q) are not all negative at X;
+    it fills as solves need it.
     """
+    alpha = alpha_form(coeffs[1:])
     derivs = []
-    coeffs = [-i * alpha[i] for i in range(1, len(alpha))]
-    for _ in alpha:
-        derivs.append(partial(_poly_minus_exp, coeffs))
-        coeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
-    return alpha[1:], derivs, {}
+    poly = [-j * alpha_j for j, alpha_j in enumerate(alpha, start=1)]
+    for _ in coeffs:
+        derivs.append(partial(_poly_minus_exp, poly))
+        poly = [i * poly[i] for i in range(1, len(poly))]
+    return coeffs[1:], derivs, {}, alpha
 
 
-def _last_level(alpha, levels):
-    # the roots of f itself, below the right end poly_exp_roots describes;
+def _last_level(coeffs, levels):
+    # the roots of g itself, below the right end poly_exp_roots describes;
     # the derivative half of its test comes from the levels, so once they
-    # have seen a right end only f is evaluated there
-    _, derivs, known = levels
-    f = partial(poly_exp_residual, alpha)
+    # have seen a right end only g is evaluated there
+    _, derivs, known, alpha = levels
+    f = partial(poly_exp_residual, coeffs)
     x_end = 1.0
     while True:
         if f(x_end) < 0.0:
@@ -422,7 +429,8 @@ def _last_level(alpha, levels):
         x_end *= 2.0
         if x_end > 1024.0:
             raise SolverFailureError(
-                f"no right end certifies the roots of alpha={alpha} below x=1024")
+                f"no right end certifies the roots of "
+                f"alpha={(1.0 + coeffs[0], *alpha)} below x=1024")
     return RootSet(tuple(_sign_change_roots(f, derivs[0], [0.0, *turning, x_end])),
                    False)
 

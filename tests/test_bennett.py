@@ -27,7 +27,6 @@ from tailbound import (
     Uniform,
     bennett_bound,
     bennett_p3_lambert,
-    bennett_unique_root,
     mc_tail,
 )
 
@@ -167,15 +166,27 @@ class TestOrderThreeLambert:
         assert result.bound == pytest.approx(scanned.bound, rel=1e-9)
 
     @pytest.mark.parametrize("hi", [1.0, 2.5, 7.0, 95.0])
-    def test_alpha0_rounding_to_one_is_a_precondition_failure(self, hi):
-        # t so small that alpha_0 = 1 + t b^2/mu^3 rounds to 1: no positive
-        # root exists, which bennett_bound reports as a violated
-        # precondition (exit 2), not as a solver failure (exit 4)
+    def test_alpha0_rounding_to_one_keeps_the_root(self, hi):
+        # t so small that alpha_0 = 1 + a rounds to 1, a = t b^2/mu^3 =
+        # 4 t/hi: the root is a/c_1 = 3 t/hi to within a relative 1e-30
+        # (c_1 = b mu^2/mu^3 = 4/3), and both calls find it; the parent
+        # raised PreconditionError here (exit 2)
         spec = EnsembleSpec.iid_replicate(Uniform(0, hi).moment_vector(3), 1)
+        general = bennett_bound(spec, 1e-30, 3)
+        assert bennett_p3_lambert(spec, 1e-30) == general
+        assert general.y_star == pytest.approx(3e-30 / hi, rel=1e-15)
+        assert general.bound == 1.0
+
+    @pytest.mark.parametrize("t", [1e-320, 5e-324])
+    def test_a_root_below_the_float_range_is_a_precondition_failure(self, t):
+        # the root, about t b/mu^2 = 3e-6 t, rounds to 0: both calls report
+        # a violated precondition (exit 2), not a solver failure (exit 4)
+        spec = EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(3),
+                                          10 ** 6)
         with pytest.raises(PreconditionError) as general:
-            bennett_bound(spec, 1e-30, 3)
+            bennett_bound(spec, t, 3)
         with pytest.raises(PreconditionError) as closed:
-            bennett_p3_lambert(spec, 1e-30)
+            bennett_p3_lambert(spec, t)
         assert str(closed.value) == str(general.value)
 
 
@@ -200,9 +211,11 @@ class TestGenericOrder:
             mv = random_upper_bounded_mv(rng, p)
             spec = EnsembleSpec.iid_replicate(mv, int(rng.integers(1, 5)))
             result = bennett_bound(spec, float(rng.uniform(0.05, 2.0)), p)
-            from tailbound.special import poly_exp_residual
+            alpha = result.alpha
             for r in result.roots.roots:
-                resid = abs(poly_exp_residual(result.alpha, r))
+                resid = abs(alpha[0] - sum(a_j * r ** j for j, a_j
+                                           in enumerate(alpha[1:], start=1))
+                            - math.exp(r))
                 assert resid <= 1e-10 * (1 + math.exp(min(r, 700)))
             assert result.y_star in result.roots.roots
 
@@ -229,33 +242,30 @@ class TestGenericOrder:
             bennett_bound(uniform_spec(3, 1), 0.5, 1)
 
 
-class TestUniqueRoot:
-    def test_order_four_nonnegative_odd_moment(self, rng):
-        for _ in range(20):
-            mv = random_upper_bounded_mv(rng, 4, b=1.0, lo=-1.5)
-            spec = EnsembleSpec.iid_replicate(mv, 3)
-            result = bennett_unique_root(spec, 0.4, 4)
-            assert len(result.roots.roots) == 1
-            assert result.roots.unique
+class TestSingleRoot:
+    """c_j >= 0 for every j >= 2, that is summed moments mu^3..mu^(p-1)
+    that are all nonnegative, gives one root, certified without a scan."""
+
+    @pytest.mark.parametrize("p, lo", [(4, -1.5), (5, -2.0), (6, -0.5)])
+    def test_nonnegative_summed_moments_give_one_certified_root(
+            self, rng, p, lo):
+        certified = 0
+        for _ in range(100):
+            mv = random_upper_bounded_mv(rng, p, b=1.0, lo=lo)
+            spec = EnsembleSpec.iid_replicate(mv, int(rng.integers(1, 4)))
+            result = bennett_bound(spec, float(rng.uniform(0.05, 1.5)), p)
+            single = all(m >= 0.0 for m in result.aggregated_moments[1:-1])
+            assert result.roots.unique == single
+            if single:
+                certified += 1
+                assert len(result.roots.roots) == 1
+        assert certified > 0
 
     def test_order_two_log_root(self):
-        result = bennett_unique_root(uniform_spec(2, 2), 0.3, 2)
+        result = bennett_bound(uniform_spec(2, 2), 0.3, 2)
+        assert result.roots.unique
         assert result.y_star == pytest.approx(math.log(result.alpha[0]),
                                               rel=1e-13)
-
-    def test_order_five_randomized(self, rng):
-        # odd aggregated moments floored at zero: single root every time
-        for _ in range(100):
-            mv = random_upper_bounded_mv(rng, 5, b=1.0, lo=-2.0)
-            spec = EnsembleSpec.iid_replicate(mv, int(rng.integers(1, 4)))
-            result = bennett_unique_root(spec, float(rng.uniform(0.05, 1.5)), 5)
-            assert len(result.roots.roots) == 1
-
-    def test_flooring_applied_to_odd_aggregates(self):
-        mv = MomentVector(4, (-0.5, 0.5, -0.2, 0.3), Support.upper_only(1.0),
-                          positive_part_pth=0.3)
-        result = bennett_unique_root(EnsembleSpec.iid_replicate(mv, 1), 0.2, 4)
-        assert result.aggregated_moments[1] == 0.0  # floored mu3
 
 
 @st.composite

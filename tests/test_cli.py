@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,40 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_commands():
+    """The commands of the README's CLI block, as argument lists, with the
+    leading `tailbound` dropped and continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    block = block.replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert all(argv[0] == "tailbound" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+class TestReadmeCommands:
+    def test_each_command_of_the_readme_runs(self, capsys, tmp_path,
+                                             monkeypatch):
+        # the moments command reads values.csv from the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "values.csv").write_text("id,value\n0,0.2\n1,0.4\n2,0.9\n")
+        commands = readme_cli_commands()
+        assert len(commands) == 6
+        outputs = []
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            outputs.append(out)
+        # the first is the classical Hoeffding value exp(-5)
+        assert commands[0][:3] == ["bound", "--family", "hoeffding"]
+        row = outputs[0].strip().splitlines()[1].split(",")
+        assert float(row[3]) == pytest.approx(math.exp(-5.0), rel=1e-15)
 
 
 class TestBoundCommand:

@@ -208,6 +208,16 @@ class TestSmallT:
         assert result.bound == pytest.approx(
             math.exp(-2 * 10 * 0.05 ** 2 * i2 ** 2), rel=1e-13)
 
+    def test_one_factor_per_variable(self):
+        # the record held one factor for the n variables; every other mode
+        # lists one per variable
+        mv = Uniform(0, 1).moment_vector(3)
+        result = hoeffding_small_t(mv, 10, 0.05, 1.0, 3)
+        iid = hoeffding_bound(EnsembleSpec.iid_replicate(mv, 10), 0.5, 3)
+        assert len(result.c_values) == len(iid.c_values) == 10
+        assert len(result.to_json_dict()["c_values"]) == 10
+        assert result.c_values == (result.c_values[0],) * 10
+
     def test_rejects_large_t(self):
         mv = Uniform(0, 1).moment_vector(2)
         limit = 1.0 * (mv.mu[1] / (2 * mv.mu[0])) ** 2

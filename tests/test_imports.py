@@ -124,12 +124,12 @@ def test_residual_alias_for_the_benchmark_tracer(monkeypatch):
     assert alias.poly_exp_residual is special.poly_exp_residual
     calls = []
 
-    def counted(alpha, x):
+    def counted(coeffs, x):
         calls.append(x)
-        return alias.poly_exp_residual(alpha, x)
+        return alias.poly_exp_residual(coeffs, x)
 
     monkeypatch.setattr(special, "poly_exp_residual", counted)
-    special.solve_poly_exp((3.0, 1.0, -0.5))
+    special.solve_poly_exp((2.0, 2.0, 0.0))
     assert calls
 
 

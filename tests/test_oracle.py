@@ -197,7 +197,10 @@ class TestBruteRootScan:
             inputs.append(alpha)
         for alpha in inputs:
             q = len(alpha) - 1
-            ours = solve_poly_exp(alpha)
+            # the solver's tail form: a = alpha_0 - 1, c_j = alpha_j + 1/j!
+            ours = solve_poly_exp([alpha[0] - 1.0] + [
+                a_j + 1.0 / math.factorial(j)
+                for j, a_j in enumerate(alpha[1:], start=1)])
             brute = brute_root_scan(alpha, q, resolution=100_000)
             assert len(ours.roots) == len(brute.roots)
             for a, b in zip(ours.roots, brute.roots):

@@ -25,7 +25,6 @@ from tailbound import (
     Uniform,
     bennett_bound,
     bennett_p3_lambert,
-    bennett_unique_root,
     classical_sample_size,
     hoeffding_bound,
     hoeffding_limit,
@@ -98,7 +97,6 @@ def test_bounds_in_unit_interval_or_tailbound_error(dists, n, t, p, c):
         lambda: hoeffding_missing_factor(variables, t, p, c),
         lambda: bennett_bound(spec, t, p),
         lambda: bennett_p3_lambert(spec, t),
-        lambda: bennett_unique_root(spec, t, p),
     ]
     for call in calls:
         _in_unit_interval_or_error(call)

@@ -1,8 +1,8 @@
 """Bennett calls that reuse the threshold-free work of the call before.
 
-bennett_bound keeps b, the aggregated moments and alpha_1..alpha_{p-2} of
-its last call, and solve_poly_exp the derivative levels of its last Rolle
-isolation. A call with the kept state must return the very record, or
+bennett_bound keeps b, the aggregated moments, the root equation's
+c_1..c_{p-2} and the rate's coefficients of its last call, and
+solve_poly_exp the derivative levels of its last Rolle isolation. A call with the kept state must return the very record, or
 raise the very error, that it gives with nothing kept.
 """
 
@@ -31,7 +31,6 @@ from tailbound import (
     bennett,
     bennett_bound,
     bennett_p3_lambert,
-    bennett_unique_root,
     special,
 )
 
@@ -88,11 +87,8 @@ def laws_below_one(draw):
 # beyond 8
 runs = st.tuples(
     st.integers(0, 2), st.integers(2, 8),
-    st.sampled_from(["bound", "bound", "unique", "lambert"]),
+    st.sampled_from(["bound", "bound", "lambert"]),
     st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
-
-
-CALLS = {"bound": bennett_bound, "unique": bennett_unique_root}
 
 
 class TestRecordsAreUnchanged:
@@ -113,13 +109,13 @@ class TestRecordsAreUnchanged:
                 # each law hands out again: the same objects every time
                 spec = EnsembleSpec([law.moment_vector(p) for law in laws])
                 call = (partial(bennett_p3_lambert, spec, t) if how == "lambert"
-                        else partial(CALLS[how], spec, t, p))
+                        else partial(bennett_bound, spec, t, p))
                 want = fresh(call)
                 assert_same(outcome(call), want)
 
     def test_thresholds_with_different_right_ends(self):
         # a negative summed third moment keeps these equations from the
-        # concave path, so they reach the Rolle isolation and its levels
+        # Newton path, so they reach the Rolle isolation and its levels
         spec = EnsembleSpec.iid_replicate(Uniform(-1.5, 1).moment_vector(5), 3)
         for t in (0.5, 10.0, 0.1, 100.0, 3.0):
             want = fresh(lambda: bennett_bound(spec, t, 5))
@@ -161,11 +157,11 @@ class TestRecordsAreUnchanged:
         assert_same(got, fresh(lambda: bennett_bound(doubled, 0.2, 5)))
 
 
-class TestConcaveSolves:
-    def test_a_concave_solve_builds_no_levels_and_keeps_none(
+class TestSingleRootSolves:
+    def test_a_single_root_solve_builds_no_levels_and_keeps_none(
             self, monkeypatch):
-        # Beta(2, 3) alone has positive summed moments, so every alpha_j
-        # is >= -1/j!: the concave path, at every threshold
+        # Beta(2, 3) alone has positive summed moments, so every c_j is
+        # >= 0: the Newton path, at every threshold
         concave = EnsembleSpec.iid_replicate(Beta(2, 3).moment_vector(5), 10)
         rolle = EnsembleSpec((Beta(2, 3).moment_vector(5),
                               Uniform(-3, 1).moment_vector(5)))
@@ -209,9 +205,8 @@ class TestErrorsAreUnchanged:
     def test_order_that_is_not_an_int_after_a_good_call(self):
         spec = EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(3), 4)
         bennett_bound(spec, 0.5, 3)
-        for fn in (bennett_bound, bennett_unique_root):
-            self.raises_twice(lambda: fn(spec, 0.5, 3.0), DomainError,
-                              "order p must be an integer >= 2; got 3.0")
+        self.raises_twice(lambda: bennett_bound(spec, 0.5, 3.0), DomainError,
+                          "order p must be an integer >= 2; got 3.0")
         assert bennett._last[2] == 3
 
     def test_mixed_upper_bounds(self):
@@ -223,17 +218,18 @@ class TestErrorsAreUnchanged:
         assert bennett._last is None
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_alpha0_rounding_to_one_after_a_good_call(self, p):
-        spec = EnsembleSpec((Beta(2, 3).moment_vector(p),
-                             Uniform(-1, 1).moment_vector(p)))
+    def test_a_rounding_to_zero_after_a_good_call(self, p):
+        # 100 copies of each law: a = t b^(p-1)/mu^p rounds to 0 at the
+        # least positive t
+        spec = EnsembleSpec([Beta(2, 3).moment_vector(p)] * 100
+                            + [Uniform(-1, 1).moment_vector(p)] * 100)
         good = bennett_bound(spec, 0.5, p)
         kept = bennett._last
-        message = ("alpha[0] must exceed 1 for a positive root to exist; "
-                   "got 1.0")
-        self.raises_twice(lambda: bennett_bound(spec, 1e-30, p),
+        message = "a must be positive for a positive root to exist; got 0.0"
+        self.raises_twice(lambda: bennett_bound(spec, 5e-324, p),
                           PreconditionError, message)
         if p == 3:
-            self.raises_twice(lambda: bennett_p3_lambert(spec, 1e-30),
+            self.raises_twice(lambda: bennett_p3_lambert(spec, 5e-324),
                               PreconditionError, message)
         assert bennett._last is kept
         assert_same(bennett_bound(spec, 0.5, p), good)
@@ -295,7 +291,7 @@ class TestInterleavedCalls:
     with nothing kept, and so is every later call on either ensemble."""
 
     @pytest.mark.parametrize("module, name", [
-        (bennett, "_alpha_again"), (bennett, "solve_poly_exp"),
+        (bennett, "_leading"), (bennett, "solve_poly_exp"),
         (special, "_last_level"), (special, "_sign_change_roots")])
     def test_another_call_between_lookup_and_use(self, monkeypatch, module,
                                                  name):

@@ -1,11 +1,10 @@
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from helpers import CallCounter
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailbound import (
@@ -147,31 +146,51 @@ class TestTaylorRemainder:
                     want, rel=1e-12, abs=1e-300), x
 
 
-def degree_one_root_mp(a0, a1):
-    """The zero of a0 - a1*y - exp(y) by bisection at 60 digits, over
-    (0, min(log a0, (a0 - 1)/a1)), where it is decreasing from > 0 to <= 0."""
+def g_mp(coeffs, y):
+    """a - sum_j c_j y^j - T(y) at 60 digits for coeffs = (a, c_1, ..., c_q)
+    taken as exact, with T(y) = sum_{j>q} y^j/j! summed as that series
+    below y = 1, so that it does not cancel against 1 for a tiny y."""
     with mpmath.workdps(60):
-        a0, a1 = mpmath.mpf(a0), mpmath.mpf(a1)
-        lo, hi = mpmath.mpf(0), min(mpmath.log(a0), (a0 - 1) / a1)
-        # the root is at least hi/2 there, so 220 halvings reach 60 digits
-        for _ in range(220):
-            mid = (lo + hi) / 2
-            if a0 - a1 * mid - mpmath.exp(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+        a, *c = [mpmath.mpf(v) for v in coeffs]
+        y = mpmath.mpf(y)
+        q = len(c)
+        if y >= 1:
+            tail = mpmath.exp(y) - sum(y ** j / mpmath.factorial(j)
+                                       for j in range(q + 1))
+        else:
+            term = tail = y ** (q + 1) / mpmath.factorial(q + 1)
+            j = q + 1
+            while term > tail * mpmath.mpf(10) ** -70:
+                j += 1
+                term *= y / j
+                tail += term
+        return a - sum(c_j * y ** j for j, c_j in enumerate(c, start=1)) - tail
+
+
+def root_near_mp(coeffs, near):
+    """The root of g within 1e-9 of `near`, at 60 digits: g must change sign
+    from + to - across that bracket, in which the secant method finds it."""
+    with mpmath.workdps(60):
+        # in y = near (1 + u), so that the solver's tolerance on u is relative
+        def g_u(u):
+            return g_mp(coeffs, mpmath.mpf(near) * (1 + u))
+
+        width = mpmath.mpf(10) ** -9
+        assert g_u(-width) > 0 > g_u(width)
+        u = mpmath.findroot(g_u, (0, width / 1000), verify=False)
+        assert abs(u) < width
+        return mpmath.mpf(near) * (1 + u)
 
 
 class TestSolvePolyExp:
     def test_degree_zero(self):
-        rs = solve_poly_exp([math.e])
+        rs = solve_poly_exp([math.e - 1.0])
         assert rs.roots == (1.0,)
         assert rs.unique
 
     def test_degree_one_against_bisection(self):
-        # exp(x) = 2 - x; unique positive root
-        rs = solve_poly_exp([2.0, 1.0])
+        # exp(x) = 2 - x, which is a = 1, c_1 = 2; unique positive root
+        rs = solve_poly_exp([1.0, 2.0])
         expected = bisect(lambda x: 2.0 - x - math.exp(x), 0.0, 1.0)
         (root,) = rs.roots
         assert root == pytest.approx(expected, rel=1e-12)
@@ -180,216 +199,201 @@ class TestSolvePolyExp:
         assert root == pytest.approx(2.0 - float(mpmath.lambertw(mpmath.e ** 2)),
                                      rel=1e-13)
 
-    def test_degree_one_closed_form_matches_scan(self, rng):
+    def test_degree_one_newton_matches_scan(self, rng):
         for _ in range(100):
-            a0 = float(rng.uniform(1.0 + 1e-3, 100.0))
-            a1 = float(rng.uniform(0.01, 10.0))
-            closed = solve_poly_exp([a0, a1])
-            scanned = poly_exp_roots([a0, a1])
+            a = float(rng.uniform(1e-3, 99.0))
+            c_1 = float(rng.uniform(1.01, 11.0))
+            newton = solve_poly_exp([a, c_1])
+            scanned = poly_exp_roots([a, c_1])
             assert len(scanned.roots) == 1
-            assert closed.roots[0] == pytest.approx(scanned.roots[0], rel=1e-10)
+            assert newton.roots[0] == pytest.approx(scanned.roots[0], rel=1e-10)
 
     def test_negative_linear_coefficient_has_one_certified_root(self):
-        # f'' = -exp(y) < 0 whatever alpha_1 is: the concave path
-        rs = solve_poly_exp([2.0, -3.0])
+        # g'' = -exp(y) < 0 whatever c_1 is: the Newton path
+        rs = solve_poly_exp([1.0, -2.0])
         (root,) = rs.roots
         assert rs.unique
-        assert abs(poly_exp_residual([2.0, -3.0], root)) <= 1e-10 * (
+        assert abs(poly_exp_residual([1.0, -2.0], root)) <= 1e-10 * (
             1 + math.exp(root))
 
     def test_three_roots_found(self):
-        alpha = [1.5, 5.0, -4.0]
-        rs = solve_poly_exp(alpha)
+        # exp(x) = 1.5 - 5x + 4x^2
+        coeffs = [0.5, 6.0, -3.5]
+        rs = solve_poly_exp(coeffs)
         assert len(rs.roots) == 3
         for r in rs.roots:
-            assert abs(poly_exp_residual(alpha, r)) <= 1e-10 * (1 + math.exp(r))
+            assert abs(poly_exp_residual(coeffs, r)) <= 1e-10 * (1 + math.exp(r))
         assert list(rs.roots) == sorted(rs.roots)
 
     def test_root_residual_invariant(self, rng):
         for _ in range(50):
-            alpha = [float(rng.uniform(1.5, 50.0))] + list(
+            coeffs = [float(rng.uniform(0.5, 49.0))] + list(
                 rng.normal(0.0, 1.0, int(rng.integers(1, 4))))
-            rs = solve_poly_exp(alpha)
+            rs = solve_poly_exp(coeffs)
             for r in rs.roots:
                 assert r > 0
-                assert abs(poly_exp_residual(alpha, r)) <= 1e-10 * (
+                assert abs(poly_exp_residual(coeffs, r)) <= 1e-10 * (
                     1 + math.exp(min(r, 700)))
 
-    @pytest.mark.parametrize("alpha,most", [
-        ((4.8103961635413635, 0.8398879030285629, 0.20374230634459767,
-          0.034157704117220605), 12),
-        ((4.810396163541364, 0.8398879030285631, 0.20374230634459778,
-          0.034157704117220605), 9),
+    @pytest.mark.parametrize("coeffs,most", [
+        ((3.8101604451780324, 1.8389553478694396, 0.7038038990806103,
+          0.2008540691689686), 12),
+        ((3.810160445178033, 1.8389553478694398, 0.7038038990806103,
+          0.2008540691689686), 9),
     ])
     def test_refinement_stops_when_newton_rounds_onto_a_bracket_end(
-            self, monkeypatch, alpha, most):
+            self, monkeypatch, coeffs, most):
         # in the first case a Newton iterate lands within rounding of the
         # root, every later step lands on that bracket end, and bisecting
-        # towards the far end took 39 residual evaluations; its last-digit
+        # towards the far end took 45 residual evaluations; its last-digit
         # twin takes 9. These coefficients are all positive, so
-        # solve_poly_exp takes the concave path: the Rolle refinement is
+        # solve_poly_exp takes the Newton path: the Rolle refinement is
         # reached through poly_exp_roots
         calls = []
 
-        def counting(a, x):
+        def counting(c, x):
             calls.append(x)
-            return poly_exp_residual(a, x)
+            return poly_exp_residual(c, x)
 
         monkeypatch.setattr(special, "poly_exp_residual", counting)
-        (root,) = poly_exp_roots(alpha).roots
+        (root,) = poly_exp_roots(coeffs).roots
         assert len(calls) <= most
         with mpmath.workdps(50):
-            a = [mpmath.mpf(v) for v in alpha]
-            want = mpmath.findroot(
-                lambda x: a[0] - a[1] * x - a[2] * x ** 2 - a[3] * x ** 3
-                - mpmath.exp(x), root)
+            want = mpmath.findroot(lambda x: g_mp(coeffs, x), root)
         ulp = math.ulp(float(want))
         assert abs(root - want) <= 2 * ulp
 
     def test_no_certified_right_end_fails_cleanly(self):
-        # an infinite alpha0 keeps the residual from turning negative
+        # an infinite a keeps the residual from turning negative
         with pytest.raises(SolverFailureError):
-            solve_poly_exp([math.inf, 1.0, -1.0])
+            solve_poly_exp([math.inf, 2.0, -0.5])
 
-    def test_subnormal_linear_coefficient_gives_log_two(self):
-        # alpha0/alpha1 overflows here; the root is log 2 to rounding
-        (root,) = solve_poly_exp((2.0, 1e-310)).roots
+    def test_linear_coefficient_that_rounds_to_one_gives_log_two(self):
+        # c_1 = 1 + 1e-310 is 1.0: 1 - y = e^y - 1 - y, so the root is log 2
+        (root,) = solve_poly_exp((1.0, 1.0 + 1e-310)).roots
         assert abs(root - math.log(2.0)) <= math.ulp(math.log(2.0))
 
-    @pytest.mark.parametrize("alpha", [(math.inf, 1.0), (2.0, math.inf)])
-    def test_non_finite_degree_one_coefficients_fail_cleanly(self, alpha):
+    @pytest.mark.parametrize("coeffs", [(math.inf, 2.0), (1.0, math.inf)])
+    def test_non_finite_degree_one_coefficients_fail_cleanly(self, coeffs):
         with pytest.raises(SolverFailureError):
-            solve_poly_exp(alpha)
+            solve_poly_exp(coeffs)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.floats(min_value=0.0, max_value=300.0).map(lambda e: 10.0 ** e)
-           .filter(lambda a0: a0 > 1.0),
+    @given(st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e),
            st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e))
     @example(8.349658788541326e+51, 8.661757863514029e+243)
-    @example(2.0, 1e-310)
-    @example(1e20, 0.3)
-    @example(1e300, 1e-300)
-    @example(1.0 + 2.0 ** -52, 1e-300)
-    def test_degree_one_root_within_four_ulp(self, a0, a1):
-        # alpha0 and alpha1 log-uniform over (1, 1e300] and [1e-300, 1e300];
-        # the first example is where a1*y at the start rounds past a0
-        (root,) = solve_poly_exp((a0, a1)).roots
-        want = degree_one_root_mp(a0, a1)
+    @example(1.0, 1e-300)
+    @example(1e20, 1.3)
+    @example(1e300, 1.0)
+    @example(2.0 ** -52, 1.0)
+    @example(3.0, 1e17)
+    def test_degree_one_root_within_four_ulp(self, a, c_1):
+        # a and c_1 log-uniform over [1e-300, 1e300], where a/c_1, above
+        # the root, stays a normal float; in the first example c_1*y at the
+        # start rounds past a, and in the last the first Newton step from 1
+        # rounded to 0, which returned 1.0 for a root of 2e-17
+        assume(a / c_1 >= 2.0 ** -1022)
+        (root,) = solve_poly_exp((a, c_1)).roots
+        want = root_near_mp((a, c_1), root)
         assert abs(root - want) <= 4 * math.ulp(float(want))
 
-    def test_rejects_alpha0_at_most_one(self):
+    def test_rejects_a_at_most_zero(self):
         with pytest.raises(PreconditionError):
-            solve_poly_exp([1.0])
+            solve_poly_exp([0.0])
 
-
-def inverse_factorial(j):
-    return Fraction(1, math.factorial(j))
+    @pytest.mark.parametrize("coeffs", [(1e-320, 1e10), (1e-320, 1e10, -0.5)])
+    def test_a_root_below_the_float_range_is_a_precondition_failure(
+            self, coeffs):
+        # the root is about a/c_1 = 1e-330; the Rolle refinement returned
+        # 2.2e-71 for it
+        with pytest.raises(PreconditionError):
+            solve_poly_exp(coeffs)
 
 
 @st.composite
-def concave_alphas(draw):
-    """(alpha_0, ..., alpha_q) with alpha_0 > 1 and alpha_j >= -1/j! for
-    j >= 2, exactly: alpha_j = c_j/j! - 1/j! for c_j = 0 or c_j
-    log-uniform in [1e-6, 10], moved up by ulps where it rounded below
-    -1/j!. Degree 1 to 6, alpha_0 - 1 log-uniform in [1e-3, 1e6], and
-    alpha_1, which the test leaves free, in [-5, 10]."""
+def single_root_coeffs(draw):
+    """(a, c_1, ..., c_q) with c_j >= 0 for j >= 2: c_j = 0 or c_j = d_j/j!
+    for d_j log-uniform in [1e-6, 10]. Degree 1 to 6, a log-uniform in
+    [1e-3, 1e6], and c_1, which the test leaves free, in [-4, 11]."""
     q = draw(st.integers(1, 6))
-    alpha = [1.0 + 10.0 ** draw(st.floats(-3.0, 6.0)),
-             draw(st.floats(-5.0, 10.0))]
+    coeffs = [10.0 ** draw(st.floats(-3.0, 6.0)), draw(st.floats(-4.0, 11.0))]
     for j in range(2, q + 1):
-        c = draw(st.one_of(st.just(0.0), st.floats(-6.0, 1.0).map(
+        d = draw(st.one_of(st.just(0.0), st.floats(-6.0, 1.0).map(
             lambda e: 10.0 ** e)))
-        a = c / math.factorial(j) - 1 / math.factorial(j)
-        while Fraction(a) < -inverse_factorial(j):
-            a = math.nextafter(a, math.inf)
-        alpha.append(a)
-    return alpha
+        coeffs.append(d / math.factorial(j))
+    return coeffs
 
 
-def rounding_scale(alpha, y):
-    """eps (|alpha_0| + sum_j |alpha_j| y^j + e^y) / |f'(y)|: how far the
+def rounding_scale(coeffs, y):
+    """eps (a + sum_j |c_j| y^j + T(y)) / |g'(y)|, with e^y in place of T(y)
+    from y = 1 on, where T is exp(y) minus a polynomial: how far the
     rounding of one residual evaluation moves a root."""
-    size = abs(alpha[0]) + math.exp(y)
-    slope = math.exp(y)
-    for j in range(1, len(alpha)):
-        size += abs(alpha[j]) * y ** j
-        slope += j * alpha[j] * y ** (j - 1)
+    q = len(coeffs) - 1
+    tail = float(g_mp((0.0,) + (0.0,) * q, y))
+    size = coeffs[0] + (math.exp(y) if y >= 1.0 else -tail)
+    slope = -tail + y ** q / math.factorial(q)
+    for j in range(1, q + 1):
+        size += abs(coeffs[j]) * y ** j
+        slope += j * coeffs[j] * y ** (j - 1)
     return 2.0 ** -52 * size / abs(slope)
 
 
-def poly_exp_root_mp(alpha, near):
-    """The root of the float equation near `near`, at 60 digits."""
-    with mpmath.workdps(60):
-        a = [mpmath.mpf(v) for v in alpha]
-        return mpmath.findroot(
-            lambda y: a[0] - sum(a[j] * y ** j for j in range(1, len(a)))
-            - mpmath.exp(y), mpmath.mpf(near))
-
-
-class TestConcaveRoot:
-    """alpha_j >= -1/j! for every j >= 2 makes the residual concave on
-    y >= 0, so it has one positive root, found by a monotone Newton
-    iteration instead of the Rolle isolation."""
+class TestSingleRoot:
+    """c_j >= 0 for every j >= 2 gives g one positive root, found by a
+    monotone Newton iteration instead of the Rolle isolation."""
 
     @settings(max_examples=200, deadline=None)
-    @given(concave_alphas())
-    @example([1.05677360821155, -0.6354915412268632, -0.46376868081866995])
-    @example([2.0, -3.0])
-    @example([1.001, 5.25, -0.5, -1 / 6, -1 / 24])
-    def test_one_root_that_the_rolle_isolation_finds(self, alpha):
-        # over 4,000 random draws like these the Newton root was within
-        # 2.3 rounding scales of the 60-digit root (4.1 for degree 1 with
-        # alpha_1 > 0, _linear_root's path), and within 4.0 of the Rolle
-        # root, which can be 1,200 ulp at a root near 1e-4; the median
-        # distance was 0 ulp
-        rs = solve_poly_exp(alpha)
+    @given(single_root_coeffs())
+    @example([0.05677360821155, 0.3645084587731368, 0.03623131918133005])
+    @example([1.0, -2.0])
+    @example([0.001, 6.25, 0.0, 0.0, 0.0])
+    @example([0.001, 0.5, 0.25, 0.0, 1e-6])
+    # the first Newton step from 1 rounded to 0, and 1.0 came back as the
+    # root (2e-17)
+    @example([2.0, 1e17, 0.6])
+    def test_one_root_that_the_rolle_isolation_finds(self, coeffs):
+        # both roots are within 2 rounding scales of the 60-digit root of
+        # the float equation, near 0 too: the residual's exponential tail
+        # is summed as its series there, where the alpha form lost up to
+        # 1,200 ulp of a root near 1e-4
+        rs = solve_poly_exp(coeffs)
         assert rs.unique
         (root,) = rs.roots
-        (rolle,) = poly_exp_roots(alpha).roots
-        scale = rounding_scale(alpha, rolle)
-        assert abs(root - rolle) <= 6 * scale
-        assert abs(root - poly_exp_root_mp(alpha, rolle)) <= 6 * scale
-
-    def test_floors_of_the_inverse_factorials_are_exact(self):
-        floors = special._INV_FACT_FLOORS
-        assert floors[-1] == 0.0 and floors[-2] > 0.0
-        for j, f in enumerate(floors):
-            assert Fraction(f) <= inverse_factorial(j)
-            assert Fraction(math.nextafter(f, math.inf)) > inverse_factorial(j)
+        (rolle,) = poly_exp_roots(coeffs).roots
+        scale = rounding_scale(coeffs, rolle)
+        want = root_near_mp(coeffs, rolle)
+        assert abs(root - want) <= 6 * scale
+        assert abs(rolle - want) <= 6 * scale
 
     @pytest.mark.parametrize("j", [2, 3, 5, 9, 200])
-    def test_a_coefficient_one_ulp_past_the_floor_goes_to_rolle(self, j):
-        floor = (special._INV_FACT_FLOORS[j]
-                 if j < len(special._INV_FACT_FLOORS) else 0.0)
-        alpha = [3.0, 0.5] + [0.0] * (j - 2) + [-floor]
-        assert special._is_concave(alpha)
-        assert solve_poly_exp(alpha).unique
-        alpha[-1] = math.nextafter(-floor, -math.inf)
-        assert not special._is_concave(alpha)
-        assert not solve_poly_exp(alpha).unique
+    def test_a_coefficient_below_zero_goes_to_rolle(self, j):
+        coeffs = [2.0, 1.5] + [0.0] * (j - 1)
+        assert solve_poly_exp(coeffs).unique
+        coeffs[-1] = -5e-324
+        assert not solve_poly_exp(coeffs).unique
 
     def test_newton_evaluates_the_residual_through_the_module(
             self, monkeypatch):
         residual = CallCounter(monkeypatch, special, "poly_exp_residual")
         levels = CallCounter(monkeypatch, special, "_derivative_levels")
-        rs = solve_poly_exp((4.81, 0.84, 0.2, 0.034))
+        rs = solve_poly_exp((3.81, 1.84, 0.7, 0.2))
         assert rs.unique
         assert 2 <= residual.calls <= 12
         assert levels.calls == 0
 
-    @pytest.mark.parametrize("alpha", [
+    @pytest.mark.parametrize("coeffs", [
         # the root lies past 512, where the next right end, 1024, has
-        # f = -inf
-        (math.exp(600.0), 1.0, 0.5),
-        # alpha_0 = inf: f is never negative
-        (math.inf, 1.0, 0.5),
+        # g = -inf
+        (math.exp(600.0), 2.0, 1.0),
+        # a = inf: g is never negative
+        (math.inf, 2.0, 1.0),
     ])
     def test_non_finite_residuals_fall_back_to_rolle(self, monkeypatch,
-                                                     alpha):
+                                                     coeffs):
         monkeypatch.setattr(special, "_last_levels", None)
-        assert special._concave_root(alpha) is None
-        assert outcome(lambda: solve_poly_exp(alpha)) \
-            == outcome(lambda: poly_exp_roots(alpha))
+        assert special._newton_root(coeffs) is None
+        assert outcome(lambda: solve_poly_exp(coeffs)) \
+            == outcome(lambda: poly_exp_roots(coeffs))
 
 
 def outcome(call):
