@@ -38,7 +38,7 @@ from .moments import (
     weighted_sum,
 )
 from .special import (RootSet, _exp, alpha_form, poly_exp_residual,
-                      solve_poly_exp)
+                      solve_poly_exp, taylor_remainder)
 
 __all__ = ["BennettBound", "bennett_bound", "bennett_p3_lambert"]
 
@@ -300,9 +300,9 @@ def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
     coeffs = (a, *c)
     roots = solve_poly_exp(coeffs)
     y = roots.roots[0]
-    # backward-error scale: the subtraction a - c_1*y is itself only
-    # accurate to eps times the magnitude of its operands
-    scale = a + c[0] * y + math.exp(min(y, 700.0))
+    # backward-error scale: the sizes of the terms a, c_1 y and
+    # T(y) = e^y - 1 - y that the root balances, each known to eps of itself
+    scale = a + c[0] * y + taylor_remainder(3, y)
     if abs(poly_exp_residual(coeffs, y)) > 1e-10 * scale:
         raise InternalConsistencyError(
             f"closed-form root failed its residual check at y={y}")

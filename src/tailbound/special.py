@@ -233,7 +233,11 @@ def _newton_root(coeffs):
     y >= 0, so g <= m. It is the positive root of m's quadratic part, at
     most a/c_1, where g's tangent at 0 crosses zero, moved by one Newton
     step on the concave m, which stays above m's root and so above g's.
-    Otherwise the right end doubles from 1 until g(y) < 0. Past the root g
+    The quadratic root is written with hypot and the square roots of a and
+    d apart, so that it neither over- nor underflows to 0 where c_1^2 or
+    a d would; where it still does (a or c_1 near the float maximum), the
+    start is a/c_1 itself. Otherwise the right end doubles from 1 until
+    g(y) < 0. Past the root g
     is negative and decreasing, and its tangent lies above it, so each
     Newton step falls onto the root from the right without passing it. The
     iteration ends once g(y) rounds to >= 0, a step no longer lowers y or
@@ -246,10 +250,11 @@ def _newton_root(coeffs):
     a, c_1 = coeffs[0], coeffs[1]
     y = 1.0
     if a < c_1:
-        r = a / c_1
         d = coeffs[2] if len(coeffs) > 2 else 0.5
         e = coeffs[3] if len(coeffs) > 3 else 1.0 / 6.0
-        y = 2.0 * r / (1.0 + math.sqrt(1.0 + 4.0 * r * (d / c_1)))
+        y = 2.0 * a / (c_1 + math.hypot(c_1, 2.0 * math.sqrt(a) * math.sqrt(d)))
+        if not y > 0.0:
+            y = a / c_1
         y -= e * y ** 3 / (c_1 + y * (2.0 * d + 3.0 * e * y))
     f = poly_exp_residual(coeffs, y)
     while not f < 0.0 and y >= 1.0:

@@ -18,6 +18,7 @@ from tailbound import (
     DegenerateDistributionError,
     DomainError,
     EnsembleSpec,
+    InternalConsistencyError,
     MomentVector,
     PointMass,
     PreconditionError,
@@ -29,6 +30,8 @@ from tailbound import (
     bennett_p3_lambert,
     mc_tail,
 )
+from tailbound import bennett as bennett_module
+from tailbound.special import RootSet
 
 
 def uniform_spec(p=3, n=1):
@@ -176,6 +179,22 @@ class TestOrderThreeLambert:
         assert bennett_p3_lambert(spec, 1e-30) == general
         assert general.y_star == pytest.approx(3e-30 / hi, rel=1e-15)
         assert general.bound == 1.0
+
+    @pytest.mark.parametrize("factor", [0.5, 1.001, 2.0])
+    def test_residual_check_catches_a_wrong_root_near_zero(self, monkeypatch,
+                                                           factor):
+        # at t = 1e-30 the root is 3e-30 and every term of the equation is
+        # near 1e-30; a check scaled by e^y >= 1 passed any y below 1e-10
+        spec = EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(3), 1)
+        solve = bennett_module.solve_poly_exp
+
+        def off_by_factor(coeffs):
+            (root,) = solve(coeffs).roots
+            return RootSet((factor * root,), True)
+
+        monkeypatch.setattr(bennett_module, "solve_poly_exp", off_by_factor)
+        with pytest.raises(InternalConsistencyError):
+            bennett_p3_lambert(spec, 1e-30)
 
     @pytest.mark.parametrize("t", [1e-320, 5e-324])
     def test_a_root_below_the_float_range_is_a_precondition_failure(self, t):

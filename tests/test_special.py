@@ -287,11 +287,14 @@ class TestSolvePolyExp:
     @example(1e300, 1.0)
     @example(2.0 ** -52, 1.0)
     @example(3.0, 1e17)
+    @example(1e-320, 1e-310)
     def test_degree_one_root_within_four_ulp(self, a, c_1):
         # a and c_1 log-uniform over [1e-300, 1e300], where a/c_1, above
         # the root, stays a normal float; in the first example c_1*y at the
-        # start rounds past a, and in the last the first Newton step from 1
-        # rounded to 0, which returned 1.0 for a root of 2e-17
+        # start rounds past a, in (3.0, 1e17) the first Newton step from 1
+        # rounded to 0, which returned 1.0 for a root of 2e-17, and in the
+        # last the quadratic start overflowed to 0 and the first step, a/c_1
+        # = 1e-10, came back for a root of 1.4e-160
         assume(a / c_1 >= 2.0 ** -1022)
         (root,) = solve_poly_exp((a, c_1)).roots
         want = root_near_mp((a, c_1), root)
@@ -364,6 +367,22 @@ class TestSingleRoot:
         want = root_near_mp(coeffs, rolle)
         assert abs(root - want) <= 6 * scale
         assert abs(rolle - want) <= 6 * scale
+
+    @pytest.mark.parametrize("coeffs", [
+        (1e-320, 1e-310),
+        (1e-5, 2e-5, 8e307),
+        # 2a and c_1 + hypot(...) overflow: the start is a/c_1
+        (8e307, 1.7e308),
+    ])
+    def test_quadratic_start_at_the_ends_of_the_float_range(self, coeffs):
+        # the first two roots are about 1.4e-160 and 3.5e-157: the quadratic
+        # start, once 2 r / (1 + sqrt(1 + 4 r d/c_1)), overflowed to 0 there,
+        # and the first Newton step from 0, a/c_1, came back as the root
+        rs = solve_poly_exp(coeffs)
+        assert rs.unique
+        (root,) = rs.roots
+        want = root_near_mp(coeffs, root)
+        assert abs(root - want) <= 4 * math.ulp(float(want))
 
     @pytest.mark.parametrize("j", [2, 3, 5, 9, 200])
     def test_a_coefficient_below_zero_goes_to_rolle(self, j):
