@@ -244,12 +244,11 @@ def _build(t, b, p, agg, alpha, rate, roots) -> BennettBound:
     if not finite:
         raise DomainError(f"the rate at the roots {roots.roots} leaves the "
                           f"float range for t = {t} and b = {b}")
-    best = max(range(len(values)), key=values.__getitem__)
-    return BennettBound(
-        # exp(min(v, 0)) is min(e^v, 1), without overflow for a huge v
-        t=t, p=p, bound=math.exp(min(values[best], 0.0)), alpha=alpha,
-        roots=roots, y_star=roots.roots[best], aggregated_moments=tuple(agg),
-        b=b)
+    best = values.index(max(values))
+    # exp(min(v, 0)) is min(e^v, 1), without overflow for a huge v; the
+    # fields in order t, p, bound, alpha, roots, y_star, moments, b
+    return BennettBound(t, p, math.exp(min(values[best], 0.0)), alpha, roots,
+                        roots.roots[best], tuple(agg), b)
 
 
 def bennett_bound(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
