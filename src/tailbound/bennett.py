@@ -12,9 +12,11 @@ a - sum_{j=1}^{p-2} c_j y^j = sum_{j>p-2} y^j/j!, with a = t b^{p-1}/mu^p
 and c_j = b^{p-j-1} mu^{j+1}/(mu^p j!). The record shows it in the paper's
 form alpha_0 - sum_j alpha_j y^j = e^y, alpha_0 = 1 + a and
 alpha_j = c_j - 1/j!. p = 2 collapses to the classical second-moment bound
-(single root log1p(a)); p = 3 has a closed form through the Lambert W
-function, evaluated by a monotone Newton iteration, and is never worse
-than p = 2.
+(single root log1p(a)). At p = 3 the paper's closed form is
+y = z - W(e^z / alpha_1) with z = alpha_0/alpha_1 and W Lambert's
+function; the solver finds that root by a monotone Newton iteration on the
+degree-1 equation, which loses no digits where a or c_1 is small, and the
+bound is never worse than at p = 2.
 """
 
 from __future__ import annotations
@@ -24,23 +26,16 @@ from operator import is_
 from typing import Sequence
 
 from ._record import Record, setfield
-from .errors import (
-    FLOAT_RANGE_ERRORS,
-    DegenerateDistributionError,
-    DomainError,
-    InternalConsistencyError,
-    PreconditionError,
-)
+from .errors import FLOAT_RANGE_ERRORS, DegenerateDistributionError, DomainError
 from .moments import (
     EnsembleSpec,
     checked_threshold,
     restrict_order,
     weighted_sum,
 )
-from .special import (RootSet, _exp, alpha_form, poly_exp_residual,
-                      solve_poly_exp, taylor_remainder)
+from .special import RootSet, alpha_form, solve_poly_exp
 
-__all__ = ["BennettBound", "bennett_bound", "bennett_p3_lambert"]
+__all__ = ["BennettBound", "bennett_bound"]
 
 
 class BennettBound(Record):
@@ -66,17 +61,6 @@ class BennettBound(Record):
         setfield(self, "aggregated_moments", aggregated_moments)
         setfield(self, "b", b)
 
-    @property
-    def residual(self) -> float:
-        """Residual of alpha_0 - sum_j alpha_j y^j = e^y at y_star, scaled
-        by 1 + exp(y_star)."""
-        y = self.y_star
-        poly = 0.0
-        for alpha_j in reversed(self.alpha[1:]):
-            poly = (poly + alpha_j) * y
-        raw = self.alpha[0] - poly - _exp(y)
-        return abs(raw) / (1.0 + math.exp(min(y, 700.0)))
-
     def to_json_dict(self) -> dict:
         return {
             "t": self.t,
@@ -88,7 +72,6 @@ class BennettBound(Record):
             "b": self.b,
             "aggregated_moments": list(self.aggregated_moments),
             "roots_unique": self.roots.unique,
-            "residual": self.residual,
         }
 
     @classmethod
@@ -273,36 +256,3 @@ def bennett_bound(spec: EnsembleSpec, t: float, p: int) -> BennettBound:
                     solve_poly_exp((a, *c)))
     _last = (spec.vectors, spec.counts, p, *kept)
     return result
-
-
-def bennett_p3_lambert(spec: EnsembleSpec, t: float) -> BennettBound:
-    """Closed-form three-moment bound through the Lambert W function.
-
-    Requires the positive-part third moments to be exact (not mere upper
-    bounds), which forces alpha_1 = b*mu2/mu3 - 1 >= 0. alpha_1 = 0 makes
-    the quadratic term vanish and the bound reduces to the second-moment
-    form; otherwise the unique root is alpha0/alpha1 - W(e^{alpha0/alpha1}
-    / alpha1). The solver evaluates that root by a Newton iteration on the
-    degree-1 equation a - c_1 y = e^y - 1 - y itself, which needs no
-    exponential of alpha0/alpha1 and keeps its digits when alpha1 is small
-    beside alpha0, or a beside 1.
-    """
-    t = checked_threshold(t)
-    b, agg = aggregate_moments(spec, 3)
-    mu2, mu3 = agg
-    c, alpha, rate = _threshold_free(t, b, 3, agg)
-    a = _leading(t, b, 3, agg)
-    if alpha[0] < 0.0:
-        raise PreconditionError(
-            f"b*mu2 >= mu3 must hold for exact positive-part third moments; "
-            f"got b*mu2 = {b * mu2}, mu3 = {mu3}")
-    coeffs = (a, *c)
-    roots = solve_poly_exp(coeffs)
-    y = roots.roots[0]
-    # backward-error scale: the sizes of the terms a, c_1 y and
-    # T(y) = e^y - 1 - y that the root balances, each known to eps of itself
-    scale = a + c[0] * y + taylor_remainder(3, y)
-    if abs(poly_exp_residual(coeffs, y)) > 1e-10 * scale:
-        raise InternalConsistencyError(
-            f"closed-form root failed its residual check at y={y}")
-    return _build(t, b, 3, agg, (1.0 + a, *alpha), rate, roots)

@@ -384,7 +384,7 @@ def _write(text: str, args) -> None:
 # subcommands
 
 _BOUND_COLUMNS = ["family", "t", "p", "bound", "mode", "d_n", "s_star",
-                  "c_values", "alpha", "roots", "y_star", "b", "residual"]
+                  "c_values", "alpha", "roots", "y_star", "b"]
 
 
 def _grid_orders_families(args):

@@ -8,6 +8,7 @@ the exponential series from degree q + 1 on, with its RootSet result type.
 from __future__ import annotations
 
 import math
+import struct
 from functools import partial
 
 from ._record import Record, setfield
@@ -21,6 +22,9 @@ _EPS = 2.220446049250313e-16
 _EXP_MAX = 709.782712893384
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
+# nonnegative floats are ordered as their bit patterns (see _refine)
+_FLOATS = struct.Struct("<2d")
+_INTS = struct.Struct("<2q")
 # the derivative levels of the last solve_poly_exp that reached the Rolle
 # isolation, keyed by their c_1..c_q (see _derivative_levels)
 _last_levels = None
@@ -178,8 +182,9 @@ def solve_poly_exp(coeffs) -> RootSet:
     Descartes' rule of signs holds for power series (Jameson, Math. Gazette
     90 (2006) 223-234). Degree 0 gives log1p(a), and the others of this
     kind the Newton iteration of _newton_root; these RootSets are `unique`.
-    Every other equation goes to the Rolle isolation of poly_exp_roots. Its
-    derivative levels do not involve a, so the last isolation's are kept,
+    Every other equation goes to the Rolle isolation of poly_exp_roots,
+    whose derivative levels are residuals of the same kind (see
+    _derivative). They do not involve a, so the last isolation's are kept,
     and a solve with the same c (one Bennett ensemble at another threshold)
     reuses them; a single-root solve neither builds nor replaces them.
     """
@@ -245,7 +250,8 @@ def _newton_root(coeffs):
     finite makes certain, and returns that last step, taken in either
     direction: a step from within rounding of the root leaves no error but
     that of g(y) itself. g is evaluated through this module's global
-    poly_exp_residual, as in the Rolle path.
+    poly_exp_residual, as in the Rolle path, and g' as the residual of
+    D(coeffs) (see _derivative), formed once per solve.
     """
     a, c_1 = coeffs[0], coeffs[1]
     y = 1.0
@@ -267,8 +273,9 @@ def _newton_root(coeffs):
     # (2 min(y, 1)) of the root
     inf = math.inf
     stiff = len(coeffs) if c_1 >= 0.0 else inf
+    slope_coeffs = _derivative(coeffs)
     while True:
-        slope = _slope(coeffs, y)
+        slope = _residual(slope_coeffs, y)
         if not (-inf < f < inf and -inf < slope < 0.0):
             return None
         y_next = y - f / slope
@@ -283,67 +290,61 @@ def _newton_root(coeffs):
 def poly_exp_residual(coeffs, y: float) -> float:
     """g(y) = a - sum_{j=1..q} c_j y^j - T(y) for coeffs = (a, c_1, ..., c_q),
     with T(y) = sum_{j>q} y^j/j!. With P the polynomial's computed value,
-    T is summed as its series where |a| + |P| < y < 1 (see _tail_series),
-    and else taken as expm1(y) minus sum_{j=1..q} y^j/j!, whose rounding,
-    a few eps y e^y, is then within a few eps (|a| + |P|), the rounding of
-    a - P itself, below y = 1, and small beside e^y from there on.
+    T is summed as its series where |a| + |P| < y < 1, and else taken as
+    expm1(y) minus sum_{j=1..q} y^j/j!, whose rounding, a few eps y e^y, is
+    then within a few eps (|a| + |P|), the rounding of a - P itself, below
+    y = 1, and small beside e^y from there on. The series' terms shrink by
+    y/j < 1/(q + 2), so nothing cancels against 1, and it stops at a term
+    below eps (|a| + |P| + T), beside which the rest is smaller still.
 
     The solvers evaluate g through this module's global name, so wrapping
-    that name sees every evaluation.
+    that name sees every evaluation of g, and its derivatives through
+    _residual.
     """
     a = coeffs[0]
+    q = len(coeffs) - 1
     poly = taylor = 0.0
-    for j in range(len(coeffs) - 1, 0, -1):
+    for j in range(q, 0, -1):
         poly = (poly + coeffs[j]) * y
         taylor = (taylor + 1.0) * y / j
     scale = abs(a) + abs(poly)
-    if scale < y < 1.0:
-        return a - poly - _tail_series(len(coeffs) - 1, y, scale)
-    return a - poly - ((math.expm1(y) if y < _EXP_MAX else math.inf) - taylor)
-
-
-def _slope(coeffs, y):
-    # g'(y) = -sum_{j=1..q} j c_j y^(j-1) - sum_{j>=q} y^j/j!, its tail
-    # taken as in poly_exp_residual
-    poly = taylor = 0.0
-    for j in range(len(coeffs) - 1, 1, -1):
-        poly = (poly + j * coeffs[j]) * y
-        taylor = (taylor + 1.0) * y / (j - 1)
-    poly += coeffs[1]
-    if abs(poly) < y < 1.0:
-        return -poly - _tail_series(len(coeffs) - 2, y, abs(poly))
-    return -poly - ((math.expm1(y) if y < _EXP_MAX else math.inf) - taylor)
-
-
-def _tail_series(k, y, scale):
-    """sum_{j>k} y^j/j! for 0 < y < 1, to within eps (scale + the sum). Its
-    terms shrink by y/j < 1/(k + 2) from the first on, so nothing cancels
-    against 1, and the terms left after one at most eps (scale + the sum)
-    add up to less than it."""
+    if not scale < y < 1.0:
+        return a - poly - ((math.expm1(y) if y < _EXP_MAX else math.inf) - taylor)
     term = 1.0
-    for j in range(1, k + 2):
+    for j in range(1, q + 2):
         term *= y / j
     total = term
-    j = k + 1
     while term > _EPS * (scale + total):
-        j += 1
-        term *= y / j
+        q += 1
+        term *= y / (q + 1)
         total += term
-    return total
+    return a - poly - total
 
 
-def _poly_minus_exp(coeffs, x):
-    # sum_i coeffs[i]*x^i - exp(x): a derivative of the poly-exp residual
-    poly = 0.0
-    for c in reversed(coeffs):
-        poly = poly * x + c
-    return poly - _exp(x)
+# g's derivatives go through this name: wrapping the one above counts g alone
+_residual = poly_exp_residual
+
+
+def _derivative(coeffs):
+    """D(a, c_1, ..., c_q) = [-c_1, 2 c_2, ..., q c_q], and D(a) = [-1]: g'
+    is again a residual of solve_poly_exp's kind, of one degree less, as T'
+    is the exponential series from degree q on (T' = 1 + T at q = 0)."""
+    d = [-coeffs[1] if len(coeffs) > 1 else -1.0]
+    for j in range(2, len(coeffs)):
+        d.append(j * coeffs[j])
+    return d
 
 
 def _refine(fn, dfn, lo, hi, flo):
-    # safeguarded Newton within a sign-change bracket; flo = fn(lo)
+    """The root of fn between 0 <= lo < hi, across which it changes sign
+    (flo = fn(lo)): Newton steps from the middle, and where one leaves the
+    bracket, or after 16, bisection on the floats' bit patterns, as Roots.jl's
+    Bisection does for Float64, which reaches two adjacent floats in 64
+    steps. Newton's steps shrink by only (m - 1)/m toward a root far below x
+    where fn behaves like y^m, as at 1.4e-160 for (1e-320, 1e-310) from 0.5.
+    """
     x = 0.5 * (lo + hi)
-    for _ in range(200):
+    for step in range(16 + 64):
         f = fn(x)
         if f == 0.0:
             return x
@@ -351,14 +352,17 @@ def _refine(fn, dfn, lo, hi, flo):
             lo = x
         else:
             hi = x
-        df = dfn(x)
-        xn = x - f / df if df != 0.0 and math.isfinite(df) else 0.5 * (lo + hi)
+        df = dfn(x) if step < 16 else 0.0
+        xn = x - f / df if df != 0.0 and math.isfinite(df) else math.nan
         if not lo < xn < hi:
             # x is now a bracket end, and a step that rounds onto it or just
-            # past it means x has converged: bisecting on would cost ~30 evals
+            # past it means x has converged: bisecting on would cost up to 64
             if abs(xn - x) <= 4.0 * _EPS * abs(x):
                 return x
-            xn = 0.5 * (lo + hi)
+            i, j = _INTS.unpack(_FLOATS.pack(lo, hi))
+            xn = _FLOATS.unpack(_INTS.pack((i + j) // 2, 0))[0]
+            if xn == lo:
+                return hi
         if abs(xn - x) <= 4.0 * _EPS * abs(x):
             return xn
         x = xn
@@ -386,13 +390,14 @@ def poly_exp_roots(coeffs) -> RootSet:
     generic solver, and the reference the single-root path is tested
     against.
 
-    Rolle isolation: with q = len(coeffs) - 1, the (q+1)-th derivative of
-    the residual g is -exp(x) < 0, so g^(q) is decreasing and each root of
-    g^(k+1) is a turning point of g^(k). The right end X doubles from 1
-    until g, g', ..., g^(q) are all negative there, which keeps all of
-    them negative past X. Going down from k = q to 0, the roots of
-    g^(k+1) in (0, X) split [0, X] into pieces on which g^(k) is
-    monotone, and each piece holds at most one sign change of g^(k).
+    Rolle isolation: with q = len(coeffs) - 1, g^(k) is the residual of
+    D^k(coeffs) (see _derivative), and g^(q+1) = -exp(x) < 0, so g^(q) =
+    -q! c_q - expm1(x) decreases, with the one root log1p(-q! c_q) where
+    that is positive, and each root of g^(k+1) is a turning point of g^(k).
+    The right end X doubles from 1 until g, g', ..., g^(q) are all negative
+    there, which keeps them negative past X. Going down from k = q - 1 to
+    0, the roots of g^(k+1) in (0, X) split [0, X] into pieces on which
+    g^(k) is monotone, each holding at most one sign change of g^(k).
     Raises SolverFailureError if no right end is certified below x = 1024.
     """
     return _last_level(coeffs, _derivative_levels(coeffs))
@@ -400,28 +405,25 @@ def poly_exp_roots(coeffs) -> RootSet:
 
 def _derivative_levels(coeffs):
     """The part of poly_exp_roots that a does not enter, as (c, derivs,
-    turning, alpha) with c = coeffs[1:] and alpha = alpha_form(c).
-    derivs[k - 1] evaluates g^(k) for k = 1..q+1 as the derivative of
-    alpha_0 - sum_j alpha_j x^j - exp(x): a polynomial (constant term
-    first) minus exp(x), an empty one for g^(q+1) = -exp(x). turning maps
-    each right end X tried to the roots of g' in (0, X), levels q..1 of the
-    isolation, or to False where g', ..., g^(q) are not all negative at X;
-    it fills as solves need it.
+    turning) with c = coeffs[1:]. derivs[k - 1] evaluates g^(k) for
+    k = 1..q+1 as the residual of D^k(coeffs) (see _derivative). turning
+    maps each right end X tried to the roots of g' in (0, X), levels q..1
+    of the isolation, or to False where g', ..., g^(q) are not all negative
+    at X; it fills as solves need it.
     """
-    alpha = alpha_form(coeffs[1:])
     derivs = []
-    poly = [-j * alpha_j for j, alpha_j in enumerate(alpha, start=1)]
+    level = coeffs
     for _ in coeffs:
-        derivs.append(partial(_poly_minus_exp, poly))
-        poly = [i * poly[i] for i in range(1, len(poly))]
-    return coeffs[1:], derivs, {}, alpha
+        level = _derivative(level)
+        derivs.append(partial(_residual, level))
+    return coeffs[1:], derivs, {}
 
 
 def _last_level(coeffs, levels):
     # the roots of g itself, below the right end poly_exp_roots describes;
     # the derivative half of its test comes from the levels, so once they
     # have seen a right end only g is evaluated there
-    _, derivs, known, alpha = levels
+    _, derivs, known = levels
     f = partial(poly_exp_residual, coeffs)
     x_end = 1.0
     while True:
@@ -435,7 +437,8 @@ def _last_level(coeffs, levels):
         if x_end > 1024.0:
             raise SolverFailureError(
                 f"no right end certifies the roots of "
-                f"alpha={(1.0 + coeffs[0], *alpha)} below x=1024")
+                f"alpha={(1.0 + coeffs[0], *alpha_form(coeffs[1:]))} "
+                f"below x=1024")
     return RootSet(tuple(_sign_change_roots(f, derivs[0], [0.0, *turning, x_end])),
                    False)
 
@@ -443,8 +446,14 @@ def _last_level(coeffs, levels):
 def _turning_points(derivs, x_end):
     if not all(fn(x_end) < 0.0 for fn in derivs[:-1]):
         return False
-    turning = []
-    for k in range(len(derivs) - 2, -1, -1):
+    if len(derivs) == 1:
+        return []
+    # g^(q) = a_q - expm1(x), a_q = -q! c_q, decreases, with the one root
+    # log1p(a_q) where a_q > 0; each level below is monotone between the
+    # roots of the next
+    (top,) = derivs[-2].args[0]
+    turning = [math.log1p(top)] if top > 0.0 else []
+    for k in range(len(derivs) - 3, -1, -1):
         turning = _sign_change_roots(derivs[k], derivs[k + 1], [0.0, *turning, x_end])
     return turning
 

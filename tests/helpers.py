@@ -61,7 +61,9 @@ def random_upper_bounded_mv(rng, p, b=1.0, lo=-3.0):
 
 
 def w_defining_residual(result):
-    """Relative residual of the Lambert evaluation behind a p=3 root."""
+    """Relative residual of W e^W = e^z/alpha_1 at W = z - y_star, z =
+    alpha_0/alpha_1: how far a p = 3 record's root is from the paper's
+    closed form y = z - W(e^z/alpha_1)."""
     a0, a1 = result.alpha
     if a1 == 0.0:
         return 0.0
@@ -75,8 +77,10 @@ def w_defining_residual(result):
 
 
 def bennett_bound_generic(spec, t, p):
-    """bennett_bound with its roots from the generic solver, which is the
-    reference for the closed form that bennett_bound takes at p = 3."""
+    """bennett_bound with its roots from the Rolle isolation of
+    poly_exp_roots, the reference for the Newton iteration that
+    solve_poly_exp takes where every c_j >= 0 (j >= 2), p = 3 among
+    them."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr("tailbound.bennett.solve_poly_exp",
                   poly_exp_roots)

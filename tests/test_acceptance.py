@@ -25,7 +25,6 @@ from tailbound import (
     TruncatedExponential,
     Uniform,
     bennett_bound,
-    bennett_p3_lambert,
     c_factor,
     classical_sample_size,
     hoeffding_bound,
@@ -149,13 +148,13 @@ def test_criterion_07_lambert_path_consistency():
         n = int(rng.integers(1, 8))
         spec = EnsembleSpec.iid_replicate(mv, n)
         t = float(rng.uniform(0.01, 2.0)) * n * mv.support.upper
-        closed = bennett_p3_lambert(spec, t)
+        closed = bennett_bound(spec, t, 3)
         scanned = bennett_bound_generic(spec, t, 3)
         worst_rel = max(worst_rel,
                         abs(closed.bound - scanned.bound) / scanned.bound)
         worst_res = max(worst_res, w_defining_residual(closed))
     ok = worst_rel <= 1e-9 and worst_res <= 1e-12
-    report(7, "Lambert closed form matches the root scan", ok,
+    report(7, "p = 3 bound matches the root scan and the W closed form", ok,
            f"max rel diff={worst_rel:.3g} max W residual={worst_res:.3g}")
 
 
@@ -167,13 +166,13 @@ def test_criterion_08_third_moment_tightens_second():
         spec = EnsembleSpec.iid_replicate(mv, int(rng.integers(1, 5)))
         t = float(rng.uniform(0.02, 2.0))
         p2 = bennett_bound(spec, t, 2).bound
-        p3 = bennett_p3_lambert(spec, t).bound
+        p3 = bennett_bound(spec, t, 3).bound
         ok &= p3 <= p2 + 1e-12
     # equality when the third moment carries no information (mu3 = mu2)
     eq_spec = EnsembleSpec.iid_replicate(Bernoulli(0.35).moment_vector(3), 6)
     for t in (0.2, 0.9, 2.5):
         p2 = bennett_bound(eq_spec, t, 2).bound
-        p3 = bennett_p3_lambert(eq_spec, t).bound
+        p3 = bennett_bound(eq_spec, t, 3).bound
         ok &= abs(p3 - p2) <= 1e-10
     report(8, "three-moment bound is tighter, equal when uninformative", ok)
 

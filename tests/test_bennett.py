@@ -18,7 +18,6 @@ from tailbound import (
     DegenerateDistributionError,
     DomainError,
     EnsembleSpec,
-    InternalConsistencyError,
     MomentVector,
     PointMass,
     PreconditionError,
@@ -27,11 +26,8 @@ from tailbound import (
     TruncatedExponential,
     Uniform,
     bennett_bound,
-    bennett_p3_lambert,
     mc_tail,
 )
-from tailbound import bennett as bennett_module
-from tailbound.special import RootSet
 
 
 def uniform_spec(p=3, n=1):
@@ -107,7 +103,7 @@ class TestOrderTwo:
 class TestOrderThreeLambert:
     def test_uniform_worked_example(self):
         # n=1 uniform on [0,1], t=0.1: alpha = (1.4, 1/3), y = 4.2 - W(3 e^4.2)
-        result = bennett_p3_lambert(uniform_spec(3, 1), 0.1)
+        result = bennett_bound(uniform_spec(3, 1), 0.1, 3)
         assert result.alpha == pytest.approx((1.4, 1 / 3), rel=1e-13)
         expected_y = 4.2 - float(mpmath.lambertw(3 * mpmath.exp(4.2)))
         assert result.y_star == pytest.approx(expected_y, rel=1e-12)
@@ -122,7 +118,7 @@ class TestOrderThreeLambert:
             n = int(rng.integers(1, 8))
             spec = EnsembleSpec.iid_replicate(mv, n)
             t = float(rng.uniform(0.01, 2.0)) * n * mv.support.upper
-            closed = bennett_p3_lambert(spec, t)
+            closed = bennett_bound(spec, t, 3)
             scanned = bennett_bound_generic(spec, t, 3)
             assert closed.bound == pytest.approx(scanned.bound, rel=1e-9)
             assert w_defining_residual(closed) <= 1e-12
@@ -131,7 +127,7 @@ class TestOrderThreeLambert:
         # Bernoulli: mu3 = mu2 means alpha_1 = 0 and no quadratic correction
         spec = EnsembleSpec.iid_replicate(Bernoulli(0.4).moment_vector(3), 5)
         t = 0.7
-        p3 = bennett_p3_lambert(spec, t)
+        p3 = bennett_bound(spec, t, 3)
         p2 = bennett_bound(spec, t, 2)
         assert p3.alpha[1] == pytest.approx(0.0, abs=1e-14)
         assert p3.bound == pytest.approx(p2.bound, rel=1e-12)
@@ -148,7 +144,7 @@ class TestOrderThreeLambert:
             mv = MomentVector(3, (0.0, mu2, 0.0), Support.upper_only(b),
                               positive_part_pth=mu3)
             spec = EnsembleSpec.iid_replicate(mv, 1)
-            bound = bennett_p3_lambert(spec, t).bound
+            bound = bennett_bound(spec, t, 3).bound
             assert bound <= p2 + 1e-12
             gaps.append(abs(bound - limit))
         assert gaps[1] < gaps[0]
@@ -159,7 +155,7 @@ class TestOrderThreeLambert:
         mv = MomentVector(3, (0.0, 1e-3, 0.0), Support.upper_only(1.0),
                           positive_part_pth=1e-9)
         spec = EnsembleSpec.iid_replicate(mv, 1)
-        result = bennett_p3_lambert(spec, 1.0)
+        result = bennett_bound(spec, 1.0, 3)
         z = result.alpha[0] / result.alpha[1]
         assert z - math.log(result.alpha[1]) > 690.0
         assert w_defining_residual(result) <= 1e-12
@@ -172,41 +168,26 @@ class TestOrderThreeLambert:
     def test_alpha0_rounding_to_one_keeps_the_root(self, hi):
         # t so small that alpha_0 = 1 + a rounds to 1, a = t b^2/mu^3 =
         # 4 t/hi: the root is a/c_1 = 3 t/hi to within a relative 1e-30
-        # (c_1 = b mu^2/mu^3 = 4/3), and both calls find it; the parent
-        # raised PreconditionError here (exit 2)
+        # (c_1 = b mu^2/mu^3 = 4/3), and a first and a repeat call find it;
+        # this raised PreconditionError (exit 2) while alpha_0 was solved for
         spec = EnsembleSpec.iid_replicate(Uniform(0, hi).moment_vector(3), 1)
         general = bennett_bound(spec, 1e-30, 3)
-        assert bennett_p3_lambert(spec, 1e-30) == general
+        assert bennett_bound(spec, 1e-30, 3) == general
         assert general.y_star == pytest.approx(3e-30 / hi, rel=1e-15)
         assert general.bound == 1.0
 
-    @pytest.mark.parametrize("factor", [0.5, 1.001, 2.0])
-    def test_residual_check_catches_a_wrong_root_near_zero(self, monkeypatch,
-                                                           factor):
-        # at t = 1e-30 the root is 3e-30 and every term of the equation is
-        # near 1e-30; a check scaled by e^y >= 1 passed any y below 1e-10
-        spec = EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(3), 1)
-        solve = bennett_module.solve_poly_exp
-
-        def off_by_factor(coeffs):
-            (root,) = solve(coeffs).roots
-            return RootSet((factor * root,), True)
-
-        monkeypatch.setattr(bennett_module, "solve_poly_exp", off_by_factor)
-        with pytest.raises(InternalConsistencyError):
-            bennett_p3_lambert(spec, 1e-30)
-
     @pytest.mark.parametrize("t", [1e-320, 5e-324])
     def test_a_root_below_the_float_range_is_a_precondition_failure(self, t):
-        # the root, about t b/mu^2 = 3e-6 t, rounds to 0: both calls report
-        # a violated precondition (exit 2), not a solver failure (exit 4)
+        # the root, about t b/mu^2 = 3e-6 t, rounds to 0: a first and a
+        # repeat call report a violated precondition (exit 2), not a solver
+        # failure (exit 4)
         spec = EnsembleSpec.iid_replicate(Uniform(0, 1).moment_vector(3),
                                           10 ** 6)
         with pytest.raises(PreconditionError) as general:
             bennett_bound(spec, t, 3)
-        with pytest.raises(PreconditionError) as closed:
-            bennett_p3_lambert(spec, t)
-        assert str(closed.value) == str(general.value)
+        with pytest.raises(PreconditionError) as repeat:
+            bennett_bound(spec, t, 3)
+        assert str(repeat.value) == str(general.value)
 
 
 class TestGenericOrder:
@@ -377,9 +358,11 @@ class TestSerialization:
         # records written while the roots came from a grid scan still load
         old = {**record, "roots_x_max": 50.0, "roots_step": 0.05}
         assert BennettBound.from_json_dict(old) == result
+        # and so do those with the residual column, since dropped
+        assert BennettBound.from_json_dict({**record, "residual": 0.0}) == result
 
     def test_record_has_contracted_fields(self):
-        record = bennett_p3_lambert(uniform_spec(3, 1), 0.1).to_json_dict()
-        for key in ("t", "p", "bound", "alpha", "roots", "y_star", "b",
-                    "residual"):
+        record = bennett_bound(uniform_spec(3, 1), 0.1, 3).to_json_dict()
+        for key in ("t", "p", "bound", "alpha", "roots", "y_star", "b"):
             assert key in record
+        assert "residual" not in record

@@ -16,7 +16,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailbound import Beta, EnsembleSpec, TruncatedExponential, Uniform, bennett_bound
@@ -113,13 +113,13 @@ def paper_bound_mp(members, b, t, p):
         return mpmath.exp(best)
 
 
-def library_bound(members, t, p):
+def library_record(members, t, p):
     vectors = []
     for kind, params, n in members:
         law = {"truncexp": TruncatedExponential, "beta": Beta,
                "uniform": Uniform}[kind](*params)
         vectors += [law.moment_vector(p)] * n
-    return bennett_bound(EnsembleSpec(vectors), t, p).bound
+    return bennett_bound(EnsembleSpec(vectors), t, p)
 
 
 def assert_close(got, want):
@@ -159,7 +159,7 @@ class TestAgainstThePaper:
     @example(([("truncexp", (0.001, 1.0), 1)], 0.001, 5.0, 4))
     def test_bound_is_the_paper_value(self, case):
         members, b, t, p = case
-        assert_close(library_bound(members, t, p),
+        assert_close(library_record(members, t, p).bound,
                      paper_bound_mp(members, b, t, p))
 
     @pytest.mark.parametrize("params, n, t, p", [
@@ -182,3 +182,31 @@ class TestAgainstThePaper:
         b, rate = (float(kv.split("=")[1]) for kv in params.split(","))
         want = paper_bound_mp([("truncexp", (b, rate), n)], b, t, p)
         assert abs(float(row[3]) - float(want)) <= 1e-11 * float(want)
+
+
+class TestOrderThreeClosedForm:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ensembles())
+    # alpha = (1.4, 1/3): y = 4.2 - W(3 e^4.2)
+    @example(([("uniform", (0.0, 1.0), 1)], 1.0, 0.1, 3))
+    def test_root_is_the_lambert_w_closed_form(self, case):
+        # the paper's p = 3 root y = z - W(e^z/alpha_1), z = alpha_0/alpha_1,
+        # with alpha_0 = 1 + t b^2/mu^3 and alpha_1 = b mu^2/mu^3 - 1 from the
+        # laws' parameters at 50 digits (alpha_1 near 0, all mass near b,
+        # is left out)
+        members, b, t, _ = case
+        with mpmath.workdps(50):
+            mu2 = mu3 = mpmath.mpf(0)
+            for kind, params, n in members:
+                m2, m3 = law_moments_mp(kind, params, 3)
+                mu2 += n * m2
+                mu3 += n * m3
+            b_mp = mpmath.mpf(b)
+            alpha0 = 1 + t * b_mp ** 2 / mu3
+            alpha1 = b_mp * mu2 / mu3 - 1
+            assume(alpha1 > mpmath.mpf(10) ** -20)
+            z = alpha0 / alpha1
+            want = z - mpmath.lambertw(mpmath.exp(z) / alpha1)
+        got = library_record(members, t, 3).y_star
+        assert abs(got - want) <= TOLERANCE * want, (got, want)

@@ -91,7 +91,7 @@ class TestBoundCommand:
         for r in benn:
             parsed = BennettBound.from_json_dict(r)
             assert parsed.y_star == r["y_star"]
-            assert "residual" in r
+            assert {"family": "bennett", **parsed.to_json_dict()} == r
 
     def test_per_var_thresholds(self, capsys):
         code, out, _ = run(capsys, "bound", "--dist", "uniform", "--n", "40",
@@ -194,9 +194,10 @@ class TestBoundCommand:
         lines = out.strip().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         spec = EnsembleSpec.iid_replicate(Beta(a, 1).moment_vector(3), 10)
-        want = bennett_bound_generic(spec, 1.0, 3).bound
-        assert float(row["bound"]) == pytest.approx(want, rel=1e-12)
-        assert float(row["residual"]) < 1e-14
+        want = bennett_bound_generic(spec, 1.0, 3)
+        assert float(row["bound"]) == pytest.approx(want.bound, rel=1e-12)
+        assert float(row["y_star"]) == pytest.approx(want.y_star, rel=1e-12)
+        assert "residual" not in row
 
     def test_bennett_needs_order_two(self, capsys):
         code, _, _ = run(capsys, "bound", "--family", "bennett",

@@ -24,7 +24,6 @@ from tailbound import (
     TruncatedExponential,
     Uniform,
     bennett_bound,
-    bennett_p3_lambert,
     classical_sample_size,
     hoeffding_bound,
     hoeffding_limit,
@@ -96,7 +95,7 @@ def test_bounds_in_unit_interval_or_tailbound_error(dists, n, t, p, c):
         lambda: hoeffding_limit([d for d in dists for _ in range(n)], t),
         lambda: hoeffding_missing_factor(variables, t, p, c),
         lambda: bennett_bound(spec, t, p),
-        lambda: bennett_p3_lambert(spec, t),
+        lambda: bennett_bound(spec, t, 3),
     ]
     for call in calls:
         _in_unit_interval_or_error(call)
@@ -115,8 +114,8 @@ REPRODUCERS = {
         _iid(TruncatedExponential(2.220446049250313e-16, 1.0), 2), 1e300, 2),
     "bennett b^p underflows": lambda: bennett_bound(
         _iid(TruncatedExponential(1e-300, 1.0), 2), 1e300, 2),
-    "lambert alpha_0 overflows": lambda: bennett_p3_lambert(
-        _iid(Bernoulli(1e-300), 3), 1e300),
+    "bennett p=3 alpha_0 overflows": lambda: bennett_bound(
+        _iid(Bernoulli(1e-300), 3), 1e300, 3),
     "range squared underflows": lambda: hoeffding_bound(
         _iid(Uniform(-1.3273103534144456e-234, 0.0), 1), 1.0, 1),
     "second moment underflows": lambda: hoeffding_bound(

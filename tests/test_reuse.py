@@ -30,7 +30,6 @@ from tailbound import (
     Uniform,
     bennett,
     bennett_bound,
-    bennett_p3_lambert,
     special,
 )
 
@@ -82,12 +81,12 @@ def laws_below_one(draw):
 
 
 # a run of calls on one ensemble and order: which of the three ensembles,
-# p, the function, and exponents e for thresholds 10^e times the
+# p (3 for "p3"), and exponents e for thresholds 10^e times the
 # ensemble's size, e in [-3, 3], whose roots need right ends from 1 to
 # beyond 8
 runs = st.tuples(
     st.integers(0, 2), st.integers(2, 8),
-    st.sampled_from(["bound", "bound", "lambert"]),
+    st.sampled_from(["bound", "bound", "p3"]),
     st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
 
 
@@ -101,15 +100,14 @@ class TestRecordsAreUnchanged:
                                                          plan):
         for which, p, how, exponents in plan:
             laws = ensembles[which]
-            if how == "lambert":
+            if how == "p3":
                 p = 3
             for e in exponents:
                 t = len(laws) * 10.0 ** e
                 # rebuilt for every call from the laws' vectors, which
                 # each law hands out again: the same objects every time
                 spec = EnsembleSpec([law.moment_vector(p) for law in laws])
-                call = (partial(bennett_p3_lambert, spec, t) if how == "lambert"
-                        else partial(bennett_bound, spec, t, p))
+                call = partial(bennett_bound, spec, t, p)
                 want = fresh(call)
                 assert_same(outcome(call), want)
 
@@ -228,9 +226,6 @@ class TestErrorsAreUnchanged:
         message = "a must be positive for a positive root to exist; got 0.0"
         self.raises_twice(lambda: bennett_bound(spec, 5e-324, p),
                           PreconditionError, message)
-        if p == 3:
-            self.raises_twice(lambda: bennett_p3_lambert(spec, 5e-324),
-                              PreconditionError, message)
         assert bennett._last is kept
         assert_same(bennett_bound(spec, 0.5, p), good)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -167,16 +168,16 @@ def g_mp(coeffs, y):
         return a - sum(c_j * y ** j for j, c_j in enumerate(c, start=1)) - tail
 
 
-def root_near_mp(coeffs, near):
-    """The root of g within 1e-9 of `near`, at 60 digits: g must change sign
-    from + to - across that bracket, in which the secant method finds it."""
+def root_near_mp(coeffs, near, width=1e-9):
+    """The root of g within `width` of `near`, relative, at 60 digits: g must
+    change sign across that bracket, in which the secant method finds it."""
     with mpmath.workdps(60):
         # in y = near (1 + u), so that the solver's tolerance on u is relative
         def g_u(u):
             return g_mp(coeffs, mpmath.mpf(near) * (1 + u))
 
-        width = mpmath.mpf(10) ** -9
-        assert g_u(-width) > 0 > g_u(width)
+        width = mpmath.mpf(width)
+        assert g_u(-width) * g_u(width) < 0
         u = mpmath.findroot(g_u, (0, width / 1000), verify=False)
         assert abs(u) < width
         return mpmath.mpf(near) * (1 + u)
@@ -328,9 +329,11 @@ def single_root_coeffs(draw):
 
 
 def rounding_scale(coeffs, y):
-    """eps (a + sum_j |c_j| y^j + T(y)) / |g'(y)|, with e^y in place of T(y)
-    from y = 1 on, where T is exp(y) minus a polynomial: how far the
-    rounding of one residual evaluation moves a root."""
+    """(eps (a + sum_j |c_j| y^j + T(y)) + (q + 2) 2^-1074) / |g'(y)|, with
+    e^y in place of T(y) from y = 1 on, where T is exp(y) minus a
+    polynomial: how far the rounding of one residual evaluation moves a
+    root. The second term is the absolute rounding of the terms that fall
+    below the normal floats, as for a = 1e-320."""
     q = len(coeffs) - 1
     tail = float(g_mp((0.0,) + (0.0,) * q, y))
     size = coeffs[0] + (math.exp(y) if y >= 1.0 else -tail)
@@ -338,7 +341,7 @@ def rounding_scale(coeffs, y):
     for j in range(1, q + 1):
         size += abs(coeffs[j]) * y ** j
         slope += j * coeffs[j] * y ** (j - 1)
-    return 2.0 ** -52 * size / abs(slope)
+    return (2.0 ** -52 * size + 2.0 ** -1074 * (q + 2)) / abs(slope)
 
 
 class TestSingleRoot:
@@ -413,6 +416,84 @@ class TestSingleRoot:
         assert special._newton_root(coeffs) is None
         assert outcome(lambda: solve_poly_exp(coeffs)) \
             == outcome(lambda: poly_exp_roots(coeffs))
+
+
+def assert_within_rounding(coeffs, root):
+    # 6 rounding scales, a bracket for the reference twice that wide; a
+    # subnormal a leaves the root a few 1e-4 of itself
+    tol = 6 * rounding_scale(coeffs, root)
+    want = root_near_mp(coeffs, root, max(1e-9, 2 * tol / root))
+    assert abs(root - want) <= tol
+
+
+@st.composite
+def rolle_coeffs(draw):
+    """(a, c_1, ..., c_q) with some c_j < 0 (j >= 2), which solve_poly_exp
+    sends to the Rolle isolation: degree 2 to 5, a log-uniform in
+    [1e-3, 1e3], c_1 in [-4, 11] and c_j = d_j/j! for d_j in [-10, 10]."""
+    q = draw(st.integers(2, 5))
+    coeffs = [10.0 ** draw(st.floats(-3.0, 3.0)), draw(st.floats(-4.0, 11.0))]
+    for j in range(2, q + 1):
+        coeffs.append(draw(st.floats(-10.0, 10.0)) / math.factorial(j))
+    assume(min(coeffs[2:]) < 0.0)
+    return coeffs
+
+
+class TestRolleRoots:
+    """The roots of the Rolle isolation, which poly_exp_roots always takes
+    and solve_poly_exp where some c_j < 0 (j >= 2)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rolle_coeffs())
+    @example([0.5, 6.0, -3.5])
+    @example([0.05, 4.0, -6.0, 1.5])
+    @example([1e-320, 1e-310, 0.0, -1e-300])
+    @example([1e-320, 1e-310])
+    def test_every_root_within_rounding_of_the_60_digit_root(self, coeffs):
+        rs = poly_exp_roots(coeffs)
+        if min(coeffs[2:], default=0.0) < 0.0:
+            assert solve_poly_exp(coeffs) == rs
+        # a pair of roots closer than the reference's bracket is out of its
+        # reach
+        assume(all(b - a > 1e-6 * b for a, b in zip(rs.roots, rs.roots[1:])))
+        for root in rs.roots:
+            assert_within_rounding(coeffs, root)
+
+    @pytest.mark.parametrize("coeffs", [
+        (1e-320, 1e-310, 0.0, -1e-300),
+        (1e-320, 1e-310),
+    ])
+    def test_a_root_far_below_two_to_the_minus_200(self, coeffs):
+        # the roots are about 2.2e-80 (a = y^4/24) and 1.4e-160 (a = y^2/2);
+        # Newton steps from 0.5 shrank by half or less each, and the
+        # refinement stopped after 200 of them at 1.39e-54 and 3.1e-61
+        (root,) = (solve_poly_exp(coeffs) if len(coeffs) > 2
+                   else poly_exp_roots(coeffs)).roots
+        assert_within_rounding(coeffs, root)
+
+    @pytest.mark.parametrize("coeffs", [(0.5, 6.0, -3.5), (2.0, 1.5, 0.5)])
+    def test_the_levels_reach_the_residual_through_a_private_name(
+            self, monkeypatch, coeffs):
+        # as perfbench/tracing.py does, rebind the first name under which
+        # each tailbound module holds poly_exp_residual: the derivative
+        # levels and the Newton slope must not go through it, so that it
+        # sees g's own coefficients alone
+        residual = special.poly_exp_residual
+        seen = []
+
+        def traced(c, y):
+            seen.append(tuple(c))
+            return residual(c, y)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tailbound") and module is not None:
+                held = [k for k, v in vars(module).items() if v is residual]
+                if held:
+                    monkeypatch.setattr(module, held[0], traced)
+        monkeypatch.setattr(special, "_last_levels", None)
+        rs = solve_poly_exp(coeffs)
+        assert len(rs.roots) == (3 if coeffs[2] < 0.0 else 1)
+        assert seen and set(seen) == {coeffs}
 
 
 def outcome(call):
